@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, MathError, ParseError, TamechainError
+from .field import _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, Vertex, point_name, realize, transfer_point
 from .functors import minimal_cover, minimal_resolution
 from .chains import (
@@ -335,28 +337,39 @@ def cmd_transfer(args) -> int:
     return 0
 
 
+def _example_field(args) -> int:
+    """The modulus for `example`: --field, else TAMECHAIN_FIELD, else 2."""
+    text = os.environ.get("TAMECHAIN_FIELD", "2") if args.field is None else args.field
+    try:
+        return _check_modulus(int(text))
+    except ValueError as exc:
+        raise InputError(f"bad field modulus {text!r}: {exc}") from exc
+
+
 def cmd_example(args) -> int:
-    obj = builtin_example(args.name, args.field)
+    p = _example_field(args)
+    obj = builtin_example(args.name, p)
     point_name_default = "P"
     if isinstance(obj, GluingStage):
         out = build_document(
-            args.field,
+            p,
             {point_name_default: obj.functor.poset},
             chains={"X": (obj.functor, point_name_default)},
             gluing={"A": list(obj.a_names), "B": list(obj.b_names)},
         )
     elif isinstance(obj, ChainPair):
         out = build_document(
-            args.field,
+            p,
             {point_name_default: obj.left.poset},
             chains={"left": (obj.left, point_name_default), "right": (obj.right, point_name_default)},
         )
     else:
-        out = build_document(args.field, {point_name_default: obj.poset}, chains={args.name: (obj, point_name_default)})
+        out = build_document(p, {point_name_default: obj.poset}, chains={args.name: (obj, point_name_default)})
     sys.stdout.write(dumps_document(out))
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tamechain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -403,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("example", help="emit a builtin object as a document")
     sp.set_defaults(fn=cmd_example)
     sp.add_argument("name")
-    sp.add_argument("--field", type=int, default=int(os.environ.get("TAMECHAIN_FIELD", "2")))
+    sp.add_argument("--field", type=int, default=None, help="prime modulus (default: TAMECHAIN_FIELD, else 2)")
     sp.add_argument("--machine", action="store_true")
     return parser
 

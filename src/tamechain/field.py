@@ -9,10 +9,11 @@ outputs.  Zero-dimensional shapes (0 x n, n x 0) are first-class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import NoSolutionError
+from .errors import FieldMismatchError, NoSolutionError
 
 __all__ = [
     "Mat",
@@ -51,7 +52,7 @@ def _check_modulus(p) -> int:
 
 def _same_field(a: "Mat", b: "Mat") -> int:
     if a.p != b.p:
-        raise ValueError(f"field mismatch: {a.p} vs {b.p}")
+        raise FieldMismatchError(f"field mismatch: {a.p} vs {b.p}")
     return a.p
 
 
@@ -107,7 +108,7 @@ class Mat:
         return self.arr.shape
 
     def tolist(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.arr]
+        return self.arr.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
@@ -156,7 +157,7 @@ class Mat:
         return self.rows == self.cols and bool(np.array_equal(self.arr, np.eye(self.rows, dtype=np.int64)))
 
     def rank(self) -> int:
-        return len(rref(self).pivots)
+        return len(rref(self, transform=False).pivots)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -192,15 +193,31 @@ class Mat:
         return Mat._wrap(out, p)
 
 
+# Products with at least this many multiply-adds go through float64 BLAS
+# when that is exact; smaller ones stay on int64, where numpy's overhead
+# per call is lower.
+_BLAS_MIN_MADDS = 32**3
+
+
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    inner = a.shape[1]
+    """a @ b mod p for canonical residues.
+
+    The float64 route is exact when inner * (p - 1)**2 < 2**53: every
+    product and every partial sum is then an integer below 2**53, so no
+    rounding happens in any summation order.  Otherwise the int64 route
+    reduces after every `step` inner terms to stay below 2**62.
+    """
+    m, inner = a.shape
+    n = b.shape[1]
     if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    # Keep int64 accumulation below 2**62: reduce every `step` inner terms.
+        return np.zeros((m, n), dtype=np.int64)
+    if m * inner * n >= _BLAS_MIN_MADDS and inner * (p - 1) ** 2 < 2**53:
+        # Reduce in int64: np.fmod on float64 is several times slower.
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
     step = max(1, int(2**62 // max(1, (p - 1) ** 2)))
     if inner <= step:
         return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    acc = np.zeros((m, n), dtype=np.int64)
     for k in range(0, inner, step):
         acc = (acc + a[:, k : k + step] @ b[k : k + step, :]) % p
     return acc
@@ -208,59 +225,137 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rref:
-    """Reduced row-echelon form R with pivot columns and transform T M = R."""
+    """Reduced row-echelon form R with pivot columns and transform T M = R.
+
+    T is None when `rref` was called with transform=False.
+    """
 
     R: Mat
     pivots: tuple[int, ...]
-    T: Mat
+    T: Optional[Mat]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
 
-def rref(M: Mat) -> Rref:
-    p = M.p
-    R = M.arr.copy()
-    T = np.eye(M.rows, dtype=np.int64)
+# Column panel width of the blocked elimination.  A matrix no wider than
+# one panel is eliminated unblocked, with no copies and no products.
+_PANEL = 48
+
+
+def _gauss_jordan(A: np.ndarray, ncols: int, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Unblocked Gauss-Jordan elimination of A in place, pivoting only in
+    its first `ncols` columns: the pivot of column c is the first nonzero
+    at or below the current row.  Returns the pivot columns and the row
+    swaps made, in order.
+    """
+    m = A.shape[0]
     pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
     r = 0
-    for c in range(M.cols):
-        if r == M.rows:
+    for c in range(ncols):
+        if r == m:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-            T[[r, i]] = T[[i, r]]
-        piv = int(R[r, c])
+            A[[r, i]] = A[[i, r]]
+            swaps.append((r, i))
+        # Row r is zero left of c, so every update starts at column c.
+        row = A[r, c:]
+        piv = int(row[0])
         if piv != 1:
-            inv = pow(piv, p - 2, p)
-            R[r] = (R[r] * inv) % p
-            T[r] = (T[r] * inv) % p
-        factors = R[:, c].copy()
+            row *= pow(piv, p - 2, p)
+            row %= p
+        factors = A[:, c].copy()
         factors[r] = 0
-        hit = np.nonzero(factors)[0]
+        hit = factors.nonzero()[0]
         if hit.size:
-            R[hit] = (R[hit] - np.outer(factors[hit], R[r])) % p
-            T[hit] = (T[hit] - np.outer(factors[hit], T[r])) % p
+            A[hit, c:] = (A[hit, c:] - factors[hit, None] * row) % p
         pivots.append(c)
         r += 1
-    return Rref(Mat._wrap(R, p), tuple(pivots), Mat._wrap(T, p))
+    return pivots, swaps
+
+
+def _eliminate(A: np.ndarray, ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan elimination of A in place, pivoting only in its first
+    `ncols` columns; returns the pivot columns.
+
+    Columns are taken in panels of _PANEL.  Each panel is eliminated
+    unblocked on a copy of its rows at or below the current row r, which
+    fixes the panel's pivots and row swaps.  The panel's row operations
+    are then applied to every column from the panel on in one product:
+    with the rows permuted, the k pivot rows become X = G^-1 A[r:r+k],
+    where G is their pre-elimination block in the pivot columns, and
+    every other row loses C X, where C is its pre-elimination block in
+    the pivot columns.  These are the elementary operations of the
+    unblocked loop, grouped, so the result is the same to the bit.
+    """
+    if ncols <= _PANEL:
+        return _gauss_jordan(A, ncols, p)[0]
+    m = A.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c0 in range(0, ncols, _PANEL):
+        if r == m:
+            break
+        c1 = min(c0 + _PANEL, ncols)
+        piv, swaps = _gauss_jordan(A[r:, c0:c1].copy(), c1 - c0, p)
+        if not piv:
+            continue
+        for i, j in swaps:
+            A[[r + i, r + j]] = A[[r + j, r + i]]
+        k = len(piv)
+        pc = [c0 + j for j in piv]
+        G = np.eye(k, 2 * k, k, dtype=np.int64)
+        G[:, :k] = A[r : r + k, pc]
+        _gauss_jordan(G, k, p)
+        X = _matmul(G[:, k:], A[r : r + k, c0:], p)
+        for rows in (slice(0, r), slice(r + k, m)):
+            C = A[rows, pc]
+            if C.any():
+                block = A[rows, c0:]
+                block -= _matmul(C, X, p)
+                block %= p
+        A[r : r + k, c0:] = X
+        pivots += pc
+        r += k
+    return pivots
+
+
+def rref(M: Mat, transform: bool = True) -> Rref:
+    """Reduced row-echelon form of M, pivots leftmost-first.
+
+    With transform=True, T is the invertible matrix with T M = R, read off
+    from eliminating [M | I] with pivots chosen only among M's columns.
+    With transform=False, T is None and the identity block is never built.
+    """
+    p = M.p
+    m, n = M.shape
+    if transform:
+        A = np.eye(m, n + m, n, dtype=np.int64)
+        A[:, :n] = M.arr
+    else:
+        A = M.arr.copy()
+    pivots = _eliminate(A, n, p)
+    T = Mat._wrap(A[:, n:], p) if transform else None
+    return Rref(Mat._wrap(A[:, :n], p), tuple(pivots), T)
 
 
 def kernel(M: Mat) -> Mat:
     """Canonical basis of ker M as columns; full column rank cols - rank."""
-    rr = rref(M)
+    rr = rref(M, transform=False)
     p = M.p
-    free = [c for c in range(M.cols) if c not in set(rr.pivots)]
+    pivots = list(rr.pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(M.cols) if c not in pivot_set]
     K = np.zeros((M.cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        for i, pc in enumerate(rr.pivots):
-            K[pc, j] = (-int(rr.R.arr[i, fc])) % p
+    if free:
+        K[free, np.arange(len(free))] = 1
+        K[pivots] = (-rr.R.arr[: len(pivots), free]) % p
     return Mat._wrap(K, p)
 
 
@@ -296,12 +391,13 @@ def solve_or_none(A: Mat, B: Mat):
     p = _same_field(A, B)
     if A.rows != B.rows:
         raise ValueError(f"row mismatch in solve: {A.shape} vs {B.shape}")
-    rr = rref(Mat.hstack([A, B]))
+    rr = rref(Mat.hstack([A, B]), transform=False)
+    pivots = list(rr.pivots)
     X = np.zeros((A.cols, B.cols), dtype=np.int64)
-    for i, c in enumerate(rr.pivots):
-        if c >= A.cols:
+    if pivots:
+        if pivots[-1] >= A.cols:
             return None
-        X[c] = rr.R.arr[i, A.cols :]
+        X[pivots] = rr.R.arr[: len(pivots), A.cols :]
     return Mat._wrap(X, p)
 
 

@@ -391,7 +391,7 @@ def local_homology(F: VectFunctor, x: int) -> LocalHomology:
 
 def column_space_basis(M: Mat) -> Mat:
     """Canonical (echelon) basis of the column space, as columns."""
-    rr = rref(M.transpose())
+    rr = rref(M.transpose(), transform=False)
     return rr.R.take_rows(range(rr.rank)).transpose()
 
 

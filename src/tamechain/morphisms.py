@@ -399,7 +399,7 @@ def _span_of_maps(maps: list[ChainMap], p: int) -> list[ChainMap]:
     if not maps:
         return []
     vecs = np.stack([_to_vec(m) for m in maps], axis=0)
-    rr = rref(Mat(vecs, p))
+    rr = rref(Mat(vecs, p), transform=False)
     out = []
     X, Y = maps[0].dom, maps[0].cod
     for i in range(rr.rank):

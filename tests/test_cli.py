@@ -191,3 +191,44 @@ def test_indec_on_plain_functor_document():
     code, out, _ = invoke(["endring"], json.dumps(doc))
     assert code == 0
     assert "dim: 1" in out
+
+
+def test_field_env_read_when_example_runs(monkeypatch):
+    invoke(["example", "fig2"])  # the parser exists before the variable is set
+    monkeypatch.setenv("TAMECHAIN_FIELD", "5")
+    code, doc, _ = invoke(["example", "fig2"])
+    assert code == 0
+    assert json.loads(doc)["field"] == 5
+    code, doc, _ = invoke(["example", "fig2", "--field", "3"])
+    assert json.loads(doc)["field"] == 3
+
+
+def test_bad_field_env_ignored_by_other_commands(monkeypatch):
+    _, doc, _ = invoke(["example", "fig3_c"])
+    monkeypatch.setenv("TAMECHAIN_FIELD", "x")
+    code, out, err = invoke(["info"], doc)
+    assert code == 0, err
+    assert "field: 2" in out
+
+
+def test_non_integer_field_env_is_input_error(monkeypatch):
+    monkeypatch.setenv("TAMECHAIN_FIELD", "x")
+    code, out, err = invoke(["example", "fig2"])
+    assert code == 2
+    assert out == ""
+    assert "input error (InputError)" in err
+
+
+def test_non_prime_field_env_is_input_error(monkeypatch):
+    monkeypatch.setenv("TAMECHAIN_FIELD", "4")
+    code, out, err = invoke(["example", "fig2"])
+    assert code == 2
+    assert out == ""
+    assert "not prime" in err
+
+
+def test_non_prime_field_option_is_input_error():
+    code, out, err = invoke(["example", "fig2", "--field", "4"])
+    assert code == 2
+    assert out == ""
+    assert "not prime" in err

@@ -1,12 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamechain.errors import NoSolutionError
+from tamechain.errors import FieldMismatchError, NoSolutionError
 from tamechain.field import (
+    _PANEL,
     Mat,
+    _matmul,
+    cokernel,
     inverse,
     kernel,
     kernel_and_cokernel,
@@ -216,3 +220,109 @@ def test_matmul_large_modulus_no_overflow():
     b = Mat([[p - 1]] * 300, p)
     # Exact value: 300 * (p-1)^2 mod p == 300 mod p.
     assert (a @ b).tolist() == [[300]]
+
+
+# --- reference oracle for the blocked elimination ---------------------------
+
+
+def _oracle_rref(arr, p):
+    """The plain unblocked Gauss-Jordan loop, with T tracked alongside R."""
+    R = arr.copy()
+    T = np.eye(R.shape[0], dtype=np.int64)
+    pivots = []
+    r = 0
+    for c in range(R.shape[1]):
+        if r == R.shape[0]:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        R[[r, i]] = R[[i, r]]
+        T[[r, i]] = T[[i, r]]
+        inv = pow(int(R[r, c]), p - 2, p)
+        R[r] = (R[r] * inv) % p
+        T[r] = (T[r] * inv) % p
+        f = R[:, c].copy()
+        f[r] = 0
+        R = (R - np.outer(f, R[r])) % p
+        T = (T - np.outer(f, T[r])) % p
+        pivots.append(c)
+        r += 1
+    return R, tuple(pivots), T
+
+
+def _oracle_kernel(arr, p):
+    R, pivots, _ = _oracle_rref(arr, p)
+    free = [c for c in range(arr.shape[1]) if c not in pivots]
+    K = np.zeros((arr.shape[1], len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        K[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            K[pc, j] = (-int(R[i, fc])) % p
+    return K
+
+
+def _oracle_solve(a, b, p):
+    R, pivots, _ = _oracle_rref(np.hstack([a, b]), p)
+    X = np.zeros((a.shape[1], b.shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        if c >= a.shape[1]:
+            return None
+        X[c] = R[i, a.shape[1] :]
+    return X
+
+
+def _low_rank(rng, rows, cols, p):
+    """A random rows x cols matrix of random rank: a product through a
+    random inner size, sparsely perturbed, with some columns copied from
+    earlier ones and some zeroed, so pivots come with gaps."""
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    M = _matmul(rng.integers(0, p, (rows, k)), rng.integers(0, p, (k, cols)), p)
+    density = rng.choice([0.0, 0.002, 0.02])
+    M = (M + (rng.random((rows, cols)) < density) * rng.integers(0, p, (rows, cols))) % p
+    copied = rng.random(cols) < 0.1
+    M[:, copied] = M[:, (rng.random(cols) * np.arange(cols)).astype(int)[copied]]
+    M[:, rng.random(cols) < 0.15] = 0
+    return M
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3 * _PANEL),
+    st.integers(min_value=0, max_value=3 * _PANEL),
+    st.sampled_from([2, 3, 5, 32749, 2147483629]),
+    st.integers(min_value=0, max_value=2**30),
+)
+def test_kernels_match_unblocked_oracle(rows, cols, p, seed):
+    rng = np.random.default_rng(seed)
+    arr = _low_rank(rng, rows, cols, p)
+    M = Mat(arr, p)
+    R, pivots, T = _oracle_rref(arr, p)
+    rr = rref(M)
+    assert rr.pivots == pivots
+    assert np.array_equal(rr.R.arr, R) and np.array_equal(rr.T.arr, T)
+    lean = rref(M, transform=False)
+    assert lean.T is None and lean.pivots == pivots and np.array_equal(lean.R.arr, R)
+    assert np.array_equal(kernel(M).arr, _oracle_kernel(arr, p))
+    C, section = cokernel(M)
+    assert np.array_equal(C.arr, T[len(pivots) :])
+    assert np.array_equal(section.arr, _oracle_solve(C.arr, np.eye(C.rows, dtype=np.int64), p))
+    # One solvable right-hand side (from the column space) and one random.
+    for b in (_matmul(arr, rng.integers(0, p, (cols, 3)), p), rng.integers(0, p, (rows, 2))):
+        X = solve_or_none(M, Mat(b, p))
+        want = _oracle_solve(arr, b, p)
+        assert (X is None) == (want is None)
+        assert want is None or np.array_equal(X.arr, want)
+    square = _low_rank(rng, rows, rows, p) if seed % 2 else rng.integers(0, p, (rows, rows))
+    _, piv_s, Ts = _oracle_rref(square, p)
+    if len(piv_s) == rows:
+        assert np.array_equal(inverse(Mat(square, p)).arr, Ts)
+    else:
+        with pytest.raises(NoSolutionError):
+            inverse(Mat(square, p))
+
+
+def test_field_mismatch_error():
+    with pytest.raises(FieldMismatchError):
+        Mat([[1]], 2) + Mat([[1]], 3)
