@@ -1,10 +1,11 @@
 """Golden outputs: the CLI's machine reports on the builtin examples, byte
 for byte.
 
-Each file `tests/golden/<example>.p<p>.txt` holds, for every command in
-COMMANDS, a header line with the command and its exit code followed by
-its stdout.  `decompose` reads the output of `replace`, as in the
-`replace | decompose` pipeline; the other commands read the example.
+Each file `tests/golden/<example>.p<p>.txt` holds the document that
+`example` emits and then, for every command in COMMANDS, a header line
+with the command and its exit code followed by its stdout.  `decompose`
+reads the output of `replace`, as in the `replace | decompose` pipeline;
+the other commands read the example.
 The files lock the canonical forms (leftmost pivots, free variables
 zero) that any change to the F_p kernels must reproduce.
 
@@ -43,6 +44,8 @@ COMMANDS = [
     ["endring"],
     ["indec", "--strategy", "exhaustive"],
     ["glue"],
+    ["info"],
+    ["validate"],
 ]
 
 
@@ -57,9 +60,10 @@ def _invoke(argv, stdin_text=""):
 
 
 def render(example: str, p: int) -> str:
-    code, doc = _invoke(["example", example, "--field", str(p)])
+    argv = ["example", example, "--field", str(p)]
+    code, doc = _invoke(argv)
     assert code == 0
-    parts = []
+    parts = [f"$ tamechain {' '.join(argv)}  # exit {code}\n{doc}"]
     replaced = ""
     for cmd in COMMANDS:
         argv = cmd + ["--machine"]
