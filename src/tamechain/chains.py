@@ -1,17 +1,23 @@
 """Chain-complex valued functors on finite posets.
 
-A chain functor stores, per element, a bounded non-negative chain complex
-and, per cover relation, a chain map.  The module provides spheres and
-disks, homology functors, the model-structure classification of
-morphisms, minimal projective covers, the staircase construction of
-minimal cofibrant factorizations, and the sphere/disk decomposition of
-cofibrant objects over dimension-<=1 posets.
+A chain functor is one vector-space functor per degree 0..top together
+with the boundary natural maps d[k]: layers[k+1] -> layers[k]; a chain
+map is one natural map per degree.  Every part is validated by its own
+constructor, so a chain functor checks only d . d = 0 and a chain map
+only its chain squares.  Flat per-element data (dims, boundaries and
+cover maps) enters through `ChainFunctor.from_arrays`.  The module
+provides spheres and disks, homology functors, the model-structure
+classification of morphisms, minimal projective covers, the staircase
+construction of minimal cofibrant factorizations, and the sphere/disk
+decomposition of cofibrant objects over dimension-<=1 posets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     HomologyNotResolvableError,
@@ -60,161 +66,153 @@ __all__ = [
 ]
 
 
-class ChainFunctor:
-    """Functor poset -> Ch(vect_{F_p}), bounded by an explicit top degree."""
+def _same_poset(P: FinPoset, Q: FinPoset) -> bool:
+    return P is Q or (P.names == Q.names and P.covers == Q.covers)
 
-    def __init__(
-        self,
+
+def _zero_functor(poset: FinPoset, p: int) -> VectFunctor:
+    return VectFunctor(poset, [0] * poset.n, {}, p)
+
+
+class ChainFunctor:
+    """Functor poset -> Ch(vect_{F_p}): layers[n] is the degree-n functor
+    for n = 0..top, and d[k]: layers[k+1] -> layers[k] the boundary."""
+
+    def __init__(self, layers: Sequence[VectFunctor], d: Sequence[NatMap]):
+        self.layers = tuple(layers)
+        self.d = tuple(d)
+        if not self.layers:
+            raise ValidationError("chain functor needs at least degree 0")
+        self.poset = self.layers[0].poset
+        self.p = self.layers[0].p
+        for n, F in enumerate(self.layers):
+            if F.p != self.p or not _same_poset(F.poset, self.poset):
+                raise ValidationError(f"degree {n} lives on another poset or modulus than degree 0")
+        if len(self.d) != self.top:
+            raise ValidationError(f"chain functor with top degree {self.top} needs {self.top} boundary maps")
+        for k, b in enumerate(self.d):
+            if not (self._is_layer(b.dom, k + 1) and self._is_layer(b.cod, k)):
+                raise ValidationError(f"boundary {k + 1} does not map degree {k + 1} to degree {k}")
+        for k in range(self.top - 1):
+            for q, (lo, hi) in enumerate(zip(self.d[k].comps, self.d[k + 1].comps)):
+                if not (lo @ hi).is_zero():
+                    raise ValidationError(
+                        f"boundary square is nonzero at element {self.poset.names[q]}, degree {k + 2}"
+                    )
+
+    @classmethod
+    def from_arrays(
+        cls,
         poset: FinPoset,
         dims: Sequence[Sequence[int]],
         boundaries: Sequence[Sequence[Mat]],
         maps: dict[tuple[int, int], Sequence[Mat]],
         p: int,
-    ):
-        self.poset = poset
-        self.p = p
-        self.dims = tuple(tuple(int(d) for d in row) for row in dims)
-        if len(self.dims) != poset.n:
-            raise ValidationError("chain functor dims must list one row per element")
-        tops = {len(row) for row in self.dims}
+    ) -> "ChainFunctor":
+        """Chain functor from flat per-element data: dims[q][n], the
+        boundary boundaries[q][n-1] from degree n to n-1 at element q, and
+        maps[(y, x)][n] per cover (a missing cover maps by zero)."""
+        names = poset.names
+        if len(dims) != poset.n or len(boundaries) != poset.n:
+            raise ValidationError("chain functor dims and boundaries must list one row per element")
+        tops = {len(row) for row in dims}
         if len(tops) != 1:
             raise ValidationError("all elements must carry the same number of degrees")
-        self.top = tops.pop() - 1
-        if self.top < 0:
+        top = tops.pop() - 1
+        if top < 0:
             raise ValidationError("chain functor needs at least degree 0")
-        self.boundaries = tuple(tuple(row) for row in boundaries)
-        for q, row in enumerate(self.boundaries):
-            if len(row) != self.top:
-                raise ValidationError(f"element {poset.names[q]} needs {self.top} boundary maps")
-            for k, b in enumerate(row):
-                if b.shape != (self.dims[q][k], self.dims[q][k + 1]):
-                    raise ValidationError(
-                        f"boundary {k + 1} at {poset.names[q]} has shape {b.shape}, "
-                        f"expected {(self.dims[q][k], self.dims[q][k + 1])}"
-                    )
-            for k in range(self.top - 1):
-                if not (row[k] @ row[k + 1]).is_zero():
-                    raise ValidationError(
-                        f"boundary square is nonzero at element {poset.names[q]}, degree {k + 2}"
-                    )
-        self.maps = {}
-        for y, x in poset.covers:
-            comps = maps.get((y, x))
-            if comps is None:
-                comps = [Mat.zeros(self.dims[x][n], self.dims[y][n], p) for n in range(self.top + 1)]
-            comps = tuple(comps)
-            if len(comps) != self.top + 1:
-                raise ValidationError(f"cover ({poset.names[y]}, {poset.names[x]}) needs {self.top + 1} degree maps")
-            for n, m in enumerate(comps):
-                if m.shape != (self.dims[x][n], self.dims[y][n]):
-                    raise ValidationError(
-                        f"cover map degree {n} at ({poset.names[y]}, {poset.names[x]}) has shape {m.shape}"
-                    )
-            for n in range(1, self.top + 1):
-                if self.boundaries[x][n - 1] @ comps[n] != comps[n - 1] @ self.boundaries[y][n - 1]:
-                    raise ValidationError(
-                        f"chain-map square fails on cover ({poset.names[y]}, {poset.names[x]}) at degree {n}"
-                    )
-            self.maps[(y, x)] = comps
-        for key in maps:
-            if key not in self.maps:
-                raise ValidationError(f"map given for non-cover pair {key}")
-        self._deg_cache: dict[int, VectFunctor] = {}
-        # Path functoriality degreewise (only binding on dimension >= 2 posets).
-        for n in range(self.top + 1):
-            self.degree_functor(n)
+        for q, row in enumerate(boundaries):
+            if len(row) != top:
+                raise ValidationError(f"element {names[q]} needs {top} boundary maps")
+        extra = set(maps) - set(poset.covers)
+        if extra:
+            raise ValidationError(f"map given for non-cover pair {min(extra)}")
+        for (y, x), comps in maps.items():
+            if len(comps) != top + 1:
+                raise ValidationError(f"cover ({names[y]}, {names[x]}) needs {top + 1} degree maps")
+        layers, d = [], []
+        try:
+            for n in range(top + 1):
+                layers.append(VectFunctor(poset, [row[n] for row in dims], {c: m[n] for c, m in maps.items()}, p))
+        except ValidationError as exc:
+            raise ValidationError(f"degree {n}: {exc}") from None
+        try:
+            for n in range(1, top + 1):
+                d.append(NatMap(layers[n], layers[n - 1], tuple(row[n - 1] for row in boundaries)))
+        except ValidationError as exc:
+            raise ValidationError(f"boundary from degree {n}: {exc}") from None
+        return cls(layers, d)
+
+    def _is_layer(self, F: VectFunctor, n: int) -> bool:
+        """F is the degree-n functor (above the top: any zero functor)."""
+        if n <= self.top:
+            G = self.layers[n]
+            if F is G:
+                return True
+            if F.dims != G.dims or F.maps != G.maps:
+                return False
+        elif not F.is_zero():
+            return False
+        return F.p == self.p and _same_poset(F.poset, self.poset)
 
     # -- accessors ------------------------------------------------------
 
+    @property
+    def top(self) -> int:
+        return len(self.layers) - 1
+
+    @property
+    def dims(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(F.dims[q] for F in self.layers) for q in range(self.poset.n))
+
+    def layer(self, n: int) -> VectFunctor:
+        return self.layers[n] if 0 <= n <= self.top else _zero_functor(self.poset, self.p)
+
     def dim_at(self, q: int, n: int) -> int:
-        return self.dims[q][n] if 0 <= n <= self.top else 0
+        return self.layers[n].dims[q] if 0 <= n <= self.top else 0
 
     def boundary_at(self, q: int, n: int) -> Mat:
         """The boundary from degree n to degree n-1 at element q."""
         if 1 <= n <= self.top:
-            return self.boundaries[q][n - 1]
+            return self.d[n - 1].comps[q]
         return Mat.zeros(self.dim_at(q, n - 1), self.dim_at(q, n), self.p)
 
     def map_at(self, cover: tuple[int, int], n: int) -> Mat:
         if 0 <= n <= self.top:
-            return self.maps[cover][n]
+            return self.layers[n].maps[cover]
         y, x = cover
         return Mat.zeros(self.dim_at(x, n), self.dim_at(y, n), self.p)
 
-    def degree_functor(self, n: int) -> VectFunctor:
-        if n in self._deg_cache:
-            return self._deg_cache[n]
-        if 0 <= n <= self.top:
-            F = VectFunctor(
-                self.poset,
-                [self.dims[q][n] for q in range(self.poset.n)],
-                {c: self.maps[c][n] for c in self.poset.covers},
-                self.p,
-            )
-        else:
-            F = VectFunctor(self.poset, [0] * self.poset.n, {}, self.p)
-        self._deg_cache[n] = F
-        return F
-
-    def boundary_nat(self, n: int) -> NatMap:
-        """Boundary as a natural map X_n -> X_{n-1}."""
-        return NatMap(
-            self.degree_functor(n),
-            self.degree_functor(n - 1),
-            tuple(self.boundary_at(q, n) for q in range(self.poset.n)),
-        )
-
     def total_dim(self) -> int:
-        return sum(sum(row) for row in self.dims)
+        return sum(F.total_dim() for F in self.layers)
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
 
-    def pad_to(self, top: int) -> "ChainFunctor":
-        if top < self.top:
-            raise ValueError("pad_to cannot lower the top degree")
-        if top == self.top:
-            return self
-        dims = [list(row) + [0] * (top - self.top) for row in self.dims]
-        bdy = [
-            list(row) + [Mat.zeros(self.dim_at(q, n), 0 if n + 1 > top else dims[q][n + 1], self.p) for n in range(self.top, top)]
-            for q, row in enumerate(self.boundaries)
-        ]
-        maps = {
-            c: list(ms) + [Mat.zeros(0, 0, self.p) for _ in range(top - self.top)]
-            for c, ms in self.maps.items()
-        }
-        return ChainFunctor(self.poset, dims, bdy, maps, self.p)
-
     def trimmed(self) -> "ChainFunctor":
         """Drop trailing all-zero degrees (keeping at least degree 0)."""
         top = self.top
-        while top > 0 and all(self.dims[q][top] == 0 for q in range(self.poset.n)):
+        while top > 0 and self.layers[top].is_zero():
             top -= 1
-        if top == self.top:
-            return self
-        dims = [row[: top + 1] for row in self.dims]
-        bdy = [row[:top] for row in self.boundaries]
-        maps = {c: ms[: top + 1] for c, ms in self.maps.items()}
-        return ChainFunctor(self.poset, dims, bdy, maps, self.p)
+        return self if top == self.top else ChainFunctor(self.layers[: top + 1], self.d[:top])
 
     def restrict(self, subset: Sequence[int]) -> "ChainFunctor":
         subset = sorted(set(subset))
         sub = self.poset.restrict(subset)
-        dims = [self.dims[q] for q in subset]
-        bdy = [self.boundaries[q] for q in subset]
-        maps = {}
-        for a, b in sub.covers:
-            y, x = subset[a], subset[b]
-            maps[(a, b)] = [self.degree_functor(n).map_leq(y, x) for n in range(self.top + 1)]
-        return ChainFunctor(sub, dims, bdy, maps, self.p)
-
-    def validate(self) -> dict[str, int]:
-        """Re-run the structural checks, reporting how many were made."""
-        squares = sum(self.top for _ in self.poset.covers)
-        boundary_checks = sum(max(0, self.top - 1) for _ in range(self.poset.n))
-        ChainFunctor(self.poset, self.dims, self.boundaries, dict(self.maps), self.p)
-        return {"boundary_products": boundary_checks, "cover_squares": squares}
+        layers = [
+            VectFunctor(
+                sub,
+                [F.dims[q] for q in subset],
+                {(a, b): F.map_leq(subset[a], subset[b]) for a, b in sub.covers},
+                self.p,
+            )
+            for F in self.layers
+        ]
+        d = [
+            NatMap(layers[k + 1], layers[k], tuple(b.comps[q] for q in subset))
+            for k, b in enumerate(self.d)
+        ]
+        return ChainFunctor(layers, d)
 
     def __repr__(self) -> str:
         return f"ChainFunctor(top={self.top}, dims={self.dims}, p={self.p})"
@@ -222,106 +220,102 @@ class ChainFunctor:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Natural chain map between chain functors on the same poset."""
+    """Natural chain map between chain functors on the same poset: one
+    natural map per degree 0..max(dom.top, cod.top)."""
 
     dom: ChainFunctor
     cod: ChainFunctor
-    comps: tuple[tuple[Mat, ...], ...]  # per element, degrees 0..max(top)
+    nats: tuple[NatMap, ...]
 
     def __post_init__(self):
-        if self.dom.poset.names != self.cod.poset.names or self.dom.poset.covers != self.cod.poset.covers:
-            raise ValidationError("chain map requires a common poset")
-        D = max(self.dom.top, self.cod.top)
-        if len(self.comps) != self.dom.poset.n or any(len(row) != D + 1 for row in self.comps):
-            raise ValidationError("chain map needs one component per element per degree")
-        for q, row in enumerate(self.comps):
-            for n, m in enumerate(row):
-                if m.shape != (self.cod.dim_at(q, n), self.dom.dim_at(q, n)):
-                    raise ValidationError(f"component at element {q}, degree {n} has shape {m.shape}")
-            for n in range(1, D + 1):
-                if self.cod.boundary_at(q, n) @ row[n] != row[n - 1] @ self.dom.boundary_at(q, n):
-                    raise ValidationError(f"chain square fails at element {q}, degree {n}")
-        for y, x in self.dom.poset.covers:
-            for n in range(D + 1):
-                if self.cod.map_at((y, x), n) @ self.comps[y][n] != self.comps[x][n] @ self.dom.map_at((y, x), n):
-                    raise ValidationError(f"naturality fails on cover {(y, x)} at degree {n}")
+        if self.dom.p != self.cod.p or not _same_poset(self.dom.poset, self.cod.poset):
+            raise ValidationError("chain map requires a common poset and modulus")
+        if len(self.nats) != self.depth + 1:
+            raise ValidationError(f"chain map needs one natural map per degree 0..{self.depth}")
+        for n, nat in enumerate(self.nats):
+            if not (self.dom._is_layer(nat.dom, n) and self.cod._is_layer(nat.cod, n)):
+                raise ValidationError(f"natural map in degree {n} does not map the degree-{n} functors")
+        for n in range(1, self.depth + 1):
+            for q in range(self.dom.poset.n):
+                if self.cod.boundary_at(q, n) @ self.nats[n].comps[q] != self.nats[n - 1].comps[q] @ self.dom.boundary_at(q, n):
+                    raise ValidationError(f"chain square fails at element {self.dom.poset.names[q]}, degree {n}")
 
     @property
     def depth(self) -> int:
         return max(self.dom.top, self.cod.top)
 
     def at(self, q: int, n: int) -> Mat:
-        if n < len(self.comps[q]):
-            return self.comps[q][n]
-        return Mat.zeros(self.cod.dim_at(q, n), self.dom.dim_at(q, n), self.dom.p)
+        return self.nats[n].comps[q]
+
+    def _nat(self, n: int) -> NatMap:
+        if n <= self.depth:
+            return self.nats[n]
+        return NatMap.zero(self.dom.layer(n), self.cod.layer(n))
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         D = max(other.dom.top, self.cod.top)
-        comps = tuple(
-            tuple(self.at(q, n) @ other.at(q, n) for n in range(D + 1))
-            for q in range(self.dom.poset.n)
-        )
-        return ChainMap(other.dom, self.cod, comps)
+        return ChainMap(other.dom, self.cod, tuple(self._nat(n) @ other._nat(n) for n in range(D + 1)))
+
+    def to_vec(self, elements: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The components at the given elements (default: all), flattened
+        row-major in (element, degree) order: the coordinates of
+        `morphisms.hom_space` and of every span of chain maps."""
+        qs = range(self.dom.poset.n) if elements is None else elements
+        flat = [nat.comps[q].arr.reshape(-1) for q in qs for nat in self.nats]
+        return np.concatenate(flat + [np.zeros(0, dtype=np.int64)])
+
+    @staticmethod
+    def from_vec(dom: ChainFunctor, cod: ChainFunctor, vec: np.ndarray) -> "ChainMap":
+        """Inverse of `to_vec` over all elements."""
+        p = dom.p
+        D = max(dom.top, cod.top)
+        comps: list[list[Mat]] = [[] for _ in range(D + 1)]
+        at = 0
+        for q in range(dom.poset.n):
+            for n in range(D + 1):
+                r, c = cod.dim_at(q, n), dom.dim_at(q, n)
+                comps[n].append(Mat(vec[at : at + r * c].reshape(r, c), p))
+                at += r * c
+        nats = tuple(NatMap(dom.layer(n), cod.layer(n), tuple(comps[n])) for n in range(D + 1))
+        return ChainMap(dom, cod, nats)
 
     @staticmethod
     def identity(X: ChainFunctor) -> "ChainMap":
-        comps = tuple(
-            tuple(Mat.identity(X.dim_at(q, n), X.p) for n in range(X.top + 1))
-            for q in range(X.poset.n)
-        )
-        return ChainMap(X, X, comps)
+        return ChainMap(X, X, tuple(NatMap.identity(F) for F in X.layers))
 
     @staticmethod
     def zero(X: ChainFunctor, Y: ChainFunctor) -> "ChainMap":
         D = max(X.top, Y.top)
-        comps = tuple(
-            tuple(Mat.zeros(Y.dim_at(q, n), X.dim_at(q, n), X.p) for n in range(D + 1))
-            for q in range(X.poset.n)
-        )
-        return ChainMap(X, Y, comps)
-
-    @staticmethod
-    def from_degree_nats(dom: ChainFunctor, cod: ChainFunctor, nats: dict[int, NatMap]) -> "ChainMap":
-        D = max(dom.top, cod.top)
-        comps = []
-        for q in range(dom.poset.n):
-            row = []
-            for n in range(D + 1):
-                nat = nats.get(n)
-                row.append(nat.comps[q] if nat is not None else Mat.zeros(cod.dim_at(q, n), dom.dim_at(q, n), dom.p))
-            comps.append(tuple(row))
-        return ChainMap(dom, cod, tuple(comps))
-
-    def degree_nat(self, n: int) -> NatMap:
-        return NatMap(
-            self.dom.degree_functor(n),
-            self.cod.degree_functor(n),
-            tuple(self.at(q, n) for q in range(self.dom.poset.n)),
-        )
+        return ChainMap(X, Y, tuple(NatMap.zero(X.layer(n), Y.layer(n)) for n in range(D + 1)))
 
     def is_iso(self) -> bool:
-        return all(m.rows == m.cols and m.rank() == m.rows for row in self.comps for m in row)
+        return all(nat.is_iso() for nat in self.nats)
+
+
+def _subcomplex(X: ChainFunctor, incls: Sequence[NatMap]) -> tuple[ChainFunctor, ChainMap]:
+    """Subcomplex of X from one subfunctor inclusion incls[n] into X_n per
+    degree, for subfunctors that the boundaries map into each other."""
+    d = [
+        NatMap(
+            incls[k + 1].dom,
+            incls[k].dom,
+            tuple(
+                solve(incls[k].comps[q], X.boundary_at(q, k + 1) @ incls[k + 1].comps[q])
+                for q in range(X.poset.n)
+            ),
+        )
+        for k in range(len(incls) - 1)
+    ]
+    S = ChainFunctor([i.dom for i in incls], d)
+    return S, ChainMap(S, X, tuple(incls))
 
 
 # --- constructions ----------------------------------------------------------
 
 
 def zero_chain(poset: FinPoset, p: int, top: int = 0) -> ChainFunctor:
-    dims = [[0] * (top + 1) for _ in range(poset.n)]
-    bdy = [[Mat.zeros(0, 0, p) for _ in range(top)] for _ in range(poset.n)]
-    return ChainFunctor(poset, dims, bdy, {}, p)
-
-
-def from_layers(layers: Sequence[VectFunctor], boundaries: Sequence[NatMap]) -> ChainFunctor:
-    """Chain functor from degreewise functors and boundary natural maps
-    (boundaries[k]: layers[k+1] -> layers[k])."""
-    poset = layers[0].poset
-    p = layers[0].p
-    top = len(layers) - 1
-    dims = [[F.dims[q] for F in layers] for q in range(poset.n)]
-    bdy = [[boundaries[k].comps[q] for k in range(top)] for q in range(poset.n)]
-    maps = {c: [F.maps[c] for F in layers] for c in poset.covers}
-    return ChainFunctor(poset, dims, bdy, maps, p)
+    Z = _zero_functor(poset, p)
+    return ChainFunctor([Z] * (top + 1), [NatMap.zero(Z, Z)] * top)
 
 
 def standard_complex(poset: FinPoset, kind: str, n: int, z: int, mult: int, p: int) -> ChainFunctor:
@@ -332,57 +326,40 @@ def standard_complex(poset: FinPoset, kind: str, n: int, z: int, mult: int, p: i
     if n < 0:
         raise ValueError("degree must be non-negative")
     F = free_on_generators(poset, ((z, mult),), p)
-    zero = free_on_generators(poset, (), p)
     if kind == "sphere" or (kind == "disk" and n == 0):
-        layers = [zero] * n + [F]
-        bnds = [NatMap.zero(layers[k + 1], layers[k]) for k in range(n)]
-        return from_layers(layers, bnds)
+        return suspension(ChainFunctor([F], []), n)
     if kind == "disk":
-        layers = [zero] * (n - 1) + [F, F]
-        bnds = [NatMap.zero(layers[k + 1], layers[k]) for k in range(n - 1)] + [NatMap.identity(F)]
-        return from_layers(layers, bnds)
+        return suspension(ChainFunctor([F, F], [NatMap.identity(F)]), n - 1)
     raise ValueError(f"unknown standard complex kind {kind!r}")
 
 
 def suspension(X: ChainFunctor, k: int = 1) -> ChainFunctor:
     if k == 0:
         return X
-    poset, p = X.poset, X.p
-    dims = [[0] * k + list(row) for row in X.dims]
-    bdy = []
-    for q in range(poset.n):
-        pre = [Mat.zeros(dims[q][i], dims[q][i + 1], p) for i in range(k)]
-        bdy.append(pre + list(X.boundaries[q]))
-    maps = {c: [Mat.zeros(0, 0, p)] * k + list(ms) for c, ms in X.maps.items()}
-    return ChainFunctor(poset, dims, bdy, maps, p)
+    Z = _zero_functor(X.poset, X.p)
+    layers = [Z] * k + list(X.layers)
+    d = [NatMap.zero(layers[i + 1], layers[i]) for i in range(k)] + list(X.d)
+    return ChainFunctor(layers, d)
 
 
 def direct_sum_chains(parts: Sequence[ChainFunctor]) -> tuple[ChainFunctor, list[ChainMap], list[ChainMap]]:
     poset = parts[0].poset
     p = parts[0].p
     top = max(x.top for x in parts)
-    parts = [x.pad_to(top) for x in parts]
-    layer_data = [direct_sum_functors([x.degree_functor(n) for x in parts]) for n in range(top + 1)]
-    layers = [d[0] for d in layer_data]
-    bnds = []
-    for n in range(top):
-        comps = tuple(
-            Mat.block_diag([x.boundary_at(q, n + 1) for x in parts], p)
-            for q in range(poset.n)
+    sums = [direct_sum_functors([x.layer(n) for x in parts]) for n in range(top + 1)]
+    layers = [s[0] for s in sums]
+    d = [
+        NatMap(
+            layers[n + 1],
+            layers[n],
+            tuple(Mat.block_diag([x.boundary_at(q, n + 1) for x in parts], p) for q in range(poset.n)),
         )
-        bnds.append(NatMap(layers[n + 1], layers[n], comps))
-    total = from_layers(layers, bnds)
-    incls, projs = [], []
-    for i, x in enumerate(parts):
-        inc = ChainMap.from_degree_nats(x, total, {n: _retarget(layer_data[n][1][i], x.degree_functor(n), layers[n]) for n in range(top + 1)})
-        prj = ChainMap.from_degree_nats(total, x, {n: _retarget(layer_data[n][2][i], layers[n], x.degree_functor(n)) for n in range(top + 1)})
-        incls.append(inc)
-        projs.append(prj)
+        for n in range(top)
+    ]
+    total = ChainFunctor(layers, d)
+    incls = [ChainMap(x, total, tuple(s[1][i] for s in sums)) for i, x in enumerate(parts)]
+    projs = [ChainMap(total, x, tuple(s[2][i] for s in sums)) for i, x in enumerate(parts)]
     return total, incls, projs
-
-
-def _retarget(nat: NatMap, dom: VectFunctor, cod: VectFunctor) -> NatMap:
-    return NatMap(dom, cod, nat.comps)
 
 
 # --- homology and classification --------------------------------------------
@@ -404,7 +381,7 @@ def _homology_data(X: ChainFunctor, n: int):
 def homology_functor(X: ChainFunctor, n: int) -> VectFunctor:
     """H_n = ker boundary / im boundary with induced maps."""
     if n < 0 or n > X.top:
-        return VectFunctor(X.poset, [0] * X.poset.n, {}, X.p)
+        return _zero_functor(X.poset, X.p)
     data = _homology_data(X, n)
     dims = [d[1].rows for d in data]
     maps = {}
@@ -420,8 +397,8 @@ def homology_map(phi: ChainMap, n: int) -> NatMap:
     cod_h = homology_functor(phi.cod, n)
     if n < 0 or (n > phi.dom.top and n > phi.cod.top):
         return NatMap.zero(dom_h, cod_h)
-    ddata = _homology_data(phi.dom.pad_to(max(phi.dom.top, n)), n)
-    cdata = _homology_data(phi.cod.pad_to(max(phi.cod.top, n)), n)
+    ddata = _homology_data(phi.dom, n)
+    cdata = _homology_data(phi.cod, n)
     comps = []
     for q in range(phi.dom.poset.n):
         _, _, Rd = ddata[q]
@@ -440,12 +417,10 @@ class MorphismClass:
 def classify_morphism(phi: ChainMap) -> MorphismClass:
     """Model-structure flags: quasi-isomorphism; degreewise epi in degrees
     >= 1; degreewise mono with projective cokernel functor."""
-    D = phi.depth
-    weak = all(homology_map(phi, n).is_iso() for n in range(D + 2))
-    fib = all(phi.degree_nat(n).is_epi() for n in range(1, D + 1))
+    weak = all(homology_map(phi, n).is_iso() for n in range(phi.depth + 2))
+    fib = all(nat.is_epi() for nat in phi.nats[1:])
     cof = True
-    for n in range(D + 1):
-        nat = phi.degree_nat(n)
+    for nat in phi.nats:
         if not nat.is_mono():
             cof = False
             break
@@ -457,48 +432,34 @@ def classify_morphism(phi: ChainMap) -> MorphismClass:
 
 
 def is_cofibrant(X: ChainFunctor) -> bool:
-    return all(is_projective(X.degree_functor(n)) is not None for n in range(X.top + 1))
+    return all(is_projective(F) is not None for F in X.layers)
 
 
 # --- kernels and cokernels of chain maps -------------------------------------
 
 
 def chain_ker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
-    D = phi.depth
-    layers, incls = [], []
-    for n in range(D + 1):
-        K, incl = ker_functor(phi.degree_nat(n))
-        layers.append(K)
-        incls.append(incl)
-    bnds = []
-    for n in range(D):
-        comps = tuple(
-            solve(incls[n].comps[q], phi.dom.boundary_at(q, n + 1) @ incls[n + 1].comps[q])
-            for q in range(phi.dom.poset.n)
-        )
-        bnds.append(NatMap(layers[n + 1], layers[n], comps))
-    K = from_layers(layers, bnds).trimmed()
-    incl = ChainMap.from_degree_nats(K, phi.dom, {n: incls[n] for n in range(K.top + 1)})
-    return K, incl
+    K, incl = _subcomplex(phi.dom, [ker_functor(phi.nats[n])[1] for n in range(phi.dom.top + 1)])
+    # Dropped top degrees are zero functors, which the inclusion still maps.
+    Kt = K.trimmed()
+    return Kt, ChainMap(Kt, phi.dom, incl.nats)
 
 
 def chain_coker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
-    D = phi.depth
     layers, projs = [], []
-    for n in range(D + 1):
-        Q, proj = coker_functor(phi.degree_nat(n))
+    for n in range(phi.cod.top + 1):
+        Q, proj = coker_functor(phi.nats[n])
         layers.append(Q)
         projs.append(proj)
     bnds = []
-    for n in range(D):
+    for n in range(phi.cod.top):
         comps = []
         for q in range(phi.dom.poset.n):
             sec = solve(projs[n + 1].comps[q], Mat.identity(layers[n + 1].dims[q], phi.dom.p))
             comps.append(projs[n].comps[q] @ phi.cod.boundary_at(q, n + 1) @ sec)
         bnds.append(NatMap(layers[n + 1], layers[n], tuple(comps)))
-    Q = from_layers(layers, bnds).trimmed()
-    proj = ChainMap.from_degree_nats(phi.cod, Q, {n: projs[n] for n in range(Q.top + 1)})
-    return Q, proj
+    Q = ChainFunctor(layers, bnds).trimmed()
+    return Q, ChainMap(phi.cod, Q, tuple(projs))
 
 
 # --- minimal projective covers of chain functors -----------------------------
@@ -515,44 +476,41 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
     """Minimal cover assembled from disks on the minimal covers of the
     boundary cokernels, one per degree."""
     poset, p = X.poset, X.p
+    zero = _zero_functor(poset, p)
+    into = list(X.d) + [NatMap.zero(zero, X.layers[-1])]  # into[n]: X_{n+1} -> X_n
     parts = []  # per degree n: (P_n functor, lifted map P_n -> X_n)
     gens = []
     for n in range(X.top + 1):
-        Qn, projn = coker_functor(X.boundary_nat(n + 1))
+        Qn, projn = coker_functor(into[n])
         cov = minimal_cover(Qn)
         lifted = lift_through(cov.s, projn, FreePresentation(cov.generators, NatMap.identity(cov.P)))
         parts.append((cov.P, lifted))
         gens.append(cov.generators)
-    zero = free_on_generators(poset, (), p)
-    layers, bnds, comps_cover = [], [], []
     sums = []
     for n in range(X.top + 1):
         upper = parts[n + 1][0] if n + 1 <= X.top else zero
-        total, incls, projs = direct_sum_functors([upper, parts[n][0]])
-        sums.append((total, incls, projs))
-        layers.append(total)
+        sums.append(direct_sum_functors([upper, parts[n][0]]))
+    layers = [s[0] for s in sums]
+    bnds = []
     for n in range(X.top):
         # (u, v) in P_{n+1} (+) P_n drops to (v, 0).
-        src_total, _, src_projs = sums[n + 1]
-        dst_total, dst_incls, _ = sums[n]
-        comps = tuple(
-            dst_incls[0].comps[q] @ src_projs[1].comps[q]
-            for q in range(poset.n)
-        )
+        _, _, src_projs = sums[n + 1]
+        _, dst_incls, _ = sums[n]
+        comps = tuple(dst_incls[0].comps[q] @ src_projs[1].comps[q] for q in range(poset.n))
         bnds.append(NatMap(layers[n + 1], layers[n], comps))
-    P = from_layers(layers, bnds)
-    cover_comps = []
-    for q in range(poset.n):
-        row = []
-        for n in range(X.top + 1):
+    P = ChainFunctor(layers, bnds)
+    cover_nats = []
+    for n in range(X.top + 1):
+        comps = []
+        for q in range(poset.n):
             upper_map = (
                 X.boundary_at(q, n + 1) @ parts[n + 1][1].comps[q]
                 if n + 1 <= X.top
                 else Mat.zeros(X.dim_at(q, n), 0, p)
             )
-            row.append(Mat.hstack([upper_map, parts[n][1].comps[q]]))
-        cover_comps.append(tuple(row))
-    cover = ChainMap(P, X, tuple(cover_comps))
+            comps.append(Mat.hstack([upper_map, parts[n][1].comps[q]]))
+        cover_nats.append(NatMap(layers[n], X.layers[n], tuple(comps)))
+    cover = ChainMap(P, X, tuple(cover_nats))
     return ChCover(P, cover, tuple(tuple(g) for g in gens))
 
 
@@ -632,10 +590,10 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
     """Staircase construction: degreewise pullbacks against the boundaries of
     the target, with a minimal projective factorization at every level."""
     X, Y = f.dom, f.cod
-    poset, p = X.poset, X.p
-    NN = max(X.top, Y.top) + 1
-    Xn = [X.degree_functor(n) for n in range(NN + 1)]
-    Yn = [Y.degree_functor(n) for n in range(NN + 1)]
+    NN = f.depth + 1
+    Xn = [X.layer(n) for n in range(NN + 1)]
+    Yn = [Y.layer(n) for n in range(NN + 1)]
+    fn = list(f.nats) + [NatMap.zero(Xn[NN], Yn[NN])]
 
     W: list[VectFunctor] = []
     cmaps: list[NatMap] = []
@@ -647,7 +605,7 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
     Q = Yn[0]
     prY.append(NatMap.identity(Yn[0]))
     Qbases: Optional[list[Mat]] = None
-    m = NatMap(Xn[0], Yn[0], tuple(f.at(q, 0) for q in range(poset.n)))
+    m = fn[0]
     for n in range(NN + 1):
         Wn, cn, pn, _ = _factor_min_projective(m)
         W.append(Wn)
@@ -656,19 +614,14 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
         if n == NN:
             break
         # beta: Y_{n+1} -> Q_n.
-        dY = NatMap(Yn[n + 1], Yn[n], tuple(Y.boundary_at(q, n + 1) for q in range(poset.n)))
+        dY = Y.d[n] if n < Y.top else NatMap.zero(Yn[n + 1], Yn[n])
         if n == 0:
             beta = dY
         else:
             beta = _mediate_pullback(Q, Qbases, NatMap.zero(Yn[n + 1], prW[n].cod), dY)
         Qnext, w_proj, y_proj, bases = _pullback_functor(pn, beta)
-        dX = NatMap(Xn[n + 1], Xn[n], tuple(X.boundary_at(q, n + 1) for q in range(poset.n)))
-        m = _mediate_pullback(
-            Qnext,
-            bases,
-            cn @ dX,
-            NatMap(Xn[n + 1], Yn[n + 1], tuple(f.at(q, n + 1) for q in range(poset.n))),
-        )
+        dX = X.d[n] if n < X.top else NatMap.zero(Xn[n + 1], Xn[n])
+        m = _mediate_pullback(Qnext, bases, cn @ dX, fn[n + 1])
         Q, Qbases = Qnext, bases
         prW.append(w_proj)
         prY.append(y_proj)
@@ -678,18 +631,12 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
             "cofibrant factorization does not close at the top degree; the poset is not of dimension <= 1"
         )
 
-    bnds = [prW[n + 1] @ pmaps[n + 1] for n in range(NN)]
-    C = from_layers(W, bnds)
-    c_map = ChainMap.from_degree_nats(X, C, {n: cmaps[n] for n in range(NN + 1)})
-    pi_nats = {0: pmaps[0]}
-    for n in range(1, NN + 1):
-        pi_nats[n] = prY[n] @ pmaps[n]
-    pi_map = ChainMap.from_degree_nats(C, Y, pi_nats)
-    Ct = C.trimmed()
-    if Ct.top != C.top:
-        c_map = ChainMap(X, Ct, tuple(tuple(row[: max(X.top, Ct.top) + 1]) for row in c_map.comps))
-        pi_map = ChainMap(Ct, Y, tuple(tuple(row[: max(Y.top, Ct.top) + 1]) for row in pi_map.comps))
-        return Factorization(Ct, c_map, pi_map)
+    C = ChainFunctor(W, [prW[n + 1] @ pmaps[n + 1] for n in range(NN)])
+    pi_nats = [pmaps[0]] + [prY[n] @ pmaps[n] for n in range(1, NN + 1)]
+    # Dropped top degrees of C are zero functors, which both maps still reach.
+    C = C.trimmed()
+    c_map = ChainMap(X, C, tuple(cmaps[: max(X.top, C.top) + 1]))
+    pi_map = ChainMap(C, Y, tuple(pi_nats[: max(Y.top, C.top) + 1]))
     return Factorization(C, c_map, pi_map)
 
 
@@ -726,21 +673,29 @@ class Decomposition:
     splits: tuple[tuple[ChainMap, ChainMap], ...]  # (iota into X, rho out of X)
 
 
+def _split_map(dom: ChainFunctor, cod: ChainFunctor, m: int, low: NatMap, high: NatMap) -> ChainMap:
+    """Chain map that is low in degree m, high in degree m + 1 and zero
+    elsewhere (high is dropped above both top degrees, where it is zero)."""
+    given = {m: low, m + 1: high}
+    nats = tuple(
+        given[n] if n in given else NatMap.zero(dom.layer(n), cod.layer(n))
+        for n in range(max(dom.top, cod.top) + 1)
+    )
+    return ChainMap(dom, cod, nats)
+
+
 def _residual_after(R: ChainFunctor, iota: ChainMap, rho: ChainMap) -> tuple[ChainFunctor, ChainMap, ChainMap]:
     """Complementary summand ker(rho) with inclusion and retraction."""
     K, incl = chain_ker(rho)
-    ident = ChainMap.identity(R)
     comp = iota @ rho
-    D = max(R.top, K.top)
-    proj_comps = []
-    for q in range(R.poset.n):
-        row = []
-        for n in range(D + 1):
-            idm = ident.at(q, n) - comp.at(q, n)
-            row.append(solve(incl.at(q, n), idm))
-        proj_comps.append(tuple(row))
-    proj = ChainMap(R, K, tuple(proj_comps))
-    return K, incl, proj
+    nats = []
+    for n in range(R.top + 1):
+        comps = tuple(
+            solve(incl.at(q, n), Mat.identity(R.dim_at(q, n), R.p) - comp.at(q, n))
+            for q in range(R.poset.n)
+        )
+        nats.append(NatMap(R.layers[n], K.layer(n), comps))
+    return K, incl, ChainMap(R, K, tuple(nats))
 
 
 def structure_decompose(C: ChainFunctor) -> Decomposition:
@@ -760,18 +715,19 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
     for m in range(C.top + 1):
         if residual.is_zero():
             break
-        # Sphere step: split off S^m(minimal resolution of H_m).
-        H, qmap = coker_functor(residual.boundary_nat(m + 1))
         if not all(residual.dim_at(q, k) == 0 for q in range(poset.n) for k in range(m)):
             raise AssertionError("residual must vanish below the current degree")
+        # Sphere step: split off S^m(minimal resolution of H_m).
+        Fm, Fm1 = residual.layer(m), residual.layer(m + 1)
+        bnat = residual.d[m] if m < residual.top else NatMap.zero(Fm1, Fm)
+        H, qmap = coker_functor(bnat)
         if not H.is_zero():
             try:
                 res = minimal_resolution(H)
             except KernelNotProjectiveError as exc:
                 raise HomologyNotResolvableError(str(exc)) from exc
-            pres_m = is_projective(residual.degree_functor(m))
-            pres_m1 = is_projective(residual.degree_functor(m + 1))
-            bnat = residual.boundary_nat(m + 1)
+            pres_m = is_projective(Fm)
+            pres_m1 = is_projective(Fm1)
             s0 = lift_through(res.aug, qmap, FreePresentation(res.gens0, NatMap.identity(res.p0)))
             p0 = lift_through(qmap, res.aug, pres_m)
             s1 = lift_through(s0 @ res.d, bnat, FreePresentation(res.gens1, NatMap.identity(res.p1)))
@@ -780,37 +736,34 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             a1 = p1 @ s1
             inv0 = tuple(inverse(mm) for mm in a0.comps)
             inv1 = tuple(inverse(mm) for mm in a1.comps)
-            sphere = suspension(from_layers([res.p0, res.p1], [res.d]), m).trimmed()
-            iota = ChainMap.from_degree_nats(sphere, residual, {m: s0, m + 1: s1})
-            rho_m = NatMap(residual.degree_functor(m), res.p0, tuple(inv0[q] @ p0.comps[q] for q in range(poset.n)))
-            rho_m1 = NatMap(residual.degree_functor(m + 1), res.p1, tuple(inv1[q] @ p1.comps[q] for q in range(poset.n)))
-            rho = ChainMap.from_degree_nats(residual, sphere, {m: rho_m, m + 1: rho_m1})
+            sphere = suspension(ChainFunctor([res.p0, res.p1], [res.d]), m).trimmed()
+            iota = _split_map(sphere, residual, m, s0, s1)
+            rho_m = NatMap(Fm, res.p0, tuple(inv0[q] @ p0.comps[q] for q in range(poset.n)))
+            rho_m1 = NatMap(Fm1, res.p1, tuple(inv1[q] @ p1.comps[q] for q in range(poset.n)))
+            rho = _split_map(residual, sphere, m, rho_m, rho_m1)
             summands.append(SummandLabel("sphere", m, res.gens0, res.gens1, sphere))
             splits.append((incl @ iota, rho @ proj))
             residual, kincl, kproj = _residual_after(residual, iota, rho)
             incl = incl @ kincl
             proj = kproj @ proj
         # Disk step: what remains in degree m is hit isomorphically from above.
-        if not residual.degree_functor(m).is_zero():
-            pres = is_projective(residual.degree_functor(m))
+        Fm = residual.layer(m)
+        if not Fm.is_zero():
+            pres = is_projective(Fm)
             if pres is None:
                 raise ValidationError("residual degree is not projective; input was not cofibrant")
-            bnat = residual.boundary_nat(m + 1)
+            bnat = residual.d[m] if m < residual.top else NatMap.zero(residual.layer(m + 1), Fm)
             if not bnat.is_epi():
                 raise AssertionError("boundary must be epi after the sphere step")
             Yfree = pres.witness.dom
             w = pres.witness
             winv = tuple(inverse(mm) for mm in w.comps)
             s0 = lift_through(w, bnat, FreePresentation(Yfree.generators, NatMap.identity(Yfree)))
-            disk = suspension(from_layers([Yfree, Yfree], [NatMap.identity(Yfree)]), m)
-            iota = ChainMap.from_degree_nats(disk, residual, {m: w, m + 1: s0})
-            rho_m = NatMap(residual.degree_functor(m), Yfree, winv)
-            rho_m1 = NatMap(
-                residual.degree_functor(m + 1),
-                Yfree,
-                tuple(winv[q] @ bnat.comps[q] for q in range(poset.n)),
-            )
-            rho = ChainMap.from_degree_nats(residual, disk, {m: rho_m, m + 1: rho_m1})
+            disk = suspension(ChainFunctor([Yfree, Yfree], [NatMap.identity(Yfree)]), m)
+            iota = _split_map(disk, residual, m, w, s0)
+            rho_m = NatMap(Fm, Yfree, winv)
+            rho_m1 = NatMap(bnat.dom, Yfree, tuple(winv[q] @ bnat.comps[q] for q in range(poset.n)))
+            rho = _split_map(residual, disk, m, rho_m, rho_m1)
             summands.append(SummandLabel("disk", m + 1, Yfree.generators, (), disk))
             splits.append((incl @ iota, rho @ proj))
             residual, kincl, kproj = _residual_after(residual, iota, rho)
@@ -837,20 +790,21 @@ def reassemble(dec: Decomposition, poset: Optional[FinPoset] = None, p: Optional
 def kan_extend_chain(X: ChainFunctor, ambient: FinPoset, embed: Sequence[int]) -> tuple[ChainFunctor, list]:
     """Degreewise colimit Kan extension along a full inclusion, with the
     per-degree colimit data (used to build mediating maps)."""
-    exts = [kan_extend(X.degree_functor(n), ambient, embed, method="colim") for n in range(X.top + 1)]
+    exts = [kan_extend(F, ambient, embed, method="colim") for F in X.layers]
     layers = [e.functor for e in exts]
     bnds = []
     for n in range(X.top):
+        lo, hi = X.layers[n], X.layers[n + 1]
         comps = []
         for q in range(ambient.n):
             chi = exts[n + 1].cocones[q]
             clo = exts[n].cocones[q]
-            tot_hi = sum(X.degree_functor(n + 1).dims[s] for s in chi.elements)
-            moved = Mat.zeros(sum(X.degree_functor(n).dims[s] for s in clo.elements), tot_hi, X.p).arr.copy()
+            tot_hi = sum(hi.dims[s] for s in chi.elements)
+            moved = Mat.zeros(sum(lo.dims[s] for s in clo.elements), tot_hi, X.p).arr.copy()
             for s in chi.elements:
                 ha, hb = chi.blocks[s]
                 la, lb = clo.blocks[s]
                 moved[la:lb, ha:hb] = X.boundary_at(s, n + 1).arr
             comps.append(clo.proj @ Mat(moved, X.p) @ chi.section)
         bnds.append(NatMap(layers[n + 1], layers[n], tuple(comps)))
-    return from_layers(layers, bnds), exts
+    return ChainFunctor(layers, bnds), exts

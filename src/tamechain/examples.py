@@ -110,7 +110,7 @@ def _counterexample_chain(p: int) -> ChainFunctor:
         ("x13", "x12"): [Z(0, 0), I1, M([[1], [1]]), Z(1, 0)],
     }
     idx = poset.index
-    return ChainFunctor(
+    return ChainFunctor.from_arrays(
         poset,
         [dims[name] for name in poset.names],
         [boundaries[name] for name in poset.names],
@@ -160,14 +160,14 @@ def _triple_chain_pair(p: int) -> ChainPair:
     def Z(r, c):
         return Mat.zeros(r, c, p)
 
-    left = ChainFunctor(
+    left = ChainFunctor.from_arrays(
         poset,
         [[1, 0], [1, 1], [0, 1]],
         [[Z(1, 0)], [I1], [Z(0, 1)]],
         {(0, 1): [I1, Z(1, 0)], (1, 2): [Z(0, 1), I1]},
         p,
     )
-    right = ChainFunctor(
+    right = ChainFunctor.from_arrays(
         poset,
         [[1, 0], [1, 1], [1, 2]],
         [[Z(1, 0)], [I1], [Mat([[1, 0]], p)]],

@@ -72,26 +72,27 @@ class VectFunctor:
         self.maps = full
         self._leq_maps = self._compose_all()
 
-    def _compose_all(self) -> dict[tuple[int, int], Mat]:
-        """All composite maps, checking path independence."""
-        out: dict[tuple[int, int], Mat] = {}
-        for e in range(self.poset.n):
-            out[(e, e)] = Mat.identity(self.dims[e], self.p)
+    def _compose_all(self) -> dict[int, dict[int, Mat]]:
+        """All composite maps, keyed by target and then source, checking
+        path independence.  A cover (y, x) extends only the composites
+        that end at y."""
+        into: dict[int, dict[int, Mat]] = {
+            e: {e: Mat.identity(self.dims[e], self.p)} for e in range(self.poset.n)
+        }
         for x in self.poset.linear_extension():
+            at_x = into[x]
             for y in self.poset.covered_by(x):
                 step = self.maps[(y, x)]
-                for (src, mid), m in list(out.items()):
-                    if mid != y:
-                        continue
+                for src, m in into[y].items():
                     comp = step @ m
-                    prev = out.get((src, x))
+                    prev = at_x.get(src)
                     if prev is None:
-                        out[(src, x)] = comp
+                        at_x[src] = comp
                     elif prev != comp:
                         raise ValidationError(
                             f"functoriality fails between {self.poset.names[src]} and {self.poset.names[x]}"
                         )
-        return out
+        return into
 
     def at(self, x: int) -> int:
         return self.dims[x]
@@ -99,7 +100,7 @@ class VectFunctor:
     def map_leq(self, y: int, x: int) -> Mat:
         if not self.poset.leq(y, x):
             raise ValueError(f"{self.poset.names[y]} is not below {self.poset.names[x]}")
-        return self._leq_maps[(y, x)]
+        return self._leq_maps[x][y]
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)

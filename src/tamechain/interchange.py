@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import FieldMismatchError, ParseError
-from .field import Mat
+from .field import Mat, _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, realize
 from .functors import VectFunctor
 from .chains import ChainFunctor
@@ -136,11 +136,11 @@ def chain_to_json(X: ChainFunctor, poset_name: str) -> dict:
         "top": X.top,
         "dims": {names[q]: list(X.dims[q]) for q in range(X.poset.n)},
         "boundaries": {
-            names[q]: [_mat_to_json(X.boundaries[q][k]) for k in range(X.top)]
+            names[q]: [_mat_to_json(b.comps[q]) for b in X.d]
             for q in range(X.poset.n)
         },
         "maps": {
-            f"{names[y]}->{names[x]}": [_mat_to_json(m) for m in X.maps[(y, x)]]
+            f"{names[y]}->{names[x]}": [_mat_to_json(F.maps[(y, x)]) for F in X.layers]
             for y, x in X.poset.covers
         },
     }
@@ -170,7 +170,7 @@ def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
         maps[(y, x)] = [
             _mat_from_json(val[n], dims[x][n], dims[y][n], p) for n in range(top + 1)
         ]
-    return ChainFunctor(P, dims, bdy, maps, p)
+    return ChainFunctor.from_arrays(P, dims, bdy, maps, p)
 
 
 @dataclass
@@ -216,7 +216,10 @@ def parse_document(text: str, expect_field: Optional[int] = None) -> Document:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "field" not in raw:
         raise ParseError("document must be an object with a `field` key")
-    p = int(raw["field"])
+    try:
+        p = _check_modulus(raw["field"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad field {raw['field']!r}: {exc}") from exc
     if expect_field is not None and expect_field != p:
         raise FieldMismatchError(f"document field {p} does not match requested {expect_field}")
     doc = Document(field=p)

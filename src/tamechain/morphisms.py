@@ -8,10 +8,11 @@ degree 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .errors import (
     ZeroObjectError,
 )
 from .field import Mat, inverse, kernel, rref, solve, solve_or_none
-from .functors import NatMap, VectFunctor, column_space_basis
-from .chains import ChainFunctor, ChainMap, chain_coker, kan_extend_chain, zero_chain
+from .functors import NatMap, VectFunctor, _subfunctor_from_bases, column_space_basis, radical
+from .chains import ChainFunctor, ChainMap, _subcomplex, chain_coker, kan_extend_chain, zero_chain
 
 __all__ = [
     "hom_space",
@@ -43,12 +44,7 @@ Maplike = Union[NatMap, ChainMap]
 
 
 def as_chain(obj: Functorlike) -> ChainFunctor:
-    if isinstance(obj, ChainFunctor):
-        return obj
-    dims = [[d] for d in obj.dims]
-    bdy = [[] for _ in range(obj.poset.n)]
-    maps = {c: [m] for c, m in obj.maps.items()}
-    return ChainFunctor(obj.poset, dims, bdy, maps, obj.p)
+    return obj if isinstance(obj, ChainFunctor) else ChainFunctor((obj,), ())
 
 
 def total_dim(obj: Functorlike) -> int:
@@ -107,37 +103,7 @@ def hom_space(Xobj: Functorlike, Yobj: Functorlike) -> list[ChainMap]:
     else:
         system = Mat.zeros(0, nvars, p)
     K = kernel(system)
-    basis = []
-    for j in range(K.cols):
-        vec = K.arr[:, j]
-        comps = []
-        for q in range(X.poset.n):
-            row = []
-            for n in range(D + 1):
-                o, r, c = offs[(q, n)]
-                row.append(Mat(vec[o : o + r * c].reshape(r, c), p))
-            comps.append(tuple(row))
-        basis.append(ChainMap(X, Y, tuple(comps)))
-    return basis
-
-
-def _to_vec(phi: ChainMap) -> np.ndarray:
-    return np.concatenate([m.arr.reshape(-1) for row in phi.comps for m in row] or [np.zeros(0, dtype=np.int64)])
-
-
-def _combine(basis: Sequence[ChainMap], coeffs: Sequence[int], p: int) -> ChainMap:
-    X, Y = basis[0].dom, basis[0].cod
-    comps = []
-    for q in range(X.poset.n):
-        row = []
-        for n in range(len(basis[0].comps[q])):
-            acc = Mat.zeros(Y.dim_at(q, n), X.dim_at(q, n), p)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    acc = acc + b.comps[q][n].scale(c)
-            row.append(acc)
-        comps.append(tuple(row))
-    return ChainMap(X, Y, tuple(comps))
+    return [ChainMap.from_vec(X, Y, K.arr[:, j]) for j in range(K.cols)]
 
 
 @dataclass(frozen=True)
@@ -151,13 +117,20 @@ class EndRing:
     def dim(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
+    def _columns(self) -> Mat:
+        """The basis maps as columns of `ChainMap.to_vec` coordinates."""
+        return Mat(np.stack([b.to_vec() for b in self.basis], axis=1), self.obj.p)
+
+    def element(self, coeffs: Sequence[int]) -> ChainMap:
+        """The endomorphism with the given coordinates in the basis."""
+        column = Mat(np.asarray(coeffs, dtype=np.int64).reshape(-1, 1), self.obj.p)
+        return ChainMap.from_vec(self.obj, self.obj, (self._columns @ column).arr[:, 0])
+
     def coordinates_of(self, phi: ChainMap) -> Optional[Mat]:
         if not self.basis:
             return None
-        p = self.obj.p
-        B = Mat(np.stack([_to_vec(b) for b in self.basis], axis=1), p)
-        v = Mat(_to_vec(phi).reshape(-1, 1), p)
-        return solve_or_none(B, v)
+        return solve_or_none(self._columns, Mat(phi.to_vec().reshape(-1, 1), self.obj.p))
 
     def contains(self, phi: ChainMap) -> bool:
         return self.coordinates_of(phi) is not None
@@ -168,44 +141,39 @@ def end_ring(obj: Functorlike) -> EndRing:
     return EndRing(X, tuple(hom_space(X, X)))
 
 
-def _structure_constants(ring: EndRing) -> tuple[np.ndarray, np.ndarray]:
-    """(C, id_coords): C[i, j] = coordinates of basis[i] . basis[j]."""
+def _structure_constants(ring: EndRing) -> np.ndarray:
+    """C[i, j] = coordinates of basis[i] . basis[j]."""
     dim = ring.dim
     p = ring.obj.p
-    B = Mat(np.stack([_to_vec(b) for b in ring.basis], axis=1), p)
-    prods = []
-    for a in ring.basis:
-        for b in ring.basis:
-            prods.append(_to_vec(a @ b))
-    P = Mat(np.stack(prods, axis=1) % p, p)
-    coords = solve(B, P)
-    C = coords.arr.T.reshape(dim, dim, dim)
-    ident = solve(B, Mat(_to_vec(ChainMap.identity(ring.obj)).reshape(-1, 1), p))
-    return C, ident.arr.reshape(-1)
+    prods = [(a @ b).to_vec() for a in ring.basis for b in ring.basis]
+    coords = solve(ring._columns, Mat(np.stack(prods, axis=1) % p, p))
+    return coords.arr.T.reshape(dim, dim, dim)
+
+
+def _idempotents(ring: EndRing, budget: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(position, coordinates) of every idempotent of the endomorphism
+    ring, in the canonical enumeration order of all coordinate vectors;
+    position 0 is the zero vector."""
+    p = ring.obj.p
+    if p**ring.dim > budget:
+        raise BudgetExceededError(
+            f"enumerating {p}**{ring.dim} endomorphisms exceeds the budget {budget}"
+        )
+    if ring.dim == 0:
+        yield 0, ()
+        return
+    C = _structure_constants(ring)
+    for i, coeffs in enumerate(itertools.product(range(p), repeat=ring.dim)):
+        a = np.array(coeffs, dtype=np.int64)
+        square = np.einsum("i,j,ijk->k", a, a, C) % p
+        if np.array_equal(square, a):
+            yield i, coeffs
 
 
 def enumerate_idempotents(ring: EndRing, budget: int = 1 << 20) -> list[tuple[int, ...]]:
     """Coordinate vectors of all idempotents of the endomorphism ring,
     in canonical enumeration order (includes 0 and the identity)."""
-    p = ring.obj.p
-    if ring.dim == 0:
-        return [()]
-    if p**ring.dim > budget:
-        raise BudgetExceededError(
-            f"enumerating {p}**{ring.dim} endomorphisms exceeds the budget {budget}"
-        )
-    C, _ = _structure_constants(ring)
-    out = []
-    for coeffs in itertools.product(range(p), repeat=ring.dim):
-        a = np.array(coeffs, dtype=np.int64)
-        square = np.einsum("i,j,ijk->k", a, a, C) % p
-        if np.array_equal(square, a):
-            out.append(coeffs)
-    return out
-
-
-def _is_zero_map(phi: ChainMap) -> bool:
-    return all(m.is_zero() for row in phi.comps for m in row)
+    return [coeffs for _, coeffs in _idempotents(ring, budget)]
 
 
 def _power(phi: ChainMap, n: int) -> ChainMap:
@@ -220,7 +188,7 @@ def _power(phi: ChainMap, n: int) -> ChainMap:
 
 
 def _map_rank(phi: ChainMap) -> int:
-    return sum(m.rank() for row in phi.comps for m in row)
+    return sum(m.rank() for nat in phi.nats for m in nat.comps)
 
 
 @dataclass(frozen=True)
@@ -242,10 +210,11 @@ def indecomposable(
 
     "exhaustive" enumerates the full endomorphism ring (allowed when
     p**dim(End) <= budget, default 2**20) and is complete: it returns a
-    non-trivial idempotent witness or a certified positive.  "fitting"
-    raises basis elements, their pairwise products, and `budget` (default
-    32) random endomorphisms to the total-dimension power; a split
-    detected this way is certain, while silence is only probabilistic.
+    non-trivial idempotent witness or a certified positive; `trials`
+    counts the nonzero endomorphisms visited.  "fitting" raises basis
+    elements, their pairwise products, and `budget` (default 32) random
+    endomorphisms to the total-dimension power; a split detected this
+    way is certain, while silence is only probabilistic.
     """
     X = as_chain(obj)
     if X.is_zero():
@@ -253,23 +222,12 @@ def indecomposable(
     ring = end_ring(X)
     p = X.p
     if strategy == "exhaustive":
-        cap = 1 << 20 if budget is None else budget
-        if p**ring.dim > cap:
-            raise BudgetExceededError(
-                f"enumerating {p}**{ring.dim} endomorphisms exceeds the budget {cap}"
-            )
-        C, ident = _structure_constants(ring)
-        count = 0
-        for coeffs in itertools.product(range(p), repeat=ring.dim):
-            if not any(coeffs):
-                continue
-            count += 1
-            a = np.array(coeffs, dtype=np.int64)
-            square = np.einsum("i,j,ijk->k", a, a, C) % p
-            if np.array_equal(square, a) and not np.array_equal(a, ident):
-                e = _combine(ring.basis, coeffs, p)
-                return IndecResult(False, True, e, count, ring.dim)
-        return IndecResult(True, True, None, count, ring.dim)
+        found = _idempotents(ring, 1 << 20 if budget is None else budget)
+        ident = tuple(int(v) for v in ring.coordinates_of(ChainMap.identity(X)).arr[:, 0])
+        for position, coeffs in found:
+            if position and coeffs != ident:
+                return IndecResult(False, True, ring.element(coeffs), position, ring.dim)
+        return IndecResult(True, True, None, p**ring.dim - 1, ring.dim)
     if strategy == "fitting":
         N = X.total_dim()
         rng = random.Random(seed)
@@ -280,7 +238,7 @@ def indecomposable(
         for _ in range(32 if budget is None else budget):
             coeffs = [rng.randrange(p) for _ in range(ring.dim)]
             if any(coeffs):
-                candidates.append(_combine(ring.basis, coeffs, p))
+                candidates.append(ring.element(coeffs))
         trials = 0
         for phi in candidates:
             trials += 1
@@ -292,21 +250,18 @@ def indecomposable(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _sub_chain_from_bases(X: ChainFunctor, bases: list[list[Mat]]) -> tuple[ChainFunctor, ChainMap]:
-    poset, p = X.poset, X.p
-    dims = [[bases[q][n].cols for n in range(X.top + 1)] for q in range(poset.n)]
-    bdy = [
-        [solve(bases[q][n], X.boundary_at(q, n + 1) @ bases[q][n + 1]) for n in range(X.top)]
-        for q in range(poset.n)
+def _image_split(X: ChainFunctor, f: ChainMap) -> tuple[ChainFunctor, ChainMap, ChainMap]:
+    """The image of an idempotent f with its inclusion and retraction."""
+    incls = [
+        _subfunctor_from_bases(F, [column_space_basis(m) for m in f.nats[n].comps])[1]
+        for n, F in enumerate(X.layers)
     ]
-    maps = {}
-    for y, x in poset.covers:
-        maps[(y, x)] = [
-            solve(bases[x][n], X.map_at((y, x), n) @ bases[y][n]) for n in range(X.top + 1)
-        ]
-    sub = ChainFunctor(poset, dims, bdy, maps, p)
-    incl = ChainMap(sub, X, tuple(tuple(bases[q][n] for n in range(X.top + 1)) for q in range(poset.n)))
-    return sub, incl
+    sub, incl = _subcomplex(X, incls)
+    retr = tuple(
+        NatMap(F, sub.layers[n], tuple(solve(b, m) for b, m in zip(incls[n].comps, f.nats[n].comps)))
+        for n, F in enumerate(X.layers)
+    )
+    return sub, incl, ChainMap(X, sub, retr)
 
 
 def split_by_idempotent(obj: Functorlike, e: ChainMap):
@@ -314,22 +269,8 @@ def split_by_idempotent(obj: Functorlike, e: ChainMap):
     X = as_chain(obj)
     if not ((e @ e) == e):
         raise NotIdempotentError("supplied endomorphism is not idempotent")
-    ident = ChainMap.identity(X)
-    compl = _combine([ident, e], [1, X.p - 1], X.p)
-    parts = []
-    for f in (e, compl):
-        bases = [[column_space_basis(f.at(q, n)) for n in range(X.top + 1)] for q in range(X.poset.n)]
-        sub, incl = _sub_chain_from_bases(X, bases)
-        retr = ChainMap(
-            X,
-            sub,
-            tuple(
-                tuple(solve(bases[q][n], f.at(q, n)) for n in range(X.top + 1))
-                for q in range(X.poset.n)
-            ),
-        )
-        parts.append((sub, incl, retr))
-    (x1, i1, r1), (x2, i2, r2) = parts
+    compl = ChainMap.from_vec(X, X, (ChainMap.identity(X).to_vec() - e.to_vec()) % X.p)
+    (x1, i1, r1), (x2, i2, r2) = _image_split(X, e), _image_split(X, compl)
     return x1, x2, (i1, r1, i2, r2)
 
 
@@ -337,18 +278,17 @@ def fitting_idempotent(obj: Functorlike, phi: ChainMap) -> ChainMap:
     """Projection onto im(phi^N) along ker(phi^N), N the total dimension."""
     X = as_chain(obj)
     psi = _power(phi, max(1, X.total_dim()))
-    comps = []
-    for q in range(X.poset.n):
-        row = []
-        for n in range(X.top + 1):
-            m = psi.at(q, n)
+    nats = []
+    for n, F in enumerate(X.layers):
+        comps = []
+        for m in psi.nats[n].comps:
             V = column_space_basis(m)
             K = kernel(m)
             U = Mat.hstack([V, K])
             P = inverse(U)
-            row.append(V @ P.take_rows(range(V.cols)))
-        comps.append(tuple(row))
-    return ChainMap(X, X, tuple(comps))
+            comps.append(V @ P.take_rows(range(V.cols)))
+        nats.append(NatMap(F, F, tuple(comps)))
+    return ChainMap(X, X, tuple(nats))
 
 
 # --- gluing -------------------------------------------------------------------
@@ -369,52 +309,16 @@ class GluingReport:
 
 def chain_radical(X: ChainFunctor) -> tuple[ChainFunctor, ChainMap]:
     """Degreewise radical: images of all maps from strictly smaller elements."""
-    bases = []
-    for q in range(X.poset.n):
-        row = []
-        for n in range(X.top + 1):
-            ys = X.poset.covered_by(q)
-            if ys:
-                row.append(column_space_basis(Mat.hstack([X.map_at((y, q), n) for y in ys])))
-            else:
-                row.append(Mat.zeros(X.dim_at(q, n), 0, X.p))
-        bases.append(row)
-    return _sub_chain_from_bases(X, bases)
+    return _subcomplex(X, [radical(F)[1] for F in X.layers])
 
 
 def _restriction_kernel(ring: EndRing, elements: Sequence[int]) -> list[ChainMap]:
     """Basis of endomorphisms vanishing on the given elements."""
     if not ring.basis:
         return []
-    p = ring.obj.p
-    cols = []
-    for b in ring.basis:
-        cols.append(np.concatenate([b.comps[q][n].arr.reshape(-1) for q in elements for n in range(len(b.comps[q]))] or [np.zeros(0, dtype=np.int64)]))
-    R = Mat(np.stack(cols, axis=1), p)
+    R = Mat(np.stack([b.to_vec(elements) for b in ring.basis], axis=1), ring.obj.p)
     K = kernel(R)
-    return [_combine(ring.basis, [int(v) for v in K.arr[:, j]], p) for j in range(K.cols)]
-
-
-def _span_of_maps(maps: list[ChainMap], p: int) -> list[ChainMap]:
-    if not maps:
-        return []
-    vecs = np.stack([_to_vec(m) for m in maps], axis=0)
-    rr = rref(Mat(vecs, p), transform=False)
-    out = []
-    X, Y = maps[0].dom, maps[0].cod
-    for i in range(rr.rank):
-        vec = rr.R.arr[i]
-        comps = []
-        at = 0
-        for q in range(X.poset.n):
-            row = []
-            for n in range(len(maps[0].comps[q])):
-                r, c = maps[0].comps[q][n].shape
-                row.append(Mat(vec[at : at + r * c].reshape(r, c), p))
-                at += r * c
-            comps.append(tuple(row))
-        out.append(ChainMap(X, Y, tuple(comps)))
-    return out
+    return [ring.element(K.arr[:, j]) for j in range(K.cols)]
 
 
 def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str]) -> GluingReport:
@@ -451,19 +355,18 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
         XAB = XB.restrict(ab_in_b)
         ext, exts = kan_extend_chain(XAB, XB.poset, ab_in_b)
         # Mediating map beta: ext -> XB from the colimit cocones.
-        comps = []
-        for q in range(XB.poset.n):
-            row = []
-            for n in range(X.top + 1):
+        nats = []
+        for n, Fn in enumerate(XB.layers):
+            comps = []
+            for q in range(XB.poset.n):
                 data = exts[n].cocones[q]
                 if not data.elements:
-                    row.append(Mat.zeros(XB.dim_at(q, n), ext.dim_at(q, n), X.p))
+                    comps.append(Mat.zeros(Fn.dims[q], ext.dim_at(q, n), X.p))
                     continue
-                Fn = XB.degree_functor(n)
                 stacked = Mat.hstack([Fn.map_leq(ab_in_b[j], q) for j in data.elements])
-                row.append(stacked @ data.section)
-            comps.append(tuple(row))
-        beta = ChainMap(ext, XB, tuple(comps))
+                comps.append(stacked @ data.section)
+            nats.append(NatMap(ext.layers[n], Fn, tuple(comps)))
+        beta = ChainMap(ext, XB, tuple(nats))
     else:
         ext = zero_chain(XB.poset, X.p, XB.top)
         beta = ChainMap.zero(ext, XB)
@@ -477,9 +380,11 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
     kan_degrees = tuple(
         n for n in range(ext.top + 1) if any(ext.dim_at(q, n) for q in range(ext.poset.n))
     )
-    padded = coker if coker.top >= X.top else coker.pad_to(X.top)
     return GluingReport(
-        beta_cokernel_dims=tuple(tuple(row) for row in padded.dims),
+        beta_cokernel_dims=tuple(
+            tuple(coker.dim_at(q, n) for n in range(max(coker.top, X.top) + 1))
+            for q in range(coker.poset.n)
+        ),
         crit_hom_zero=not hom_full,
         crit_rad_iso=len(hom_rad) == len(hom_full),
         crit_kernel_nilpotent=nilpotent,
@@ -494,11 +399,13 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
 def _ideal_is_nilpotent(kernel_basis: list[ChainMap], ring: EndRing) -> bool:
     if not kernel_basis:
         return True
-    p = ring.obj.p
+    X, p = ring.obj, ring.obj.p
     power = list(kernel_basis)
     for _ in range(max(1, ring.dim)):
-        nxt = _span_of_maps([a @ b for a in power for b in kernel_basis], p)
-        nxt = [m for m in nxt if not _is_zero_map(m)]
+        # Canonical basis of the span of the products: the nonzero rows of an rref.
+        prods = np.stack([(a @ b).to_vec() for a in power for b in kernel_basis])
+        rr = rref(Mat(prods, p), transform=False)
+        nxt = [ChainMap.from_vec(X, X, rr.R.arr[i]) for i in range(rr.rank)]
         if not nxt:
             return True
         if len(nxt) == len(power):

@@ -16,7 +16,7 @@ from tamechain.functors import (
     coker_functor,
     free_on_generators,
 )
-from tamechain.chains import ChainFunctor
+from tamechain.chains import ChainFunctor, ChainMap
 
 
 @pytest.fixture
@@ -161,11 +161,30 @@ def conjugate_chain(rng: random.Random, X: ChainFunctor) -> ChainFunctor:
     Uinv = [[inverse(m) for m in row] for row in U]
     dims = [list(row) for row in X.dims]
     bdy = [
-        [U[q][n] @ X.boundaries[q][n] @ Uinv[q][n + 1] for n in range(X.top)]
+        [U[q][n] @ X.boundary_at(q, n + 1) @ Uinv[q][n + 1] for n in range(X.top)]
         for q in range(X.poset.n)
     ]
     maps = {
-        (y, x): [U[x][n] @ X.maps[(y, x)][n] @ Uinv[y][n] for n in range(X.top + 1)]
+        (y, x): [U[x][n] @ X.map_at((y, x), n) @ Uinv[y][n] for n in range(X.top + 1)]
         for y, x in X.poset.covers
     }
-    return ChainFunctor(X.poset, dims, bdy, maps, p)
+    return ChainFunctor.from_arrays(X.poset, dims, bdy, maps, p)
+
+
+def boundaries(X: ChainFunctor) -> tuple:
+    """Per element, the boundary matrices of degrees 1..top."""
+    return tuple(
+        tuple(X.boundary_at(q, n) for n in range(1, X.top + 1)) for q in range(X.poset.n)
+    )
+
+
+def combine(basis: list, coeffs) -> ChainMap:
+    """The chain map sum(c * b) over a basis of chain maps X -> Y."""
+    p = basis[0].dom.p
+    B = Mat(np.stack([b.to_vec() for b in basis], axis=1), p)
+    column = Mat(np.array([int(c) for c in coeffs], dtype=np.int64).reshape(-1, 1), p)
+    return ChainMap.from_vec(basis[0].dom, basis[0].cod, (B @ column).arr[:, 0])
+
+
+def add_chain_maps(a: ChainMap, b: ChainMap) -> ChainMap:
+    return ChainMap.from_vec(a.dom, a.cod, (a.to_vec() + b.to_vec()) % a.dom.p)

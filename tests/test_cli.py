@@ -175,8 +175,8 @@ def test_interchange_round_trip_chain():
     back = parse_document(text)
     X2 = back.chains["X"][0]
     assert X2.dims == X.dims
-    assert X2.boundaries == X.boundaries
-    assert X2.maps == X.maps
+    assert [b.comps for b in X2.d] == [b.comps for b in X.d]
+    assert [F.maps for F in X2.layers] == [F.maps for F in X.layers]
 
 
 def test_indec_on_plain_functor_document():
@@ -232,3 +232,23 @@ def test_non_prime_field_option_is_input_error():
     assert code == 2
     assert out == ""
     assert "not prime" in err
+
+
+def _dims_only_document(field) -> str:
+    return json.dumps(
+        {
+            "field": field,
+            "posets": {"P": {"elements": ["a", "b"], "covers": [["a", "b"]]}},
+            "functors": {"F": {"poset": "P", "dims": {"a": 1, "b": 1}}},
+        }
+    )
+
+
+def test_non_prime_document_field_is_input_error():
+    for field in (4, "x"):
+        for cmd in ("cover", "info"):
+            code, out, err = invoke([cmd], _dims_only_document(field))
+            assert code == 2, (field, cmd)
+            assert out == ""
+            assert "Traceback" not in err
+            assert f"bad field {field!r}" in err

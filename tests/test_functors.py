@@ -25,7 +25,7 @@ from tamechain.functors import (
 )
 from tamechain.posets import FinPoset
 
-from conftest import random_functor_dim1, random_dim1_poset
+from conftest import combine, random_functor_dim1, random_dim1_poset
 
 
 def test_free_functor_zero_multiplicity(chain2):
@@ -204,7 +204,7 @@ def test_minimal_cover_minimality_randomized(fence):
     # Every endomorphism phi of the cover with s . phi = s is an iso:
     # sample 32 points of the affine space id + {psi : s . psi = 0}.
     import numpy as np
-    from tamechain.morphisms import hom_space, _combine
+    from tamechain.morphisms import hom_space
 
     rng = random.Random(6)
     for _ in range(4):
@@ -213,7 +213,7 @@ def test_minimal_cover_minimality_randomized(fence):
         basis = hom_space(cov.P, cov.P)
         vecs = [
             np.concatenate(
-                [(cov.s.comps[q] @ b.comps[q][0]).arr.reshape(-1) for q in range(fence.n)]
+                [(cov.s.comps[q] @ b.nats[0].comps[q]).arr.reshape(-1) for q in range(fence.n)]
             )
             for b in basis
         ]
@@ -223,9 +223,9 @@ def test_minimal_cover_minimality_randomized(fence):
             coeffs = [rng.randrange(F.p) for _ in range(K.cols)]
             flat = (K.arr @ np.array(coeffs, dtype=np.int64).reshape(-1, 1)) % F.p if K.cols else None
             psi_coeffs = [int(v) for v in flat[:, 0]] if flat is not None else []
-            phi = _combine(basis, psi_coeffs, F.p) if psi_coeffs else None
+            phi = combine(basis, psi_coeffs) if psi_coeffs else None
             for q in range(fence.n):
-                comp = phi.comps[q][0] if phi is not None else Mat.zeros(cov.P.dims[q], cov.P.dims[q], F.p)
+                comp = phi.nats[0].comps[q] if phi is not None else Mat.zeros(cov.P.dims[q], cov.P.dims[q], F.p)
                 total = Mat.identity(cov.P.dims[q], F.p) + comp
                 assert (cov.s.comps[q] @ total) == cov.s.comps[q]
                 assert total.rank() == total.rows

@@ -6,7 +6,6 @@ from tamechain.errors import BadCoverError, BudgetExceededError, NotIdempotentEr
 from tamechain.functors import free_functor, free_on_generators
 from tamechain.chains import ChainMap, direct_sum_chains, standard_complex, zero_chain
 from tamechain.morphisms import (
-    _combine,
     as_chain,
     end_ring,
     fitting_idempotent,
@@ -69,7 +68,7 @@ def test_decomposable_sum_of_frees():
     assert x1.total_dim() + x2.total_dim() == 2
     assert x1.total_dim() > 0 and x2.total_dim() > 0
     comp1 = r1 @ i1
-    assert all(m.is_identity() for row in comp1.comps for m in row)
+    assert all(m.is_identity() for nat in comp1.nats for m in nat.comps)
 
 
 def test_indecomposable_zero_object_raises(point):
@@ -86,7 +85,7 @@ def test_exhaustive_budget_guard(point):
 def test_split_requires_idempotent(fence):
     F = free_on_generators(fence, ((0, 1), (1, 1)), 3)
     ring = end_ring(F)
-    phi = _combine(ring.basis, [1] * ring.dim, 3)
+    phi = ring.element([1] * ring.dim)
     if not ((phi @ phi) == phi):
         with pytest.raises(NotIdempotentError):
             split_by_idempotent(F, phi)
