@@ -87,7 +87,7 @@ def _validate_one(path: str) -> dict:
     doc = parse_document(text)
     checks = {"posets": len(doc.posets), "functors": len(doc.functors), "chain_functors": len(doc.chains)}
     for name, (X, _) in doc.chains.items():
-        # d . d = 0 per element and degree 2..top, one chain square per cover and degree 1..top.
+        # One d.d = 0 check per element and degree 2..top, one square per cover and degree 1..top.
         checks[f"checks[{name}]"] = X.poset.n * max(0, X.top - 1) + len(X.poset.covers) * X.top
     return {"valid": True, **checks}
 

@@ -4,7 +4,7 @@ import pytest
 
 from tamechain.errors import HomologyNotResolvableError, KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat
-from tamechain.functors import free_on_generators
+from tamechain.functors import NatMap, free_on_generators
 from tamechain.chains import (
     ChainFunctor,
     ChainMap,
@@ -62,6 +62,18 @@ def test_from_arrays_errors_name_place_and_degree(chain2):
     for bdy, maps, message in cases:
         with pytest.raises(ValidationError, match=message):
             ChainFunctor.from_arrays(chain2, [[1, 1], [1, 1]], bdy, maps, 2)
+
+
+def test_chain_constructors_check_degrees_and_squares(point):
+    d1 = standard_complex(point, "disk", 1, 0, 1, 2)
+    F = d1.layers[0]
+    F2 = free_on_generators(point, ((0, 2),), 2)
+    with pytest.raises(ValidationError, match="does not map degree 1"):
+        ChainFunctor([F, F2], [NatMap.zero(F, F)])
+    with pytest.raises(ValidationError, match="one natural map per degree"):
+        ChainMap(d1, d1, (NatMap.identity(F),))
+    with pytest.raises(ValidationError, match="chain square fails at element \\*, degree 1"):
+        ChainMap(d1, d1, (NatMap.identity(F), NatMap.zero(F, F)))
 
 
 def test_sphere_and_disk_shapes(point):
