@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, MathError, ParseError, TamechainError
@@ -40,21 +39,31 @@ from .interchange import (
     chain_to_json,
     dumps_document,
     parse_document,
+    parse_fraction,
 )
 
 __all__ = ["main", "run"]
 
 
+def _read_text(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
+
+
 def _read_doc(args) -> Document:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.file!r}: {exc}") from exc
-    return parse_document(text)
+    return parse_document(_read_text(args.file))
+
+
+def _element(P: FinPoset, name: str, flag: str) -> int:
+    try:
+        return P.index(name)
+    except KeyError:
+        raise ParseError(f"{flag} names unknown element {name!r}") from None
 
 
 def _emit_report(args, report: dict) -> None:
@@ -79,12 +88,7 @@ def _pick_object(doc: Document, name: Optional[str]):
 
 
 def _validate_one(path: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = parse_document(text)
+    doc = parse_document(_read_text(path))
     checks = {"posets": len(doc.posets), "functors": len(doc.functors), "chain_functors": len(doc.chains)}
     for name, (X, _) in doc.chains.items():
         # One d.d = 0 check per element and degree 2..top, one square per cover and degree 1..top.
@@ -299,40 +303,44 @@ def cmd_realize(args) -> int:
     name, P = doc.only_poset(args.poset)
     if isinstance(P, RealizedPoset):
         raise ParseError("poset is already a realization")
-    coords = []
-    if args.V:
-        for tok in args.V.split(","):
-            num, den = tok.split("/")
-            coords.append(Fraction(int(num), int(den)))
+    coords = [parse_fraction(tok) for tok in args.V.split(",")] if args.V else []
     subset = args.D.split(",") if args.D else None
+    for n in subset or ():
+        _element(P, n, "--D")
     rp = realize(P, subset, coords)
     out = build_document(doc.field, {f"{name}_realized": rp})
     sys.stdout.write(dumps_document(out))
     return 0
 
 
-def _parse_point(text: str):
-    if text.startswith("vertex:"):
-        return Vertex(text.split(":", 1)[1])
-    if text.startswith("edge:"):
-        x, y, frac = text.split(":", 1)[1].split(",")
-        num, den = frac.split("/")
-        return Edge(x, y, Fraction(int(num), int(den)))
-    raise ParseError(f"bad point {text!r}; use vertex:q or edge:x,y,num/den")
+def _parse_point(text: str, base: FinPoset):
+    """A point of the realization of `base`, written vertex:q or edge:x,y,num/den."""
+    kind, _, rest = text.partition(":")
+    fields = rest.split(",")
+    if (kind, len(fields)) not in (("vertex", 1), ("edge", 3)):
+        raise ParseError(f"bad point {text!r}; use vertex:q or edge:x,y,num/den")
+    for name in fields[:2]:
+        _element(base, name, f"point {text!r}")
+    if kind == "vertex":
+        return Vertex(fields[0])
+    return Edge(fields[0], fields[1], parse_fraction(fields[2]))
 
 
 def cmd_transfer(args) -> int:
     doc = _read_doc(args)
     name, P = doc.only_poset(args.poset)
     if isinstance(P, RealizedPoset):
-        point = _parse_point(args.point)
-        result = P.transfer(point)
+        point = _parse_point(args.point, P.base)
+        try:
+            result = P.transfer(point)
+        except ValueError as exc:
+            raise ParseError(f"bad point {args.point!r}: {exc}") from exc
         _emit_report(args, {"poset": name, "point": args.point, "transfer": "bottom" if result is None else point_name(result)})
         return 0
     if not args.sub:
         raise ParseError("transfer on a plain poset needs --sub")
-    sub = [P.index(n) for n in args.sub.split(",")]
-    z = P.index(args.point)
+    sub = [_element(P, n, "--sub") for n in args.sub.split(",")]
+    z = _element(P, args.point, "--point")
     result = transfer_point(P, sub, z)
     _emit_report(args, {"poset": name, "point": args.point, "transfer": "bottom" if result is None else P.names[result]})
     return 0

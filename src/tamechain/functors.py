@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import KernelNotProjectiveError, ValidationError
 from .field import Mat, kernel, cokernel, rref, solve, inverse
 from .posets import FinPoset, transfer_point
@@ -307,10 +309,9 @@ def _check_embedding(F: VectFunctor, ambient: FinPoset, embed: Sequence[int]) ->
     embed = tuple(int(e) for e in embed)
     if len(embed) != F.poset.n or len(set(embed)) != len(embed):
         raise ValueError("embedding must inject the functor poset into the ambient poset")
-    for a in range(F.poset.n):
-        for b in range(F.poset.n):
-            if F.poset.leq(a, b) != ambient.leq(embed[a], embed[b]):
-                raise ValueError("embedding is not a full order embedding")
+    idx = np.array(embed, dtype=np.intp)
+    if not np.array_equal(F.poset.leq_matrix, ambient.leq_matrix[idx[:, None], idx]):
+        raise ValueError("embedding is not a full order embedding")
     return embed
 
 
@@ -329,9 +330,10 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
         method = "transfer" if ok else "colim"
     if method == "transfer":
         pos = {e: i for i, e in enumerate(embed)}
+        members = sorted(image)
         t = []
         for x in range(ambient.n):
-            w = transfer_point(ambient, sorted(image), x)
+            w = transfer_point(ambient, members, x)
             t.append(None if w is None else pos[w])
         dims = [0 if t[x] is None else F.dims[t[x]] for x in range(ambient.n)]
         maps = {}
@@ -345,9 +347,8 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
         return KanExtension(ext, unit, "transfer")
     if method != "colim":
         raise ValueError(f"unknown Kan extension method {method!r}")
-    pos = {e: i for i, e in enumerate(embed)}
-    downs = {x: tuple(sorted(pos[e] for e in image if ambient.leq(e, x))) for x in range(ambient.n)}
-    colims = {x: colim_over(F, downs[x]) for x in range(ambient.n)}
+    below = ambient.leq_matrix[list(embed)]  # row d: which elements embed[d] lies below
+    colims = {x: colim_over(F, np.flatnonzero(below[:, x]).tolist()) for x in range(ambient.n)}
     dims = [colims[x].dim for x in range(ambient.n)]
     maps = {}
     for y, x in ambient.covers:

@@ -44,7 +44,8 @@ def _fraction_to_json(t: Fraction) -> str:
     return f"{t.numerator}/{t.denominator}"
 
 
-def _fraction_from_json(s) -> Fraction:
+def parse_fraction(s) -> Fraction:
+    """A rational written "num/den", as in documents and CLI flags."""
     try:
         if isinstance(s, str):
             num, den = s.split("/")
@@ -75,24 +76,43 @@ def poset_to_json(P: FinPoset) -> dict:
     return out
 
 
+def _poset(elements, covers) -> FinPoset:
+    try:
+        return FinPoset.from_covers(elements, [tuple(c) for c in covers])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def poset_from_json(block: dict) -> FinPoset:
     if not isinstance(block, dict) or "elements" not in block or "covers" not in block:
         raise ParseError("poset block needs `elements` and `covers`")
     real = block.get("realization")
-    if real is not None:
-        base = FinPoset.from_covers(real["base_elements"], [tuple(c) for c in real["base_covers"]])
-        rp = realize(
-            base,
-            real.get("subset"),
-            [_fraction_from_json(s) for s in real.get("coordinates", [])],
-        )
-        if list(rp.names) != list(block["elements"]):
-            raise ParseError("realization block does not reproduce the listed elements")
-        return rp
+    if real is None:
+        return _poset(block["elements"], block["covers"])
+    if not isinstance(real, dict) or "base_elements" not in real or "base_covers" not in real:
+        raise ParseError("realization block needs `base_elements` and `base_covers`")
+    base = _poset(real["base_elements"], real["base_covers"])
+    coords = [parse_fraction(s) for s in real.get("coordinates", [])]
     try:
-        return FinPoset.from_covers(block["elements"], [tuple(c) for c in block["covers"]])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        rp = realize(base, real.get("subset"), coords)
+    except KeyError as exc:
+        raise ParseError(f"realization subset names unknown element {exc}") from exc
+    if list(rp.names) != list(block["elements"]):
+        raise ParseError("realization block does not reproduce the listed elements")
+    try:
+        listed = [tuple(c) for c in block["covers"]]
+        listed_set = set(listed)
+    except TypeError as exc:
+        raise ParseError(f"bad cover list: {exc}") from exc
+    actual = [(rp.names[y], rp.names[x]) for y, x in rp.covers]
+    actual_set = set(actual)
+    extra = [c for c in listed if c not in actual_set]
+    if extra:
+        raise ParseError(f"realization block lists cover {extra[0]}, which the realization does not have")
+    missing = [c for c in actual if c not in listed_set]
+    if missing:
+        raise ParseError(f"realization block omits cover {missing[0]} of the realization")
+    return rp
 
 
 def functor_to_json(F: VectFunctor, poset_name: str) -> dict:
@@ -120,8 +140,15 @@ def _cover_from_key(P: FinPoset, key: str) -> tuple[int, int]:
     return pair
 
 
+def _dim(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"dim at {name!r} is not an integer: {value!r}") from exc
+
+
 def functor_from_json(block: dict, P: FinPoset, p: int) -> VectFunctor:
-    dims = [int(block["dims"].get(name, 0)) for name in P.names]
+    dims = [_dim(block["dims"].get(name, 0), name) for name in P.names]
     maps = {}
     for key, val in (block.get("maps") or {}).items():
         y, x = _cover_from_key(P, key)
@@ -150,7 +177,7 @@ def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
     top = int(block.get("top", 0))
     dims = []
     for name in P.names:
-        row = [int(d) for d in block["dims"].get(name, [0] * (top + 1))]
+        row = [_dim(d, name) for d in block["dims"].get(name, [0] * (top + 1))]
         if len(row) != top + 1:
             raise ParseError(f"dims at {name!r} must list degrees 0..{top}")
         dims.append(row)
@@ -229,12 +256,18 @@ def parse_document(text: str, expect_field: Optional[int] = None) -> Document:
         pname = block.get("poset")
         if pname not in doc.posets:
             raise ParseError(f"functor {name!r} references unknown poset {pname!r}")
-        doc.functors[name] = (functor_from_json(block, doc.posets[pname], p), pname)
+        try:
+            doc.functors[name] = (functor_from_json(block, doc.posets[pname], p), pname)
+        except ParseError as exc:
+            raise ParseError(f"functor {name!r}: {exc}") from exc
     for name, block in (raw.get("chain_functors") or {}).items():
         pname = block.get("poset")
         if pname not in doc.posets:
             raise ParseError(f"chain functor {name!r} references unknown poset {pname!r}")
-        doc.chains[name] = (chain_from_json(block, doc.posets[pname], p), pname)
+        try:
+            doc.chains[name] = (chain_from_json(block, doc.posets[pname], p), pname)
+        except ParseError as exc:
+            raise ParseError(f"chain functor {name!r}: {exc}") from exc
     doc.gluing = raw.get("gluing")
     return doc
 

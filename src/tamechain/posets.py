@@ -1,6 +1,12 @@
 """Finite posets, order dimension (0 / 1 / 2+), suplim and closure,
 realizations of dimension-<=1 posets, and transfers.
 
+A poset is stored as its boolean order matrix `leq_matrix`, and every
+order question (covers, dimension, suplim, closure, restriction,
+transfer) is an array operation on it.  Boolean matrix products are
+taken in float64 BLAS; they count common elements, which is exact while
+a poset has fewer than 2**53 elements.
+
 Elements are addressed by integer index internally and by name at the
 boundaries.  Realization points live on exact rational coordinates so
 the order on an inserted open interval is decided exactly.
@@ -8,6 +14,7 @@ the order on an inserted open interval is decided exactly.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,27 +53,35 @@ class PosetDim(enum.Enum):
 
 
 class FinPoset:
-    """Finite poset given by Hasse covers; `leq` is their reflexive-transitive
-    closure, and `covers` is always stored transitively reduced."""
+    """Finite poset stored as its order matrix: `leq_matrix[a, b]` is True
+    when a <= b.  Covers, dimension, suplims, closures and restrictions are
+    array operations on that matrix; `covers` is its transitive reduction,
+    sorted."""
 
     def __init__(self, names: Sequence[str], covers: Iterable[tuple[int, int]]):
         names = tuple(str(n) for n in names)
+        self._init_order(names, _closure_of_covers(len(names), covers))
+
+    def _init_order(self, names: tuple[str, ...], leq: np.ndarray) -> None:
+        """The one constructor body: `leq` must be a reflexive, transitive
+        and antisymmetric boolean matrix indexed like `names`."""
         if len(set(names)) != len(names):
             raise ValueError("poset element names must be distinct")
         self.names = names
         self.n = len(names)
         self._index = {name: i for i, name in enumerate(names)}
-        leq = _closure_of_covers(self.n, covers)
         self.leq_matrix = leq
-        self.covers = _transitive_reduction(leq)
-        self._covered_by: dict[int, tuple[int, ...]] = {}
-        for y, x in self.covers:
-            self._covered_by.setdefault(x, ())
+        lt = leq.copy()
+        np.fill_diagonal(lt, False)
+        self._cover_matrix = lt & ~(_counts(lt, lt) > 0)
+        ys, xs = np.nonzero(self._cover_matrix)
+        self.covers = tuple(zip(ys.tolist(), xs.tolist()))
         cov: dict[int, list[int]] = {}
         for y, x in self.covers:
             cov.setdefault(x, []).append(y)
-        self._covered_by = {x: tuple(sorted(ys)) for x, ys in cov.items()}
+        self._covered_by = {x: tuple(ys) for x, ys in cov.items()}
         self._dim: Optional[PosetDim] = None
+        self._linear: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_covers(cls, names: Sequence[str], covers: Iterable[tuple[str, str]]) -> "FinPoset":
@@ -97,14 +112,17 @@ class FinPoset:
         return self._covered_by.get(x, ())
 
     def down_set(self, x: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.leq_matrix[:, x])[0])
+        return tuple(np.flatnonzero(self.leq_matrix[:, x]).tolist())
 
     def up_set(self, x: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.leq_matrix[x, :])[0])
+        return tuple(np.flatnonzero(self.leq_matrix[x, :]).tolist())
 
     def linear_extension(self) -> tuple[int, ...]:
-        order = sorted(range(self.n), key=lambda i: (int(self.leq_matrix[:, i].sum()), i))
-        return tuple(order)
+        """Elements by size of their down-set, ties by index."""
+        if self._linear is None:
+            order = np.argsort(self.leq_matrix.sum(axis=0), kind="stable")
+            self._linear = tuple(order.tolist())
+        return self._linear
 
     def dimension(self) -> PosetDim:
         if self._dim is None:
@@ -112,53 +130,52 @@ class FinPoset:
         return self._dim
 
     def _compute_dimension(self) -> PosetDim:
-        leq = self.leq_matrix
-        if not (leq.sum() > self.n):
+        """TWO_PLUS when two incomparable elements have both a common lower
+        and a common upper bound."""
+        if not self.covers:
             return PosetDim.ZERO
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.comparable(u, v):
-                    continue
-                below = leq[:, u] & leq[:, v]
-                above = leq[u, :] & leq[v, :]
-                if below.any() and above.any():
-                    return PosetDim.TWO_PLUS
-        return PosetDim.ONE
+        leq = self.leq_matrix
+        witness = ~(leq | leq.T) & (_counts(leq.T, leq) > 0) & (_counts(leq, leq.T) > 0)
+        return PosetDim.TWO_PLUS if witness.any() else PosetDim.ONE
 
     def suplim(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Minimal upper bounds of the subset."""
         ds = sorted(set(subset))
         if not ds:
             return ()
-        bound = np.ones(self.n, dtype=bool)
-        for d in ds:
-            bound &= self.leq_matrix[d, :]
-        ub = [int(i) for i in np.nonzero(bound)[0]]
-        return tuple(u for u in ub if not any(v != u and self.leq(v, u) for v in ub))
+        ub = np.flatnonzero(self.leq_matrix[ds].all(axis=0))
+        minimal = self.leq_matrix[ub[:, None], ub].sum(axis=0) == 1
+        return tuple(ub[minimal].tolist())
 
     def closure(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Least closed superset: fixpoint of suplim over subsets.
 
-        For dimension <= 1 the pairwise suplims generate; otherwise all
+        For dimension <= 1 the pairwise suplims generate, and an element u
+        outside the set is the suplim of two members exactly when the
+        members below u lie below two different lower covers of u: an
+        upper bound strictly below u lies below a lower cover of u, and an
+        element lies below at most one lower cover of u (two would be
+        incomparable with a common lower and upper bound).  Otherwise all
         subsets of the current set are fed back in until stable.
         """
         current = set(subset)
-        pairwise = self.dimension().at_most_one()
+        if self.dimension().at_most_one():
+            inside = np.zeros(self.n, dtype=bool)
+            inside[list(current)] = True
+            while True:
+                reached = self.leq_matrix[inside].any(axis=0)
+                joins = ~inside & ((self._cover_matrix & reached[:, None]).sum(axis=0) >= 2)
+                if not joins.any():
+                    return tuple(np.flatnonzero(inside).tolist())
+                inside |= joins
         while True:
             new = set(current)
-            if pairwise:
-                items = sorted(current)
-                for i, a in enumerate(items):
-                    new.update(self.suplim((a,)))
-                    for b in items[i + 1 :]:
-                        new.update(self.suplim((a, b)))
-            else:
-                items = sorted(current)
-                if len(items) > 20:
-                    raise ValueError("closure fixpoint over subsets limited to 20 elements")
-                for mask in range(1, 1 << len(items)):
-                    u = [items[k] for k in range(len(items)) if mask >> k & 1]
-                    new.update(self.suplim(u))
+            items = sorted(current)
+            if len(items) > 20:
+                raise ValueError("closure fixpoint over subsets limited to 20 elements")
+            for mask in range(1, 1 << len(items)):
+                u = [items[k] for k in range(len(items)) if mask >> k & 1]
+                new.update(self.suplim(u))
             if new == current:
                 return tuple(sorted(current))
             current = new
@@ -170,17 +187,19 @@ class FinPoset:
     def restrict(self, subset: Sequence[int]) -> "FinPoset":
         """Full subposet on the given elements (induced order, reduced covers)."""
         subset = sorted(set(subset))
-        pos = {e: i for i, e in enumerate(subset)}
-        pairs = [
-            (pos[a], pos[b])
-            for a in subset
-            for b in subset
-            if a != b and self.leq(a, b)
-        ]
-        return FinPoset([self.names[e] for e in subset], pairs)
+        idx = np.array(subset, dtype=np.intp)
+        sub = FinPoset.__new__(FinPoset)
+        sub._init_order(tuple(self.names[e] for e in subset), self.leq_matrix[idx[:, None], idx])
+        return sub
 
     def __repr__(self) -> str:
         return f"FinPoset({list(self.names)}, covers={[(self.names[y], self.names[x]) for y, x in self.covers]})"
+
+
+def _counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (i, j) counts the k with a[i, k] and b[k, j]: a boolean product
+    taken in float64 BLAS, exact while the inner dimension is below 2**53."""
+    return a.astype(np.float64) @ b.astype(np.float64)
 
 
 def _closure_of_covers(n: int, covers: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -197,23 +216,22 @@ def _closure_of_covers(n: int, covers: Iterable[tuple[int, int]]) -> np.ndarray:
     # Warshall closure.
     for k in range(n):
         leq |= np.outer(leq[:, k], leq[k, :])
-    for a in range(n):
-        for b in range(a + 1, n):
-            if leq[a, b] and leq[b, a]:
-                raise CycleDetectedError(f"cover digraph has a cycle through {a} and {b}")
+    both = leq & leq.T
+    if np.count_nonzero(both) > n:
+        a, b = np.argwhere(np.triu(both, 1))[0].tolist()
+        raise CycleDetectedError(f"cover digraph has a cycle through {a} and {b}")
     return leq
 
 
-def _transitive_reduction(leq: np.ndarray) -> tuple[tuple[int, int], ...]:
-    n = leq.shape[0]
-    covers = []
-    for y in range(n):
-        for x in range(n):
-            if y == x or not leq[y, x]:
-                continue
-            if not any(k != y and k != x and leq[y, k] and leq[k, x] for k in range(n)):
-                covers.append((y, x))
-    return tuple(sorted(covers))
+def _greatest(leq: np.ndarray, below: np.ndarray, where: str) -> Optional[int]:
+    """The greatest of the elements `below` (indices into `leq`), or None
+    when there are none; TransferUndefinedError when several are maximal."""
+    if not below.size:
+        return None
+    maxima = below[leq[below[:, None], below].sum(axis=1) == 1]
+    if len(maxima) != 1:
+        raise TransferUndefinedError(f"no greatest element {where}")
+    return int(maxima[0])
 
 
 # --- realizations -----------------------------------------------------------
@@ -240,12 +258,6 @@ class Edge:
 
 
 Point = Union[Vertex, Edge]
-
-
-def _point_key(base: FinPoset, z: Point):
-    if isinstance(z, Vertex):
-        return (0, base.index(z.q), 0, Fraction(0))
-    return (1, base.index(z.top), base.index(z.bottom), z.t)
 
 
 def point_leq(base: FinPoset, z: Point, w: Point) -> bool:
@@ -282,7 +294,13 @@ def point_name(z: Point) -> str:
 class RealizedPoset(FinPoset):
     """Finite full subposet of the realization of a dimension-<=1 poset,
     spanned by the vertices of a closed subset D and the edge points of
-    its covers at coordinates V."""
+    its covers at coordinates V.
+
+    A point is held as three integers: the base indices of its top and
+    bottom (both q for the vertex q) and the rank of its coordinate, the
+    number of coordinates of V at or below it minus one (len(V) for a
+    vertex).  The rule of `point_leq` is then one broadcast over the base
+    order matrix."""
 
     def __init__(self, base: FinPoset, d_subset: Sequence[int], vset: Sequence[Fraction]):
         if not base.dimension().at_most_one():
@@ -296,17 +314,26 @@ class RealizedPoset(FinPoset):
             for y in base.covered_by(x):
                 for v in vset:
                     points.append(Edge(base.names[x], base.names[y], v))
-        points.sort(key=lambda z: _point_key(base, z))
-        pairs = []
-        for i, z in enumerate(points):
-            for j, w in enumerate(points):
-                if i != j and point_leq(base, z, w):
-                    pairs.append((i, j))
-        super().__init__([point_name(z) for z in points], pairs)
         self.base = base
         self.d_subset = d_subset
         self.vset = vset
+        points.sort(key=lambda z: (isinstance(z, Edge), self._point_ends(z)))
         self.points = tuple(points)
+        self._ends = np.array([self._point_ends(z) for z in points], dtype=np.intp).reshape(-1, 3).T
+        top, bottom, rank = self._ends
+        leq = base.leq_matrix[top[:, None], bottom] | (
+            (top[:, None] == top) & (bottom[:, None] == bottom) & (rank[:, None] <= rank)
+        )
+        self._init_order(tuple(point_name(z) for z in points), leq)
+
+    def _point_ends(self, z: Point) -> tuple[int, int, int]:
+        """Top, bottom and coordinate rank of a point of the ambient
+        realization; the rank compares exactly with the ranks of the
+        points of this poset."""
+        if isinstance(z, Vertex):
+            q = self.base.index(z.q)
+            return q, q, len(self.vset)
+        return self.base.index(z.top), self.base.index(z.bottom), bisect.bisect_right(self.vset, z.t) - 1
 
     def point_index(self, z: Point) -> Optional[int]:
         try:
@@ -321,17 +348,11 @@ class RealizedPoset(FinPoset):
             _check_coordinate(z.t)
             if self.base.index(z.bottom) not in self.base.covered_by(self.base.index(z.top)):
                 raise ValueError(f"{z!r} does not lie on a cover of the base poset")
-        below = [i for i, d in enumerate(self.points) if point_leq(self.base, d, z)]
-        if not below:
-            return None
-        maxima = [
-            i
-            for i in below
-            if not any(j != i and point_leq(self.base, self.points[i], self.points[j]) for j in below)
-        ]
-        if len(maxima) != 1:
-            raise TransferUndefinedError(f"no greatest element below {z!r}")
-        return self.points[maxima[0]]
+        z_top, z_bottom, z_rank = self._point_ends(z)
+        top, bottom, rank = self._ends
+        below = self.base.leq_matrix[top, z_bottom] | ((top == z_top) & (bottom == z_bottom) & (rank <= z_rank))
+        w = _greatest(self.leq_matrix, np.flatnonzero(below), f"below {z!r}")
+        return None if w is None else self.points[w]
 
 
 def realize(base: FinPoset, d_subset: Optional[Sequence[str]] = None, vset: Sequence[Fraction] = ()) -> RealizedPoset:
@@ -361,13 +382,6 @@ def transfer_point(amb: FinPoset, sub: Sequence[int], z: int) -> Optional[int]:
     Returns None (bottom) when the set is empty and raises
     TransferUndefinedError when it has several maximal elements.
     """
-    members = sorted(set(sub))
-    below = [d for d in members if amb.leq(d, z)]
-    if not below:
-        return None
-    maxima = [d for d in below if not any(e != d and amb.leq(d, e) for e in below)]
-    if len(maxima) != 1:
-        raise TransferUndefinedError(
-            f"no greatest element of the subposet below {amb.names[z]!r}"
-        )
-    return maxima[0]
+    members = np.array(sorted(set(sub)), dtype=np.intp)
+    below = members[amb.leq_matrix[members, z]]
+    return _greatest(amb.leq_matrix, below, f"of the subposet below {amb.names[z]!r}")

@@ -3,6 +3,8 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from tamechain.cli import run
 from tamechain.interchange import build_document, dumps_document, parse_document
 from tamechain.examples import builtin_example
@@ -252,3 +254,88 @@ def test_non_prime_document_field_is_input_error():
             assert out == ""
             assert "Traceback" not in err
             assert f"bad field {field!r}" in err
+
+
+PLAIN = json.dumps({"field": 3, "posets": {"Q": {"elements": ["a", "b"], "covers": [["a", "b"]]}}})
+
+
+def _realized(**edits) -> dict:
+    code, doc, _ = invoke(["realize", "--V=-1/2"], PLAIN)
+    assert code == 0
+    doc = json.loads(doc)
+    block = doc["posets"]["Q_realized"]
+    for key, value in edits.items():
+        if value is None:
+            del block["realization"][key]
+        else:
+            block[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["realize", "--V=1/0"], "1/0"),
+        (["realize", "--V=zz"], "zz"),
+        (["realize", "--V=-1/2x"], "-1/2x"),
+        (["realize", "--D=zz"], "zz"),
+        (["transfer", "--point", "q", "--sub", "a"], "q"),
+        (["transfer", "--point", "a", "--sub", "zz"], "zz"),
+    ],
+)
+def test_bad_arguments_on_plain_poset_are_input_errors(argv, token):
+    code, out, err = invoke(argv, PLAIN)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert repr(token) in err
+
+
+@pytest.mark.parametrize("point, token", [("vertex:zz", "zz"), ("edge:b,a,1/0", "1/0"), ("edge:a,b,-1/2", "edge:a,b,-1/2")])
+def test_bad_points_on_realization_are_input_errors(point, token):
+    code, out, err = invoke(["transfer", "--point", point], json.dumps(_realized()))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert repr(token) in err
+
+
+def _check_input_error(doc: str, message: str) -> None:
+    for cmd in ("info", "validate"):
+        code, out, err = invoke([cmd], doc)
+        assert code == 2, cmd
+        assert out == ""
+        assert "Traceback" not in err
+        assert message in err
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"base_covers": None}, "base_covers"),
+        ({"base_elements": None}, "base_elements"),
+        ({"covers": [["a", "b~a~-1/2"]]}, "('b~a~-1/2', 'b')"),
+        ({"covers": [["a", "b"], ["a", "b~a~-1/2"], ["b~a~-1/2", "b"]]}, "('a', 'b')"),
+    ],
+)
+def test_bad_realization_blocks_are_input_errors(edits, message):
+    _check_input_error(json.dumps(_realized(**edits)), message)
+
+
+def test_non_integer_dims_are_input_errors():
+    posets = json.loads(PLAIN)["posets"]
+    doc = {"field": 3, "posets": posets, "functors": {"F": {"poset": "Q", "dims": {"a": "x"}}}}
+    _check_input_error(json.dumps(doc), "functor 'F': dim at 'a' is not an integer")
+    doc = {"field": 3, "posets": posets, "chain_functors": {"X": {"poset": "Q", "dims": {"a": ["x"]}}}}
+    _check_input_error(json.dumps(doc), "chain functor 'X': dim at 'a' is not an integer")
+
+
+def test_validate_missing_file_is_input_error(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(PLAIN)
+    missing = str(tmp_path / "missing.json")
+    for argv in ([missing], [missing, str(good)], [str(good), missing, "--jobs", "2"]):
+        code, out, err = invoke(["validate"] + argv)
+        assert code == 2
+        assert out == ""
+        assert repr(missing) in err

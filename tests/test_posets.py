@@ -2,7 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamechain.errors import (
     BadCoordinateError,
@@ -16,8 +18,10 @@ from tamechain.posets import (
     FinPoset,
     PosetDim,
     Vertex,
+    RealizedPoset,
     alpha_v_formula,
     point_leq,
+    point_name,
     realize,
     transfer_point,
 )
@@ -244,3 +248,184 @@ def test_transfer_adjunction_inequalities():
                 assert point_leq(Q, w, z)
                 for d in rp.points:
                     assert point_leq(Q, d, z) == point_leq(Q, d, w)
+
+
+# --- oracle: the per-pair loops that the order-matrix operations replace -----
+
+
+def oracle_leq(n, covers):
+    """Reflexive-transitive closure by depth-first search, or None on a cycle."""
+    succ = {y: [] for y in range(n)}
+    for y, x in covers:
+        succ[y].append(x)
+    leq = np.eye(n, dtype=bool)
+    for y in range(n):
+        stack = list(succ[y])
+        while stack:
+            x = stack.pop()
+            if x == y:
+                return None
+            if not leq[y, x]:
+                leq[y, x] = True
+                stack.extend(succ[x])
+    return leq
+
+
+def oracle_reduction(leq):
+    n = leq.shape[0]
+    covers = []
+    for y in range(n):
+        for x in range(n):
+            if y == x or not leq[y, x]:
+                continue
+            if not any(k != y and k != x and leq[y, k] and leq[k, x] for k in range(n)):
+                covers.append((y, x))
+    return tuple(sorted(covers))
+
+
+def oracle_dimension(leq):
+    n = leq.shape[0]
+    if not leq.sum() > n:
+        return PosetDim.ZERO
+    for u in range(n):
+        for v in range(u + 1, n):
+            if leq[u, v] or leq[v, u]:
+                continue
+            if (leq[:, u] & leq[:, v]).any() and (leq[u, :] & leq[v, :]).any():
+                return PosetDim.TWO_PLUS
+    return PosetDim.ONE
+
+
+def oracle_closure(P, subset):
+    """Pairwise suplims for dimension <= 1, all subsets otherwise, fed back
+    until stable."""
+    current = set(subset)
+    while True:
+        new = set(current)
+        items = sorted(current)
+        if P.dimension().at_most_one():
+            for i, a in enumerate(items):
+                new.update(brute_suplim(P, [a]))
+                for b in items[i + 1 :]:
+                    new.update(brute_suplim(P, [a, b]))
+        else:
+            for mask in range(1, 1 << len(items)):
+                new.update(brute_suplim(P, [items[k] for k in range(len(items)) if mask >> k & 1]))
+        if new == current:
+            return tuple(sorted(current))
+        current = new
+
+
+def oracle_greatest(leq, members, below):
+    """The per-element scan of both transfers: ("bottom",), ("at", d) or
+    ("undefined",)."""
+    below = [d for d in members if below(d)]
+    if not below:
+        return ("bottom",)
+    maxima = [d for d in below if not any(e != d and leq(d, e) for e in below)]
+    return ("at", maxima[0]) if len(maxima) == 1 else ("undefined",)
+
+
+def outcome(fn, *args):
+    try:
+        w = fn(*args)
+    except TransferUndefinedError:
+        return ("undefined",)
+    return ("bottom",) if w is None else ("at", w)
+
+
+def oracle_realization(base, d_subset, vset):
+    """Points, names, order matrix and covers by the pair scan of `point_leq`."""
+    def key(z):
+        if isinstance(z, Vertex):
+            return (0, base.index(z.q), 0, Fraction(0))
+        return (1, base.index(z.top), base.index(z.bottom), z.t)
+
+    points = [Vertex(base.names[q]) for q in d_subset]
+    for x in d_subset:
+        for y in base.covered_by(x):
+            points += [Edge(base.names[x], base.names[y], v) for v in vset]
+    points.sort(key=key)
+    leq = np.array([[point_leq(base, z, w) for w in points] for z in points], dtype=bool).reshape(len(points), len(points))
+    return points, [point_name(z) for z in points], leq, oracle_reduction(leq)
+
+
+def random_cover_list(rng, n, density):
+    return [(i, j) for j in range(n) for i in range(j) if rng.random() < density / max(n, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.floats(min_value=0.5, max_value=3.0),
+    st.booleans(),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**30),
+)
+def test_order_matrix_matches_pairwise_oracle(n, density, flat, k, seed):
+    rng = random.Random(seed)
+    names = [f"e{i}" for i in range(n)]
+    covers = random_cover_list(rng, n, density if flat else 2 * density)
+    for _ in range(50 if flat else 0):
+        if oracle_dimension(oracle_leq(n, covers)).at_most_one():
+            break
+        covers = random_cover_list(rng, n, density)
+    P = FinPoset(names, covers)
+    leq = oracle_leq(n, covers)
+    assert np.array_equal(P.leq_matrix, leq)
+    assert P.covers == oracle_reduction(leq)
+    assert P.dimension() is oracle_dimension(leq)
+    assert P.linear_extension() == tuple(sorted(range(n), key=lambda i: (int(leq[:, i].sum()), i)))
+    for x in range(n):
+        assert P.covered_by(x) == tuple(y for y, z in P.covers if z == x)
+
+    subset = [e for e in range(n) if rng.random() < 0.3]
+    if P.dimension().at_most_one() or n <= 8:
+        assert P.closure(subset) == oracle_closure(P, subset)
+        assert P.is_closed(subset) == (oracle_closure(P, subset) == tuple(subset))
+    if subset:
+        assert list(P.suplim(subset)) == brute_suplim(P, subset)
+    R = P.restrict(subset)
+    assert R.names == tuple(names[e] for e in subset)
+    assert np.array_equal(R.leq_matrix, leq[np.ix_(subset, subset)])
+    assert R.covers == oracle_reduction(leq[np.ix_(subset, subset)])
+    assert R.dimension() is oracle_dimension(leq[np.ix_(subset, subset)])
+    for z in range(n):
+        expected = oracle_greatest(P.leq, subset, lambda d: P.leq(d, z))
+        assert outcome(transfer_point, P, subset, z) == expected
+
+    # A reversed comparable pair closes a cycle.
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and leq[a, b]]
+    if pairs:
+        a, b = rng.choice(pairs)
+        with pytest.raises(CycleDetectedError):
+            FinPoset(names, covers + [(b, a)])
+
+    V = sorted({Fraction(-rng.randint(1, 12), 13) for _ in range(k)})
+    if not P.dimension().at_most_one():
+        with pytest.raises(DimensionTooHighError):
+            RealizedPoset(P, range(n), V)
+        return
+    if oracle_closure(P, subset) != tuple(subset):
+        with pytest.raises(NotClosedError):
+            RealizedPoset(P, subset, V)
+    D = oracle_closure(P, subset)
+    rp = RealizedPoset(P, D, V)
+    points, rnames, rleq, rcovers = oracle_realization(P, D, V)
+    assert rp.points == tuple(points)
+    assert rp.names == tuple(rnames)
+    assert np.array_equal(rp.leq_matrix, rleq)
+    assert rp.covers == rcovers
+    assert rp.dimension() is oracle_dimension(rleq)
+    queries = [Vertex(q) for q in names]
+    for y, x in P.covers:
+        ts = V + [Fraction(-rng.randint(1, 25), 26) for _ in range(2)]
+        queries += [Edge(names[x], names[y], t) for t in ts]
+    for z in queries:
+        expected = oracle_greatest(
+            lambda i, j: point_leq(P, points[i], points[j]),
+            range(len(points)),
+            lambda i: point_leq(P, points[i], z),
+        )
+        got = outcome(rp.transfer, z)
+        assert got == (expected if expected[0] != "at" else ("at", points[expected[1]]))
