@@ -30,7 +30,7 @@ from .field import Mat, kernel, kernel_and_cokernel, pullback, pushout, rref, so
 from .posets import Edge, FinPoset, PosetDim, RealizedPoset, Vertex, alpha_v_formula, realize, transfer_point
 from .functors import (
     Colimit,
-    FreePresentation,
+    Cover,
     NatMap,
     Resolution,
     VectFunctor,

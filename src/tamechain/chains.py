@@ -27,7 +27,7 @@ from .errors import (
 from .field import Mat, cokernel, inverse, kernel, pullback, solve
 from .posets import FinPoset
 from .functors import (
-    FreePresentation,
+    Cover,
     NatMap,
     VectFunctor,
     coker_functor,
@@ -198,16 +198,7 @@ class ChainFunctor:
 
     def restrict(self, subset: Sequence[int]) -> "ChainFunctor":
         subset = sorted(set(subset))
-        sub = self.poset.restrict(subset)
-        layers = [
-            VectFunctor(
-                sub,
-                [F.dims[q] for q in subset],
-                {(a, b): F.map_leq(subset[a], subset[b]) for a, b in sub.covers},
-                self.p,
-            )
-            for F in self.layers
-        ]
+        layers = [F.restrict(subset) for F in self.layers]
         d = [
             NatMap(layers[k + 1], layers[k], tuple(b.comps[q] for q in subset))
             for k, b in enumerate(self.d)
@@ -365,8 +356,10 @@ def direct_sum_chains(parts: Sequence[ChainFunctor]) -> tuple[ChainFunctor, list
 # --- homology and classification --------------------------------------------
 
 
-def _homology_data(X: ChainFunctor, n: int):
-    """Per element: (kernel basis, H projection from kernel coords, representatives)."""
+def _homology(X: ChainFunctor, n: int):
+    """H_n for n >= 0 (zero above the top degree), with per element the
+    kernel basis, the H projection from kernel coordinates and the
+    representatives that induce maps into and out of it."""
     data = []
     for q in range(X.poset.n):
         dn = X.boundary_at(q, n)
@@ -375,30 +368,29 @@ def _homology_data(X: ChainFunctor, n: int):
         A = solve(K, dn1)
         C, S = cokernel(A)
         data.append((K, C, K @ S))
-    return data
-
-
-def homology_functor(X: ChainFunctor, n: int) -> VectFunctor:
-    """H_n = ker boundary / im boundary with induced maps."""
-    if n < 0 or n > X.top:
-        return _zero_functor(X.poset, X.p)
-    data = _homology_data(X, n)
+    if n > X.top:
+        return _zero_functor(X.poset, X.p), data
     dims = [d[1].rows for d in data]
     maps = {}
     for y, x in X.poset.covers:
         Ky, Cy, Ry = data[y]
         Kx, Cx, Rx = data[x]
         maps[(y, x)] = Cx @ solve(Kx, X.map_at((y, x), n) @ Ry)
-    return VectFunctor(X.poset, dims, maps, X.p)
+    return VectFunctor(X.poset, dims, maps, X.p), data
+
+
+def homology_functor(X: ChainFunctor, n: int) -> VectFunctor:
+    """H_n = ker boundary / im boundary with induced maps."""
+    if n < 0 or n > X.top:
+        return _zero_functor(X.poset, X.p)
+    return _homology(X, n)[0]
 
 
 def homology_map(phi: ChainMap, n: int) -> NatMap:
-    dom_h = homology_functor(phi.dom, n)
-    cod_h = homology_functor(phi.cod, n)
     if n < 0 or (n > phi.dom.top and n > phi.cod.top):
-        return NatMap.zero(dom_h, cod_h)
-    ddata = _homology_data(phi.dom, n)
-    cdata = _homology_data(phi.cod, n)
+        return NatMap.zero(homology_functor(phi.dom, n), homology_functor(phi.cod, n))
+    dom_h, ddata = _homology(phi.dom, n)
+    cod_h, cdata = _homology(phi.cod, n)
     comps = []
     for q in range(phi.dom.poset.n):
         _, _, Rd = ddata[q]
@@ -465,6 +457,13 @@ def chain_coker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
 # --- minimal projective covers of chain functors -----------------------------
 
 
+def _cover_of_coker(m: NatMap) -> tuple[Cover, NatMap]:
+    """Minimal cover P of coker m, with a lift P -> cod m of its cover map."""
+    Q, proj = coker_functor(m)
+    cov = minimal_cover(Q)
+    return cov, lift_through(cov.s, proj)
+
+
 @dataclass(frozen=True)
 class ChCover:
     P: ChainFunctor
@@ -481,9 +480,7 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
     parts = []  # per degree n: (P_n functor, lifted map P_n -> X_n)
     gens = []
     for n in range(X.top + 1):
-        Qn, projn = coker_functor(into[n])
-        cov = minimal_cover(Qn)
-        lifted = lift_through(cov.s, projn, FreePresentation(cov.generators, NatMap.identity(cov.P)))
+        cov, lifted = _cover_of_coker(into[n])
         parts.append((cov.P, lifted))
         gens.append(cov.generators)
     sums = []
@@ -514,11 +511,10 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
     return ChCover(P, cover, tuple(tuple(g) for g in gens))
 
 
-def chain_projective_resolution(X: ChainFunctor, max_steps: Optional[int] = None) -> tuple[list[ChCover], int]:
+def chain_projective_resolution(X: ChainFunctor) -> tuple[list[ChCover], int]:
     """Iterated minimal covers in Ch: returns the layers and the projective
     dimension (number of nontrivial kernels)."""
-    if max_steps is None:
-        max_steps = X.total_dim() + X.top + 2
+    max_steps = X.total_dim() + X.top + 2
     layers = []
     cur = X
     for step in range(max_steps + 1):
@@ -565,9 +561,7 @@ def _mediate_pullback(P: VectFunctor, bases: list[Mat], u: NatMap, v: NatMap) ->
 
 def _factor_min_projective(m: NatMap) -> tuple[VectFunctor, NatMap, NatMap, VectFunctor]:
     """Minimal projective factorization of m: X -> Q as X -> X (+) P -> Q."""
-    Q, proj = coker_functor(m)
-    cov = minimal_cover(Q)
-    lifted = lift_through(cov.s, proj, FreePresentation(cov.generators, NatMap.identity(cov.P)))
+    cov, lifted = _cover_of_coker(m)
     W, incls, projs = direct_sum_functors([m.dom, cov.P])
     c = incls[0]
     p_comps = tuple(
@@ -702,7 +696,7 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
     """Split a cofibrant chain functor over a dimension-<=1 poset into
     spheres on minimal resolutions and disks on projectives, with explicit
     split witnesses against the input."""
-    poset, p = C.poset, C.p
+    poset = C.poset
     if not poset.dimension().at_most_one():
         raise HomologyNotResolvableError("structure decomposition requires a poset of dimension <= 1")
     if not is_cofibrant(C):
@@ -712,6 +706,14 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
     proj = ChainMap.identity(C)
     summands: list[SummandLabel] = []
     splits: list[tuple[ChainMap, ChainMap]] = []
+
+    def split_off(label: SummandLabel, iota: ChainMap, rho: ChainMap):
+        """Record a summand of the residual; the new residual, incl, proj."""
+        summands.append(label)
+        splits.append((incl @ iota, rho @ proj))
+        K, kincl, kproj = _residual_after(residual, iota, rho)
+        return K, incl @ kincl, kproj @ proj
+
     for m in range(C.top + 1):
         if residual.is_zero():
             break
@@ -726,49 +728,37 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
                 res = minimal_resolution(H)
             except KernelNotProjectiveError as exc:
                 raise HomologyNotResolvableError(str(exc)) from exc
-            pres_m = is_projective(Fm)
-            pres_m1 = is_projective(Fm1)
-            s0 = lift_through(res.aug, qmap, FreePresentation(res.gens0, NatMap.identity(res.p0)))
-            p0 = lift_through(qmap, res.aug, pres_m)
-            s1 = lift_through(s0 @ res.d, bnat, FreePresentation(res.gens1, NatMap.identity(res.p1)))
-            p1 = lift_through(p0 @ bnat, res.d, pres_m1)
-            a0 = p0 @ s0
-            a1 = p1 @ s1
-            inv0 = tuple(inverse(mm) for mm in a0.comps)
-            inv1 = tuple(inverse(mm) for mm in a1.comps)
+            s0 = lift_through(res.aug, qmap)
+            p0 = lift_through(qmap, res.aug)
+            s1 = lift_through(s0 @ res.d, bnat)
+            p1 = lift_through(p0 @ bnat, res.d)
+            inv0 = tuple(inverse(mm) for mm in (p0 @ s0).comps)
+            inv1 = tuple(inverse(mm) for mm in (p1 @ s1).comps)
             sphere = suspension(ChainFunctor([res.p0, res.p1], [res.d]), m).trimmed()
             iota = _split_map(sphere, residual, m, s0, s1)
             rho_m = NatMap(Fm, res.p0, tuple(inv0[q] @ p0.comps[q] for q in range(poset.n)))
             rho_m1 = NatMap(Fm1, res.p1, tuple(inv1[q] @ p1.comps[q] for q in range(poset.n)))
             rho = _split_map(residual, sphere, m, rho_m, rho_m1)
-            summands.append(SummandLabel("sphere", m, res.gens0, res.gens1, sphere))
-            splits.append((incl @ iota, rho @ proj))
-            residual, kincl, kproj = _residual_after(residual, iota, rho)
-            incl = incl @ kincl
-            proj = kproj @ proj
+            label = SummandLabel("sphere", m, res.gens0, res.gens1, sphere)
+            residual, incl, proj = split_off(label, iota, rho)
         # Disk step: what remains in degree m is hit isomorphically from above.
         Fm = residual.layer(m)
         if not Fm.is_zero():
-            pres = is_projective(Fm)
-            if pres is None:
+            cov = is_projective(Fm)
+            if cov is None:
                 raise ValidationError("residual degree is not projective; input was not cofibrant")
             bnat = residual.d[m] if m < residual.top else NatMap.zero(residual.layer(m + 1), Fm)
             if not bnat.is_epi():
                 raise AssertionError("boundary must be epi after the sphere step")
-            Yfree = pres.witness.dom
-            w = pres.witness
-            winv = tuple(inverse(mm) for mm in w.comps)
-            s0 = lift_through(w, bnat, FreePresentation(Yfree.generators, NatMap.identity(Yfree)))
-            disk = suspension(ChainFunctor([Yfree, Yfree], [NatMap.identity(Yfree)]), m)
-            iota = _split_map(disk, residual, m, w, s0)
-            rho_m = NatMap(Fm, Yfree, winv)
-            rho_m1 = NatMap(bnat.dom, Yfree, tuple(winv[q] @ bnat.comps[q] for q in range(poset.n)))
+            winv = tuple(inverse(mm) for mm in cov.s.comps)
+            s0 = lift_through(cov.s, bnat)
+            disk = suspension(ChainFunctor([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
+            iota = _split_map(disk, residual, m, cov.s, s0)
+            rho_m = NatMap(Fm, cov.P, winv)
+            rho_m1 = NatMap(bnat.dom, cov.P, tuple(winv[q] @ bnat.comps[q] for q in range(poset.n)))
             rho = _split_map(residual, disk, m, rho_m, rho_m1)
-            summands.append(SummandLabel("disk", m + 1, Yfree.generators, (), disk))
-            splits.append((incl @ iota, rho @ proj))
-            residual, kincl, kproj = _residual_after(residual, iota, rho)
-            incl = incl @ kincl
-            proj = kproj @ proj
+            label = SummandLabel("disk", m + 1, cov.generators, (), disk)
+            residual, incl, proj = split_off(label, iota, rho)
     if not residual.is_zero():
         raise AssertionError("decomposition left a nonzero residual")
     return Decomposition(tuple(summands), tuple(splits))
@@ -794,17 +784,9 @@ def kan_extend_chain(X: ChainFunctor, ambient: FinPoset, embed: Sequence[int]) -
     layers = [e.functor for e in exts]
     bnds = []
     for n in range(X.top):
-        lo, hi = X.layers[n], X.layers[n + 1]
-        comps = []
-        for q in range(ambient.n):
-            chi = exts[n + 1].cocones[q]
-            clo = exts[n].cocones[q]
-            tot_hi = sum(hi.dims[s] for s in chi.elements)
-            moved = Mat.zeros(sum(lo.dims[s] for s in clo.elements), tot_hi, X.p).arr.copy()
-            for s in chi.elements:
-                ha, hb = chi.blocks[s]
-                la, lb = clo.blocks[s]
-                moved[la:lb, ha:hb] = X.boundary_at(s, n + 1).arr
-            comps.append(clo.proj @ Mat(moved, X.p) @ chi.section)
+        comps = [
+            exts[n + 1].cocones[q].map_into(exts[n].cocones[q], lambda s: X.d[n].comps[s])
+            for q in range(ambient.n)
+        ]
         bnds.append(NatMap(layers[n + 1], layers[n], tuple(comps)))
     return ChainFunctor(layers, bnds), exts

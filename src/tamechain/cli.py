@@ -3,8 +3,8 @@
 Commands that produce objects (`example`, `replace`, `realize`) print an
 interchange document on stdout so they compose under pipes; analysis
 commands print a text report, or one JSON document with `--machine`.
-`validate` accepts several files and processes them concurrently with
-`--jobs`, emitting one atomic report per file.  The default modulus for
+`validate` accepts several files and emits one report per file once all
+of them have passed.  The default modulus for
 `example` comes from TAMECHAIN_FIELD when set.
 Exit codes: 0 success, 1 mathematical failure, 2 input failure.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 mathematical failure, 2 input failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -24,6 +23,7 @@ from .field import _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, Vertex, point_name, realize, transfer_point
 from .functors import minimal_cover, minimal_resolution
 from .chains import (
+    ChainFunctor,
     chain_projective_resolution,
     classify_morphism,
     cofibrant_replacement,
@@ -101,8 +101,7 @@ def cmd_validate(args) -> int:
     if len(files) == 1:
         _emit_report(args, _validate_one(files[0]))
         return 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(_validate_one, files))
+    results = [_validate_one(path) for path in files]
     for path, report in zip(files, results):
         if args.machine:
             sys.stdout.write(
@@ -127,45 +126,38 @@ def cmd_info(args) -> int:
         for n in range(X.top + 1):
             H = homology_functor(X, n)
             report[f"chain[{name}].H{n}"] = {X.poset.names[q]: H.dims[q] for q in range(X.poset.n)}
-    if args.machine:
-        _emit_report(args, report)
-    else:
-        for key, value in report.items():
-            sys.stdout.write(f"{key}: {value}\n")
+    _emit_report(args, report)
     return 0
 
 
 def cmd_cover(args) -> int:
-    doc = _read_doc(args)
-    if args.object in doc.chains or (args.object is None and doc.chains):
-        name, X = doc.only_chain(args.object)
-        cov = minimal_projective_cover_ch(X)
+    name, obj = _pick_object(_read_doc(args), args.object)
+    if isinstance(obj, ChainFunctor):
+        cov = minimal_projective_cover_ch(obj)
         report = {
             "object": name,
             "kind": "chain",
             "layers": [
-                {"degree": n, "generators": _gens_json(X.poset, gens)}
+                {"degree": n, "generators": _gens_json(obj.poset, gens)}
                 for n, gens in enumerate(cov.layer_generators)
             ],
         }
     else:
-        name, F = doc.only_functor(args.object)
-        cov = minimal_cover(F)
+        cov = minimal_cover(obj)
         report = {
             "object": name,
             "kind": "functor",
-            "generators": _gens_json(F.poset, cov.generators),
-            "iso": all(m.rows == m.cols for m in cov.s.comps) and cov.s.is_iso(),
+            "generators": _gens_json(obj.poset, cov.generators),
+            "iso": cov.s.is_iso(),
         }
     _emit_report(args, report)
     return 0
 
 
 def cmd_resolve(args) -> int:
-    doc = _read_doc(args)
-    if args.object in doc.chains or (args.object is None and doc.chains):
-        name, X = doc.only_chain(args.object)
-        layers, pd = chain_projective_resolution(X)
+    name, obj = _pick_object(_read_doc(args), args.object)
+    if isinstance(obj, ChainFunctor):
+        layers, pd = chain_projective_resolution(obj)
         report = {
             "object": name,
             "kind": "chain",
@@ -173,23 +165,22 @@ def cmd_resolve(args) -> int:
             "layers": [
                 {
                     "step": i,
-                    "cover_dims": {X.poset.names[q]: list(cov.P.trimmed().dims[q]) for q in range(X.poset.n)},
+                    "cover_dims": {obj.poset.names[q]: list(cov.P.trimmed().dims[q]) for q in range(obj.poset.n)},
                 }
                 for i, cov in enumerate(layers)
             ],
         }
     else:
-        name, F = doc.only_functor(args.object)
-        res = minimal_resolution(F)
+        res = minimal_resolution(obj)
         report = {
             "object": name,
             "kind": "functor",
             "length": res.length,
-            "p0_generators": _gens_json(F.poset, res.gens0),
-            "p1_generators": _gens_json(F.poset, res.gens1),
+            "p0_generators": _gens_json(obj.poset, res.gens0),
+            "p1_generators": _gens_json(obj.poset, res.gens1),
             "d": {
-                F.poset.names[q]: res.d.comps[q].tolist()
-                for q in range(F.poset.n)
+                obj.poset.names[q]: res.d.comps[q].tolist()
+                for q in range(obj.poset.n)
                 if res.d.comps[q].rows and res.d.comps[q].cols
             },
         }
@@ -392,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("validate", cmd_validate, help="check structural invariants")
     sp.add_argument("files", nargs="*", help="additional documents for batch mode")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers in batch mode")
     add("info", cmd_info, help="dimensions, poset class, homology table")
     sp = add("cover", cmd_cover, help="minimal projective cover generators")
     sp.add_argument("--object", default=None)

@@ -12,7 +12,7 @@ resolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .posets import FinPoset, transfer_point
 __all__ = [
     "VectFunctor",
     "NatMap",
-    "FreePresentation",
+    "Cover",
     "Resolution",
     "Colimit",
     "LocalHomology",
@@ -48,6 +48,9 @@ __all__ = [
 
 class VectFunctor:
     """Functor poset -> vect_{F_p}: dims per element, matrix per cover."""
+
+    # (element, multiplicity) blocks when `free_on_generators` built it.
+    generators: Optional[tuple[tuple[int, int], ...]] = None
 
     def __init__(self, poset: FinPoset, dims: Sequence[int], maps: dict[tuple[int, int], Mat], p: int):
         self.poset = poset
@@ -270,6 +273,16 @@ class Colimit:
     section: Mat
     blocks: dict[int, tuple[int, int]]
 
+    def map_into(self, dst: "Colimit", block: Callable[[int], Mat]) -> Mat:
+        """The map from this colimit into dst induced by block(s): one
+        matrix per element s of this colimit, which dst must also hold."""
+        moved = np.zeros((dst.proj.cols, self.section.rows), dtype=np.int64)
+        for s in self.elements:
+            ya, yb = self.blocks[s]
+            xa, xb = dst.blocks[s]
+            moved[xa:xb, ya:yb] = block(s).arr
+        return dst.proj @ Mat(moved, self.proj.p) @ self.section
+
 
 def colim_over(F: VectFunctor, subset: Iterable[int]) -> Colimit:
     """coker of the difference map over the induced covers of the subset."""
@@ -350,16 +363,10 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
     below = ambient.leq_matrix[list(embed)]  # row d: which elements embed[d] lies below
     colims = {x: colim_over(F, np.flatnonzero(below[:, x]).tolist()) for x in range(ambient.n)}
     dims = [colims[x].dim for x in range(ambient.n)]
-    maps = {}
-    for y, x in ambient.covers:
-        cy, cx = colims[y], colims[x]
-        tot_y = sum(F.dims[s] for s in cy.elements)
-        incl = Mat.zeros(sum(F.dims[s] for s in cx.elements), tot_y, F.p).arr.copy()
-        for s in cy.elements:
-            ya, yb = cy.blocks[s]
-            xa, xb = cx.blocks[s]
-            incl[xa:xb, ya:yb] = Mat.identity(F.dims[s], F.p).arr
-        maps[(y, x)] = cx.proj @ Mat(incl, F.p) @ cy.section
+    maps = {
+        (y, x): colims[y].map_into(colims[x], lambda s: Mat.identity(F.dims[s], F.p))
+        for y, x in ambient.covers
+    }
     ext = VectFunctor(ambient, dims, maps, F.p)
     unit = tuple(colims[embed[d]].cocone[d] for d in range(F.poset.n))
     return KanExtension(ext, unit, "colim", colims)
@@ -439,16 +446,9 @@ def coker_functor(nat: NatMap) -> tuple[VectFunctor, NatMap]:
 
 
 @dataclass(frozen=True)
-class FreePresentation:
-    """Generators (element, multiplicity) with an objectwise-invertible
-    witness from the corresponding free functor."""
-
-    generators: tuple[tuple[int, int], ...]
-    witness: NatMap
-
-
-@dataclass(frozen=True)
 class Cover:
+    """Minimal projective cover s: P -> F, P free on the generators."""
+
     P: VectFunctor
     generators: tuple[tuple[int, int], ...]
     s: NatMap
@@ -465,17 +465,10 @@ def minimal_cover(F: VectFunctor) -> Cover:
     return Cover(P, gens, s)
 
 
-def is_projective(F: VectFunctor) -> Optional[FreePresentation]:
-    """FreePresentation when F is projective (minimal cover an iso), else None."""
-    if F.poset.dimension().at_most_one():
-        if any(local_homology(F, x).h1_dim for x in range(F.poset.n)):
-            return None
-        cov = minimal_cover(F)
-        return FreePresentation(cov.generators, cov.s)
+def is_projective(F: VectFunctor) -> Optional[Cover]:
+    """The minimal cover of F when it is an iso (F projective), else None."""
     cov = minimal_cover(F)
-    if any(kernel(m).cols for m in cov.s.comps):
-        return None
-    return FreePresentation(cov.generators, cov.s)
+    return cov if cov.s.is_iso() else None
 
 
 @dataclass(frozen=True)
@@ -497,37 +490,38 @@ class Resolution:
 def minimal_resolution(F: VectFunctor) -> Resolution:
     cov = minimal_cover(F)
     K, incl = ker_functor(cov.s)
-    pres = is_projective(K)
-    if pres is None:
+    kcov = is_projective(K)
+    if kcov is None:
         raise KernelNotProjectiveError(
             "kernel of the minimal cover is not projective; the indexing poset is not of dimension <= 1"
         )
-    d = incl @ pres.witness
-    return Resolution(pres.witness.dom, cov.P, d, cov.s, cov.generators, pres.generators)
+    d = incl @ kcov.s
+    return Resolution(kcov.P, cov.P, d, cov.s, cov.generators, kcov.generators)
 
 
-def lift_through(f: NatMap, e: NatMap, pres: Optional[FreePresentation] = None) -> NatMap:
+def lift_through(f: NatMap, e: NatMap) -> NatMap:
     """g with e g = f, for projective domain of f and im f inside im e.
 
-    The lift is chosen canonically on the generators of a free presentation
-    of the domain.
+    A free domain lifts canonically on its own generators.  Any other
+    projective domain lifts f s, for the iso s: P -> dom f of its minimal
+    cover, and composes with s^-1.
     """
-    if pres is None:
-        pres = is_projective(f.dom)
-        if pres is None:
+    free, s = f.dom, None
+    if free.generators is None:
+        cov = is_projective(free)
+        if cov is None:
             raise ValueError("lift requires a projective domain")
-    w = pres.witness
-    free = w.dom
+        free, s = cov.P, cov.s
     gens = free.generators
-    winv = [inverse(m) for m in w.comps]
     values = []
     for i, (z, d) in enumerate(gens):
-        blk = next((a, b) for j, a, b in _gen_blocks(free.poset, gens, z) if j == i)
-        target = f.comps[z] @ w.comps[z].take_cols(range(*blk))
+        blk = range(*next((a, b) for j, a, b in _gen_blocks(free.poset, gens, z) if j == i))
+        target = f.comps[z].take_cols(blk) if s is None else f.comps[z] @ s.comps[z].take_cols(blk)
         values.append(solve(e.comps[z], target))
-    g0 = assemble_free_map(free, e.dom, values)
-    comps = tuple(g0.comps[x] @ winv[x] for x in range(free.poset.n))
-    return NatMap(f.dom, e.dom, comps)
+    g = assemble_free_map(free, e.dom, values)
+    if s is None:
+        return g
+    return NatMap(f.dom, e.dom, tuple(m @ inverse(w) for m, w in zip(g.comps, s.comps)))
 
 
 def common_discretization(

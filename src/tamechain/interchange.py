@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import FieldMismatchError, ParseError
+from .errors import ParseError
 from .field import Mat, _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, realize
 from .functors import VectFunctor
@@ -236,7 +236,7 @@ def _pick(kind: str, table: dict, name: Optional[str]):
     return n, obj
 
 
-def parse_document(text: str, expect_field: Optional[int] = None) -> Document:
+def parse_document(text: str) -> Document:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -247,8 +247,6 @@ def parse_document(text: str, expect_field: Optional[int] = None) -> Document:
         p = _check_modulus(raw["field"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad field {raw['field']!r}: {exc}") from exc
-    if expect_field is not None and expect_field != p:
-        raise FieldMismatchError(f"document field {p} does not match requested {expect_field}")
     doc = Document(field=p)
     for name, block in (raw.get("posets") or {}).items():
         doc.posets[name] = poset_from_json(block)

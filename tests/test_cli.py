@@ -195,6 +195,23 @@ def test_indec_on_plain_functor_document():
     assert "dim: 1" in out
 
 
+def test_unknown_object_is_one_input_error_on_every_command():
+    doc = {
+        "field": 2,
+        "posets": {"P": {"elements": ["a", "b"], "covers": [["a", "b"]]}},
+        "functors": {"F": {"poset": "P", "dims": {"a": 1, "b": 1}, "maps": {"a->b": [[1]]}}},
+        "chain_functors": {"X": {"poset": "P", "top": 0, "dims": {"a": [1], "b": [1]}, "maps": {"a->b": [[[1]]]}}},
+    }
+    errors = set()
+    for cmd in ("cover", "resolve", "endring", "indec"):
+        code, out, err = invoke([cmd, "--object", "zz"], json.dumps(doc))
+        assert code == 2, cmd
+        assert out == ""
+        assert "'zz'" in err
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
 def test_field_env_read_when_example_runs(monkeypatch):
     invoke(["example", "fig2"])  # the parser exists before the variable is set
     monkeypatch.setenv("TAMECHAIN_FIELD", "5")
@@ -334,7 +351,7 @@ def test_validate_missing_file_is_input_error(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(PLAIN)
     missing = str(tmp_path / "missing.json")
-    for argv in ([missing], [missing, str(good)], [str(good), missing, "--jobs", "2"]):
+    for argv in ([missing], [missing, str(good)], [str(good), missing]):
         code, out, err = invoke(["validate"] + argv)
         assert code == 2
         assert out == ""

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamechain.errors import KernelNotProjectiveError, ValidationError
-from tamechain.field import Mat, kernel, solve
+from tamechain.field import Mat, inverse, kernel, solve
 from tamechain.functors import (
     NatMap,
     VectFunctor,
@@ -22,10 +23,11 @@ from tamechain.functors import (
     minimal_cover,
     minimal_resolution,
     radical,
+    _gen_blocks,
 )
 from tamechain.posets import FinPoset
 
-from conftest import combine, random_functor_dim1, random_dim1_poset
+from conftest import combine, random_dim1_poset, random_functor_dim1, random_invertible, random_matrix
 
 
 def test_free_functor_zero_multiplicity(chain2):
@@ -321,6 +323,79 @@ def test_lift_through_epi():
         assert all(
             (cov.s.comps[x] @ lifted.comps[x]) == cov.s.comps[x] for x in range(P.n)
         )
+
+
+def oracle_is_projective(F):
+    """Over a poset of dimension <= 1: projective exactly when every local
+    H1 vanishes."""
+    return not any(local_homology(F, x).h1_dim for x in range(F.poset.n))
+
+
+def oracle_lift(f, e, gens, witness):
+    """The lift on the generators of a presentation witness: free -> dom f,
+    composed with the objectwise inverse of the witness."""
+    free = witness.dom
+    values = []
+    for i, (z, d) in enumerate(gens):
+        blk = next((a, b) for j, a, b in _gen_blocks(free.poset, gens, z) if j == i)
+        values.append(solve(e.comps[z], f.comps[z] @ witness.comps[z].take_cols(range(*blk))))
+    g0 = assemble_free_map(free, e.dom, values)
+    return tuple(g0.comps[x] @ inverse(witness.comps[x]) for x in range(free.poset.n))
+
+
+def random_oriented_tree(rng, n):
+    names = [f"e{i}" for i in range(n)]
+    covers = []
+    for j in range(1, n):
+        i = rng.randrange(j)
+        covers.append((names[i], names[j]) if rng.random() < 0.5 else (names[j], names[i]))
+    return FinPoset.from_covers(names, covers)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=0, max_value=2**30),
+)
+def test_projectivity_and_lifts_match_oracles(n, p, seed):
+    rng = random.Random(seed)
+    T = random_oriented_tree(rng, n)
+    F = random_functor_dim1(rng, T, p, max_dim=2)
+    cov = is_projective(F)
+    assert (cov is not None) == oracle_is_projective(F)
+    if cov is not None:
+        ref = minimal_cover(F)
+        assert cov.generators == ref.generators and cov.s.comps == ref.s.comps
+
+    # A free functor D and a conjugate Dc of it: both projective, Dc not free.
+    D = free_on_generators(T, [(z, rng.randint(0, 2)) for z in range(n)], p)
+    U = [random_invertible(rng, d, p) for d in D.dims]
+    Uinv = [inverse(u) for u in U]
+    Dc = VectFunctor(T, D.dims, {(y, x): U[x] @ m @ Uinv[y] for (y, x), m in D.maps.items()}, p)
+    assert Dc.generators is None
+    assert oracle_is_projective(D) and oracle_is_projective(Dc)
+
+    # e onto G, and e from a free E that need not be epi, with f = e h.
+    G = random_functor_dim1(rng, T, p, max_dim=2)
+    E = free_on_generators(T, [(z, rng.randint(0, 2)) for z in range(n)], p)
+    targets = [minimal_cover(G).s, assemble_free_map(E, G, [random_matrix(rng, G.dims[z], d, p) for z, d in E.generators])]
+    for e in targets:
+        h = assemble_free_map(D, e.dom, [random_matrix(rng, e.dom.dims[z], d, p) for z, d in D.generators])
+        f = e @ h
+        fc = NatMap(Dc, G, tuple(m @ u for m, u in zip(f.comps, Uinv)))
+        cov_d, cov_dc = is_projective(D), is_projective(Dc)
+        g = lift_through(f, e)
+        gc = lift_through(fc, e)
+        assert g.comps == oracle_lift(f, e, D.generators, NatMap.identity(D))
+        assert g.comps == oracle_lift(f, e, cov_d.generators, cov_d.s)
+        assert gc.comps == oracle_lift(fc, e, cov_dc.generators, cov_dc.s)
+        for lift, target in ((g, f), (gc, fc)):
+            assert lift.dom is target.dom and lift.cod is e.dom
+            assert (e @ lift).comps == target.comps
+    if cov is None:
+        with pytest.raises(ValueError):
+            lift_through(NatMap.zero(F, G), targets[0])
 
 
 def test_common_discretization_fence_halves(fence):
