@@ -246,6 +246,8 @@ def cmd_endring(args) -> int:
 
 def cmd_indec(args) -> int:
     doc = _read_doc(args)
+    if args.budget is not None and args.budget < 0:
+        raise InputError(f"--budget must be non-negative, got {args.budget}")
     name, obj = _pick_object(doc, args.object)
     res = indecomposable(obj, strategy=args.strategy, budget=args.budget, seed=args.seed)
     verdict = "indecomposable" if res.indecomposable else "decomposable"
@@ -265,15 +267,20 @@ def cmd_indec(args) -> int:
 
 def cmd_glue(args) -> int:
     doc = _read_doc(args)
-    a_names = args.A.split(",") if args.A else None
-    b_names = args.B.split(",") if args.B else None
-    if (a_names is None or b_names is None) and doc.gluing:
-        a_names = a_names or doc.gluing.get("A")
-        b_names = b_names or doc.gluing.get("B")
-    if not a_names or not b_names:
-        raise ParseError("glue requires --A and --B (or a gluing block in the document)")
+    block = doc.gluing if isinstance(doc.gluing, dict) else {}
+    sides = []
+    for key, arg in (("A", args.A), ("B", args.B)):
+        names, flag = (arg.split(","), f"--{key}") if arg else (block.get(key), f"gluing block `{key}`")
+        if not names:
+            raise ParseError("glue requires --A and --B (or a gluing block in the document)")
+        if not isinstance(names, list):
+            raise ParseError(f"{flag} must list element names, got {names!r}")
+        sides.append((names, flag))
     name, obj = _pick_object(doc, args.object)
-    rep = gluing_check(obj, a_names, b_names)
+    for names, flag in sides:
+        for n in names:
+            _element(obj.poset, n, flag)
+    rep = gluing_check(obj, sides[0][0], sides[1][0])
     _emit_report(
         args,
         {

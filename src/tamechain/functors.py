@@ -1,9 +1,12 @@
 """Vector-space valued functors on finite posets.
 
 A functor assigns a dimension to every element and a matrix to every
-cover relation; composites along longer paths are derived (and checked
-for path independence, which is only a real constraint on posets of
-dimension 2 or more).  On top of that sit colimits over subposets, left
+cover relation.  Composites along longer paths are formed on demand by
+`map_leq` along one cover path and cached.  Path independence is checked
+once, in the constructor, and only on posets of dimension 2 or more: on
+dimension <= 1 two distinct cover paths would split at an element with
+two incomparable covers and meet again above, which is exactly the
+dimension-2 witness.  On top of that sit colimits over subposets, left
 Kan extension (colimit route and transfer route), local homology at an
 element, radicals, minimal projective covers, and length-<=1 minimal
 resolutions.
@@ -75,15 +78,17 @@ class VectFunctor:
             if key not in full:
                 raise ValidationError(f"map given for non-cover pair {key}")
         self.maps = full
-        self._leq_maps = self._compose_all()
+        # Composites formed so far, keyed by target and then source.
+        self._into: list[dict[int, Mat]] = [{} for _ in range(poset.n)]
+        if not poset.dimension().at_most_one():
+            self._compose_all()
 
-    def _compose_all(self) -> dict[int, dict[int, Mat]]:
-        """All composite maps, keyed by target and then source, checking
-        path independence.  A cover (y, x) extends only the composites
-        that end at y."""
-        into: dict[int, dict[int, Mat]] = {
-            e: {e: Mat.identity(self.dims[e], self.p)} for e in range(self.poset.n)
-        }
+    def _compose_all(self) -> None:
+        """Fill the composite cache, checking path independence.  A cover
+        (y, x) extends only the composites that end at y."""
+        into = self._into
+        for e in range(self.poset.n):
+            into[e][e] = Mat.identity(self.dims[e], self.p)
         for x in self.poset.linear_extension():
             at_x = into[x]
             for y in self.poset.covered_by(x):
@@ -97,15 +102,37 @@ class VectFunctor:
                         raise ValidationError(
                             f"functoriality fails between {self.poset.names[src]} and {self.poset.names[x]}"
                         )
-        return into
 
     def at(self, x: int) -> int:
         return self.dims[x]
 
     def map_leq(self, y: int, x: int) -> Mat:
-        if not self.poset.leq(y, x):
+        """F(y <= x), composed down from x along covers toward y.  The walk
+        stops at the first cached composite and caches each one it forms;
+        it is a loop because realizations hold long chains."""
+        below = self.poset.leq_matrix[y]
+        if not below[x]:
             raise ValueError(f"{self.poset.names[y]} is not below {self.poset.names[x]}")
-        return self._leq_maps[x][y]
+        into = self._into
+        if y == x:
+            m = into[x].get(x)
+            if m is None:
+                m = into[x][x] = Mat.identity(self.dims[x], self.p)
+            return m
+        path = []
+        z = x
+        while z != y and y not in into[z]:
+            path.append(z)
+            z = next(c for c in self.poset.covered_by(z) if below[c])
+        if z == y:
+            z = path.pop()
+            into[z][y] = self.maps[(y, z)]
+        m = into[z][y]
+        for w in reversed(path):
+            m = self.maps[(z, w)] @ m
+            into[w][y] = m
+            z = w
+        return m
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)

@@ -28,15 +28,21 @@ def _mat_to_json(m: Mat):
     return m.tolist()
 
 
-def _mat_from_json(val, rows: int, cols: int, p: int) -> Mat:
+def _mat_from_json(val, rows: int, cols: int, p: int, where: str) -> Mat:
+    """The matrix `where` names: null, or a list of rows of JSON integers."""
     if val is None:
         return Mat.zeros(rows, cols, p)
+    if not isinstance(val, list) or not all(isinstance(row, list) for row in val):
+        raise ParseError(f"{where} must be a list of rows, got {val!r}")
+    for row in val:
+        for v in row:
+            _int(v, f"{where} entry")
     try:
         m = Mat(val, p)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad matrix literal: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: bad matrix literal: {exc}") from exc
     if m.shape != (rows, cols):
-        raise ParseError(f"matrix has shape {m.shape}, expected {(rows, cols)}")
+        raise ParseError(f"{where} has shape {m.shape}, expected {(rows, cols)}")
     return m
 
 
@@ -140,19 +146,37 @@ def _cover_from_key(P: FinPoset, key: str) -> tuple[int, int]:
     return pair
 
 
-def _dim(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"dim at {name!r} is not an integer: {value!r}") from exc
+def _int(value, what: str, where: str = "") -> int:
+    """A JSON integer: not a float, a boolean or a string."""
+    if type(value) is not int:
+        raise ParseError(f"{what} is not an integer: {value!r}{where}")
+    return value
+
+
+def _table(block: dict, key: str, required: bool = False) -> dict:
+    """The object under `key`; an absent or null one is empty unless required."""
+    val = block.get(key)
+    if val is None and required:
+        raise ParseError(f"missing `{key}`")
+    val = {} if val is None else val
+    if not isinstance(val, dict):
+        raise ParseError(f"`{key}` must be an object, got {val!r}")
+    return val
+
+
+def _list(val, length: int, what: str) -> list:
+    if not isinstance(val, list) or len(val) != length:
+        raise ParseError(f"{what} must be a list of {length}, got {val!r}")
+    return val
 
 
 def functor_from_json(block: dict, P: FinPoset, p: int) -> VectFunctor:
-    dims = [_dim(block["dims"].get(name, 0), name) for name in P.names]
+    given = _table(block, "dims", required=True)
+    dims = [_int(given.get(name, 0), f"dim at {name!r}") for name in P.names]
     maps = {}
-    for key, val in (block.get("maps") or {}).items():
+    for key, val in _table(block, "maps").items():
         y, x = _cover_from_key(P, key)
-        maps[(y, x)] = _mat_from_json(val, dims[x], dims[y], p)
+        maps[(y, x)] = _mat_from_json(val, dims[x], dims[y], p, f"map {key!r}")
     return VectFunctor(P, dims, maps, p)
 
 
@@ -174,28 +198,31 @@ def chain_to_json(X: ChainFunctor, poset_name: str) -> dict:
 
 
 def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
-    top = int(block.get("top", 0))
+    top = _int(block.get("top", 0), "`top`")
+    if top < 0:
+        raise ParseError(f"`top` must be non-negative, got {top}")
+    given_dims = _table(block, "dims", required=True)
     dims = []
     for name in P.names:
-        row = [_dim(d, name) for d in block["dims"].get(name, [0] * (top + 1))]
-        if len(row) != top + 1:
-            raise ParseError(f"dims at {name!r} must list degrees 0..{top}")
-        dims.append(row)
+        row = _list(given_dims.get(name, [0] * (top + 1)), top + 1, f"dims at {name!r} (degrees 0..{top})")
+        dims.append([_int(d, f"dim at {name!r}", f" in degree {n}") for n, d in enumerate(row)])
+    given_bdy = _table(block, "boundaries")
     bdy = []
     for q, name in enumerate(P.names):
-        given = (block.get("boundaries") or {}).get(name, [None] * top)
-        if len(given) != top:
-            raise ParseError(f"boundaries at {name!r} must list degrees 1..{top}")
+        given = _list(given_bdy.get(name, [None] * top), top, f"boundaries at {name!r} (degrees 1..{top})")
         bdy.append(
-            [_mat_from_json(given[k], dims[q][k], dims[q][k + 1], p) for k in range(top)]
+            [
+                _mat_from_json(given[k], dims[q][k], dims[q][k + 1], p, f"boundary at {name!r} degree {k + 1}")
+                for k in range(top)
+            ]
         )
     maps = {}
-    for key, val in (block.get("maps") or {}).items():
+    for key, val in _table(block, "maps").items():
         y, x = _cover_from_key(P, key)
-        if len(val) != top + 1:
-            raise ParseError(f"cover maps for {key!r} must list degrees 0..{top}")
+        _list(val, top + 1, f"cover maps for {key!r} (degrees 0..{top})")
         maps[(y, x)] = [
-            _mat_from_json(val[n], dims[x][n], dims[y][n], p) for n in range(top + 1)
+            _mat_from_json(val[n], dims[x][n], dims[y][n], p, f"cover map {key!r} degree {n}")
+            for n in range(top + 1)
         ]
     return ChainFunctor.from_arrays(P, dims, bdy, maps, p)
 
@@ -248,24 +275,22 @@ def parse_document(text: str) -> Document:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad field {raw['field']!r}: {exc}") from exc
     doc = Document(field=p)
-    for name, block in (raw.get("posets") or {}).items():
+    for name, block in _table(raw, "posets").items():
         doc.posets[name] = poset_from_json(block)
-    for name, block in (raw.get("functors") or {}).items():
-        pname = block.get("poset")
-        if pname not in doc.posets:
-            raise ParseError(f"functor {name!r} references unknown poset {pname!r}")
-        try:
-            doc.functors[name] = (functor_from_json(block, doc.posets[pname], p), pname)
-        except ParseError as exc:
-            raise ParseError(f"functor {name!r}: {exc}") from exc
-    for name, block in (raw.get("chain_functors") or {}).items():
-        pname = block.get("poset")
-        if pname not in doc.posets:
-            raise ParseError(f"chain functor {name!r} references unknown poset {pname!r}")
-        try:
-            doc.chains[name] = (chain_from_json(block, doc.posets[pname], p), pname)
-        except ParseError as exc:
-            raise ParseError(f"chain functor {name!r}: {exc}") from exc
+    for key, kind, table, build in (
+        ("functors", "functor", doc.functors, functor_from_json),
+        ("chain_functors", "chain functor", doc.chains, chain_from_json),
+    ):
+        for name, block in _table(raw, key).items():
+            if not isinstance(block, dict):
+                raise ParseError(f"{kind} {name!r} must be an object, got {block!r}")
+            pname = block.get("poset")
+            if not isinstance(pname, str) or pname not in doc.posets:
+                raise ParseError(f"{kind} {name!r} references unknown poset {pname!r}")
+            try:
+                table[name] = (build(block, doc.posets[pname], p), pname)
+            except ParseError as exc:
+                raise ParseError(f"{kind} {name!r}: {exc}") from exc
     doc.gluing = raw.get("gluing")
     return doc
 

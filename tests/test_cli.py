@@ -356,3 +356,55 @@ def test_validate_missing_file_is_input_error(tmp_path):
         assert code == 2
         assert out == ""
         assert repr(missing) in err
+
+
+def _fig2_document(edit) -> str:
+    code, doc, _ = invoke(["example", "fig2", "--field", "3"])
+    assert code == 0
+    doc = json.loads(doc)
+    edit(doc["chain_functors"])
+    return json.dumps(doc)
+
+
+def _set_entry(val):
+    def edit(chains):
+        chains["fig2"]["maps"]["x1->x3"][0] = [[val]]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c["fig2"].update(top="a"), "chain functor 'fig2': `top` is not an integer: 'a'"),
+        (lambda c: c.update(fig2=3), "chain functor 'fig2' must be an object, got 3"),
+        (lambda c: c["fig2"]["dims"].update(x1=5), "chain functor 'fig2': dims at 'x1'"),
+        (_set_entry(1.5), "chain functor 'fig2': cover map 'x1->x3' degree 0 entry is not an integer: 1.5"),
+        (_set_entry(True), "chain functor 'fig2': cover map 'x1->x3' degree 0 entry is not an integer: True"),
+    ],
+    ids=["top-not-int", "entry-not-object", "dims-not-list", "float-entry", "bool-entry"],
+)
+def test_malformed_chain_functors_are_input_errors(edit, message):
+    doc = _fig2_document(edit)
+    for cmd in ("info", "indec", "cover"):
+        code, out, err = invoke([cmd], doc)
+        assert code == 2, cmd
+        assert out == ""
+        assert "Traceback" not in err
+        assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["glue", "--A", "zz", "--B", "x1"], "--A names unknown element 'zz'"),
+        (["glue", "--A", ",", "--B", ","], "--A names unknown element ''"),
+        (["indec", "--budget", "-1"], "--budget must be non-negative, got -1"),
+    ],
+)
+def test_bad_glue_and_indec_arguments_are_input_errors(argv, message):
+    code, out, err = invoke(argv, _fig2_document(lambda c: None))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err

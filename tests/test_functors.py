@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from tamechain.functors import (
     radical,
     _gen_blocks,
 )
-from tamechain.posets import FinPoset
+from tamechain.posets import FinPoset, realize
 
 from conftest import combine, random_dim1_poset, random_functor_dim1, random_invertible, random_matrix
 
@@ -52,6 +53,49 @@ def test_functoriality_check_rejects_bad_square(diamond):
     }
     with pytest.raises(ValidationError):
         VectFunctor(diamond, [1, 1, 1, 1], maps, 2)
+
+
+def eager_composites(F: VectFunctor) -> dict[int, dict[int, Mat]]:
+    """Every composite, keyed by target and then source, formed eagerly
+    along a linear extension with path independence asserted."""
+    into = {e: {e: Mat.identity(F.dims[e], F.p)} for e in range(F.poset.n)}
+    for x in F.poset.linear_extension():
+        for y in F.poset.covered_by(x):
+            for src, m in into[y].items():
+                comp = F.maps[(y, x)] @ m
+                assert into[x].setdefault(src, comp) == comp
+    return into
+
+
+def _check_lazy_against_eager(rng: random.Random, F: VectFunctor) -> None:
+    oracle = eager_composites(F)
+    pairs = [(y, x) for x in range(F.poset.n) for y in oracle[x]]
+    assert len(pairs) == int(F.poset.leq_matrix.sum())
+    rng.shuffle(pairs)  # hit the cache from every side
+    for y, x in pairs:
+        assert F.map_leq(y, x) == oracle[x][y]
+
+
+def test_map_leq_matches_eager_composites_on_dim1_posets():
+    rng = random.Random(11)
+    for _ in range(40):
+        P = random_dim1_poset(rng, 9)
+        _check_lazy_against_eager(rng, random_functor_dim1(rng, P, rng.choice([2, 3, 5])))
+
+
+def test_map_leq_matches_eager_composites_on_a_realization():
+    rng = random.Random(12)
+    base = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("d", "c")])
+    rp = realize(base, None, [Fraction(-3, 4), Fraction(-1, 2), Fraction(-1, 5)])
+    _check_lazy_against_eager(rng, random_functor_dim1(rng, rp, 5))
+
+
+def test_map_leq_walks_a_long_realized_chain():
+    base = FinPoset.from_covers(["a", "b"], [("a", "b")])
+    rp = realize(base, None, [Fraction(-k, 1601) for k in range(1, 1601)])
+    assert rp.n > 1500
+    F = VectFunctor(rp, [1] * rp.n, {c: Mat([[2]], 5) for c in rp.covers}, 5)
+    assert F.map_leq(rp.index("a"), rp.index("b")) == Mat([[pow(2, len(rp.covers), 5)]], 5)
 
 
 def test_colim_singleton_and_empty(fence):
