@@ -2,10 +2,15 @@
 
 A chain functor is one vector-space functor per degree 0..top together
 with the boundary natural maps d[k]: layers[k+1] -> layers[k]; a chain
-map is one natural map per degree.  Every part is validated by its own
-constructor, so a chain functor checks only d . d = 0 and a chain map
-only its chain squares.  Flat per-element data (dims, boundaries and
-cover maps) enters through `ChainFunctor.from_arrays`.  The module
+map is one natural map per degree.  The public constructors validate:
+each part checks itself, so a chain functor checks only d . d = 0 and a
+chain map only its chain squares.  Flat per-element data (dims,
+boundaries and cover maps) enters through `ChainFunctor.from_arrays`.
+Internal constructions (composites, kernels, cokernels, subcomplexes,
+suspensions, covers, pullbacks, factorizations and splits) are trusted
+and build through the private `_trusted` constructors, which run no
+check; the test suite puts the checking constructors in their place and
+so re-checks every one of them.  The module
 provides spheres and disks, homology functors, the model-structure
 classification of morphisms, minimal projective covers, the staircase
 construction of minimal cofibrant factorizations, and the sphere/disk
@@ -71,7 +76,8 @@ def _same_poset(P: FinPoset, Q: FinPoset) -> bool:
 
 
 def _zero_functor(poset: FinPoset, p: int) -> VectFunctor:
-    return VectFunctor(poset, [0] * poset.n, {}, p)
+    zero = Mat.zeros(0, 0, p)
+    return VectFunctor._trusted(poset, [0] * poset.n, dict.fromkeys(poset.covers, zero), p)
 
 
 class ChainFunctor:
@@ -79,12 +85,10 @@ class ChainFunctor:
     for n = 0..top, and d[k]: layers[k+1] -> layers[k] the boundary."""
 
     def __init__(self, layers: Sequence[VectFunctor], d: Sequence[NatMap]):
-        self.layers = tuple(layers)
-        self.d = tuple(d)
-        if not self.layers:
+        layers = tuple(layers)
+        if not layers:
             raise ValidationError("chain functor needs at least degree 0")
-        self.poset = self.layers[0].poset
-        self.p = self.layers[0].p
+        self._assign(layers, tuple(d))
         for n, F in enumerate(self.layers):
             if F.p != self.p or not _same_poset(F.poset, self.poset):
                 raise ValidationError(f"degree {n} lives on another poset or modulus than degree 0")
@@ -99,6 +103,20 @@ class ChainFunctor:
                     raise ValidationError(
                         f"boundary square is nonzero at element {self.poset.names[q]}, degree {k + 2}"
                     )
+
+    @classmethod
+    def _trusted(cls, layers: Sequence[VectFunctor], d: Sequence[NatMap]) -> "ChainFunctor":
+        """The chain functor of an internal construction, unchecked: the
+        layers share one poset and modulus, and d . d = 0 by construction."""
+        X = cls.__new__(cls)
+        X._assign(tuple(layers), tuple(d))
+        return X
+
+    def _assign(self, layers: tuple[VectFunctor, ...], d: tuple[NatMap, ...]) -> None:
+        self.layers = layers
+        self.d = d
+        self.poset = layers[0].poset
+        self.p = layers[0].p
 
     @classmethod
     def from_arrays(
@@ -194,16 +212,16 @@ class ChainFunctor:
         top = self.top
         while top > 0 and self.layers[top].is_zero():
             top -= 1
-        return self if top == self.top else ChainFunctor(self.layers[: top + 1], self.d[:top])
+        return self if top == self.top else ChainFunctor._trusted(self.layers[: top + 1], self.d[:top])
 
     def restrict(self, subset: Sequence[int]) -> "ChainFunctor":
         subset = sorted(set(subset))
         layers = [F.restrict(subset) for F in self.layers]
         d = [
-            NatMap(layers[k + 1], layers[k], tuple(b.comps[q] for q in subset))
+            NatMap._trusted(layers[k + 1], layers[k], tuple(b.comps[q] for q in subset))
             for k, b in enumerate(self.d)
         ]
-        return ChainFunctor(layers, d)
+        return ChainFunctor._trusted(layers, d)
 
     def __repr__(self) -> str:
         return f"ChainFunctor(top={self.top}, dims={self.dims}, p={self.p})"
@@ -231,6 +249,15 @@ class ChainMap:
                 if self.cod.boundary_at(q, n) @ self.nats[n].comps[q] != self.nats[n - 1].comps[q] @ self.dom.boundary_at(q, n):
                     raise ValidationError(f"chain square fails at element {self.dom.poset.names[q]}, degree {n}")
 
+    @classmethod
+    def _trusted(cls, dom: ChainFunctor, cod: ChainFunctor, nats: tuple[NatMap, ...]) -> "ChainMap":
+        """The chain map of an internal construction, unchecked: one natural
+        map per degree between the right layers, with every chain square
+        commuting by construction."""
+        phi = cls.__new__(cls)
+        phi.__dict__.update(dom=dom, cod=cod, nats=nats)
+        return phi
+
     @property
     def depth(self) -> int:
         return max(self.dom.top, self.cod.top)
@@ -245,7 +272,7 @@ class ChainMap:
 
     def __matmul__(self, other: "ChainMap") -> "ChainMap":
         D = max(other.dom.top, self.cod.top)
-        return ChainMap(other.dom, self.cod, tuple(self._nat(n) @ other._nat(n) for n in range(D + 1)))
+        return ChainMap._trusted(other.dom, self.cod, tuple(self._nat(n) @ other._nat(n) for n in range(D + 1)))
 
     def to_vec(self, elements: Optional[Sequence[int]] = None) -> np.ndarray:
         """The components at the given elements (default: all), flattened
@@ -257,7 +284,9 @@ class ChainMap:
 
     @staticmethod
     def from_vec(dom: ChainFunctor, cod: ChainFunctor, vec: np.ndarray) -> "ChainMap":
-        """Inverse of `to_vec` over all elements."""
+        """Inverse of `to_vec` over all elements, unchecked: every caller
+        passes the coordinates of a linear combination of chain maps
+        dom -> cod, which is a chain map."""
         p = dom.p
         D = max(dom.top, cod.top)
         comps: list[list[Mat]] = [[] for _ in range(D + 1)]
@@ -267,17 +296,17 @@ class ChainMap:
                 r, c = cod.dim_at(q, n), dom.dim_at(q, n)
                 comps[n].append(Mat(vec[at : at + r * c].reshape(r, c), p))
                 at += r * c
-        nats = tuple(NatMap(dom.layer(n), cod.layer(n), tuple(comps[n])) for n in range(D + 1))
-        return ChainMap(dom, cod, nats)
+        nats = tuple(NatMap._trusted(dom.layer(n), cod.layer(n), tuple(comps[n])) for n in range(D + 1))
+        return ChainMap._trusted(dom, cod, nats)
 
     @staticmethod
     def identity(X: ChainFunctor) -> "ChainMap":
-        return ChainMap(X, X, tuple(NatMap.identity(F) for F in X.layers))
+        return ChainMap._trusted(X, X, tuple(NatMap.identity(F) for F in X.layers))
 
     @staticmethod
     def zero(X: ChainFunctor, Y: ChainFunctor) -> "ChainMap":
         D = max(X.top, Y.top)
-        return ChainMap(X, Y, tuple(NatMap.zero(X.layer(n), Y.layer(n)) for n in range(D + 1)))
+        return ChainMap._trusted(X, Y, tuple(NatMap.zero(X.layer(n), Y.layer(n)) for n in range(D + 1)))
 
     def is_iso(self) -> bool:
         return all(nat.is_iso() for nat in self.nats)
@@ -287,7 +316,7 @@ def _subcomplex(X: ChainFunctor, incls: Sequence[NatMap]) -> tuple[ChainFunctor,
     """Subcomplex of X from one subfunctor inclusion incls[n] into X_n per
     degree, for subfunctors that the boundaries map into each other."""
     d = [
-        NatMap(
+        NatMap._trusted(
             incls[k + 1].dom,
             incls[k].dom,
             tuple(
@@ -297,8 +326,8 @@ def _subcomplex(X: ChainFunctor, incls: Sequence[NatMap]) -> tuple[ChainFunctor,
         )
         for k in range(len(incls) - 1)
     ]
-    S = ChainFunctor([i.dom for i in incls], d)
-    return S, ChainMap(S, X, tuple(incls))
+    S = ChainFunctor._trusted([i.dom for i in incls], d)
+    return S, ChainMap._trusted(S, X, tuple(incls))
 
 
 # --- constructions ----------------------------------------------------------
@@ -306,7 +335,7 @@ def _subcomplex(X: ChainFunctor, incls: Sequence[NatMap]) -> tuple[ChainFunctor,
 
 def zero_chain(poset: FinPoset, p: int, top: int = 0) -> ChainFunctor:
     Z = _zero_functor(poset, p)
-    return ChainFunctor([Z] * (top + 1), [NatMap.zero(Z, Z)] * top)
+    return ChainFunctor._trusted([Z] * (top + 1), [NatMap.zero(Z, Z)] * top)
 
 
 def standard_complex(poset: FinPoset, kind: str, n: int, z: int, mult: int, p: int) -> ChainFunctor:
@@ -318,9 +347,9 @@ def standard_complex(poset: FinPoset, kind: str, n: int, z: int, mult: int, p: i
         raise ValueError("degree must be non-negative")
     F = free_on_generators(poset, ((z, mult),), p)
     if kind == "sphere" or (kind == "disk" and n == 0):
-        return suspension(ChainFunctor([F], []), n)
+        return suspension(ChainFunctor._trusted([F], []), n)
     if kind == "disk":
-        return suspension(ChainFunctor([F, F], [NatMap.identity(F)]), n - 1)
+        return suspension(ChainFunctor._trusted([F, F], [NatMap.identity(F)]), n - 1)
     raise ValueError(f"unknown standard complex kind {kind!r}")
 
 
@@ -330,7 +359,7 @@ def suspension(X: ChainFunctor, k: int = 1) -> ChainFunctor:
     Z = _zero_functor(X.poset, X.p)
     layers = [Z] * k + list(X.layers)
     d = [NatMap.zero(layers[i + 1], layers[i]) for i in range(k)] + list(X.d)
-    return ChainFunctor(layers, d)
+    return ChainFunctor._trusted(layers, d)
 
 
 def direct_sum_chains(parts: Sequence[ChainFunctor]) -> tuple[ChainFunctor, list[ChainMap], list[ChainMap]]:
@@ -340,16 +369,16 @@ def direct_sum_chains(parts: Sequence[ChainFunctor]) -> tuple[ChainFunctor, list
     sums = [direct_sum_functors([x.layer(n) for x in parts]) for n in range(top + 1)]
     layers = [s[0] for s in sums]
     d = [
-        NatMap(
+        NatMap._trusted(
             layers[n + 1],
             layers[n],
             tuple(Mat.block_diag([x.boundary_at(q, n + 1) for x in parts], p) for q in range(poset.n)),
         )
         for n in range(top)
     ]
-    total = ChainFunctor(layers, d)
-    incls = [ChainMap(x, total, tuple(s[1][i] for s in sums)) for i, x in enumerate(parts)]
-    projs = [ChainMap(total, x, tuple(s[2][i] for s in sums)) for i, x in enumerate(parts)]
+    total = ChainFunctor._trusted(layers, d)
+    incls = [ChainMap._trusted(x, total, tuple(s[1][i] for s in sums)) for i, x in enumerate(parts)]
+    projs = [ChainMap._trusted(total, x, tuple(s[2][i] for s in sums)) for i, x in enumerate(parts)]
     return total, incls, projs
 
 
@@ -376,7 +405,7 @@ def _homology(X: ChainFunctor, n: int):
         Ky, Cy, Ry = data[y]
         Kx, Cx, Rx = data[x]
         maps[(y, x)] = Cx @ solve(Kx, X.map_at((y, x), n) @ Ry)
-    return VectFunctor(X.poset, dims, maps, X.p), data
+    return VectFunctor._trusted(X.poset, dims, maps, X.p), data
 
 
 def homology_functor(X: ChainFunctor, n: int) -> VectFunctor:
@@ -396,7 +425,7 @@ def homology_map(phi: ChainMap, n: int) -> NatMap:
         _, _, Rd = ddata[q]
         Kc, Cc, _ = cdata[q]
         comps.append(Cc @ solve(Kc, phi.at(q, n) @ Rd))
-    return NatMap(dom_h, cod_h, tuple(comps))
+    return NatMap._trusted(dom_h, cod_h, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -434,7 +463,7 @@ def chain_ker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
     K, incl = _subcomplex(phi.dom, [ker_functor(phi.nats[n])[1] for n in range(phi.dom.top + 1)])
     # Dropped top degrees are zero functors, which the inclusion still maps.
     Kt = K.trimmed()
-    return Kt, ChainMap(Kt, phi.dom, incl.nats)
+    return Kt, ChainMap._trusted(Kt, phi.dom, incl.nats)
 
 
 def chain_coker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
@@ -449,9 +478,9 @@ def chain_coker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
         for q in range(phi.dom.poset.n):
             sec = solve(projs[n + 1].comps[q], Mat.identity(layers[n + 1].dims[q], phi.dom.p))
             comps.append(projs[n].comps[q] @ phi.cod.boundary_at(q, n + 1) @ sec)
-        bnds.append(NatMap(layers[n + 1], layers[n], tuple(comps)))
-    Q = ChainFunctor(layers, bnds).trimmed()
-    return Q, ChainMap(phi.cod, Q, tuple(projs))
+        bnds.append(NatMap._trusted(layers[n + 1], layers[n], tuple(comps)))
+    Q = ChainFunctor._trusted(layers, bnds).trimmed()
+    return Q, ChainMap._trusted(phi.cod, Q, tuple(projs))
 
 
 # --- minimal projective covers of chain functors -----------------------------
@@ -494,8 +523,8 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
         _, _, src_projs = sums[n + 1]
         _, dst_incls, _ = sums[n]
         comps = tuple(dst_incls[0].comps[q] @ src_projs[1].comps[q] for q in range(poset.n))
-        bnds.append(NatMap(layers[n + 1], layers[n], comps))
-    P = ChainFunctor(layers, bnds)
+        bnds.append(NatMap._trusted(layers[n + 1], layers[n], comps))
+    P = ChainFunctor._trusted(layers, bnds)
     cover_nats = []
     for n in range(X.top + 1):
         comps = []
@@ -506,8 +535,8 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
                 else Mat.zeros(X.dim_at(q, n), 0, p)
             )
             comps.append(Mat.hstack([upper_map, parts[n][1].comps[q]]))
-        cover_nats.append(NatMap(layers[n], X.layers[n], tuple(comps)))
-    cover = ChainMap(P, X, tuple(cover_nats))
+        cover_nats.append(NatMap._trusted(layers[n], X.layers[n], tuple(comps)))
+    cover = ChainMap._trusted(P, X, tuple(cover_nats))
     return ChCover(P, cover, tuple(tuple(g) for g in gens))
 
 
@@ -545,9 +574,9 @@ def _pullback_functor(pn: NatMap, beta: NatMap) -> tuple[VectFunctor, NatMap, Na
     for y, x in poset.covers:
         moved = Mat.vstack([W.maps[(y, x)] @ to_w[y], Y.maps[(y, x)] @ to_y[y]])
         maps[(y, x)] = solve(bases[x], moved)
-    P = VectFunctor(poset, dims, maps, p)
-    prW = NatMap(P, W, tuple(to_w))
-    prY = NatMap(P, Y, tuple(to_y))
+    P = VectFunctor._trusted(poset, dims, maps, p)
+    prW = NatMap._trusted(P, W, tuple(to_w))
+    prY = NatMap._trusted(P, Y, tuple(to_y))
     return P, prW, prY, bases
 
 
@@ -556,7 +585,7 @@ def _mediate_pullback(P: VectFunctor, bases: list[Mat], u: NatMap, v: NatMap) ->
         solve(bases[q], Mat.vstack([u.comps[q], v.comps[q]]))
         for q in range(P.poset.n)
     )
-    return NatMap(u.dom, P, comps)
+    return NatMap._trusted(u.dom, P, comps)
 
 
 def _factor_min_projective(m: NatMap) -> tuple[VectFunctor, NatMap, NatMap, VectFunctor]:
@@ -567,7 +596,7 @@ def _factor_min_projective(m: NatMap) -> tuple[VectFunctor, NatMap, NatMap, Vect
     p_comps = tuple(
         Mat.hstack([m.comps[q], lifted.comps[q]]) for q in range(m.dom.poset.n)
     )
-    p = NatMap(W, m.cod, p_comps)
+    p = NatMap._trusted(W, m.cod, p_comps)
     return W, c, p, cov.P
 
 
@@ -625,12 +654,12 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
             "cofibrant factorization does not close at the top degree; the poset is not of dimension <= 1"
         )
 
-    C = ChainFunctor(W, [prW[n + 1] @ pmaps[n + 1] for n in range(NN)])
+    C = ChainFunctor._trusted(W, [prW[n + 1] @ pmaps[n + 1] for n in range(NN)])
     pi_nats = [pmaps[0]] + [prY[n] @ pmaps[n] for n in range(1, NN + 1)]
     # Dropped top degrees of C are zero functors, which both maps still reach.
     C = C.trimmed()
-    c_map = ChainMap(X, C, tuple(cmaps[: max(X.top, C.top) + 1]))
-    pi_map = ChainMap(C, Y, tuple(pi_nats[: max(Y.top, C.top) + 1]))
+    c_map = ChainMap._trusted(X, C, tuple(cmaps[: max(X.top, C.top) + 1]))
+    pi_map = ChainMap._trusted(C, Y, tuple(pi_nats[: max(Y.top, C.top) + 1]))
     return Factorization(C, c_map, pi_map)
 
 
@@ -675,7 +704,7 @@ def _split_map(dom: ChainFunctor, cod: ChainFunctor, m: int, low: NatMap, high: 
         given[n] if n in given else NatMap.zero(dom.layer(n), cod.layer(n))
         for n in range(max(dom.top, cod.top) + 1)
     )
-    return ChainMap(dom, cod, nats)
+    return ChainMap._trusted(dom, cod, nats)
 
 
 def _residual_after(R: ChainFunctor, iota: ChainMap, rho: ChainMap) -> tuple[ChainFunctor, ChainMap, ChainMap]:
@@ -688,8 +717,8 @@ def _residual_after(R: ChainFunctor, iota: ChainMap, rho: ChainMap) -> tuple[Cha
             solve(incl.at(q, n), Mat.identity(R.dim_at(q, n), R.p) - comp.at(q, n))
             for q in range(R.poset.n)
         )
-        nats.append(NatMap(R.layers[n], K.layer(n), comps))
-    return K, incl, ChainMap(R, K, tuple(nats))
+        nats.append(NatMap._trusted(R.layers[n], K.layer(n), comps))
+    return K, incl, ChainMap._trusted(R, K, tuple(nats))
 
 
 def structure_decompose(C: ChainFunctor) -> Decomposition:
@@ -734,10 +763,10 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             p1 = lift_through(p0 @ bnat, res.d)
             inv0 = tuple(inverse(mm) for mm in (p0 @ s0).comps)
             inv1 = tuple(inverse(mm) for mm in (p1 @ s1).comps)
-            sphere = suspension(ChainFunctor([res.p0, res.p1], [res.d]), m).trimmed()
+            sphere = suspension(ChainFunctor._trusted([res.p0, res.p1], [res.d]), m).trimmed()
             iota = _split_map(sphere, residual, m, s0, s1)
-            rho_m = NatMap(Fm, res.p0, tuple(inv0[q] @ p0.comps[q] for q in range(poset.n)))
-            rho_m1 = NatMap(Fm1, res.p1, tuple(inv1[q] @ p1.comps[q] for q in range(poset.n)))
+            rho_m = NatMap._trusted(Fm, res.p0, tuple(inv0[q] @ p0.comps[q] for q in range(poset.n)))
+            rho_m1 = NatMap._trusted(Fm1, res.p1, tuple(inv1[q] @ p1.comps[q] for q in range(poset.n)))
             rho = _split_map(residual, sphere, m, rho_m, rho_m1)
             label = SummandLabel("sphere", m, res.gens0, res.gens1, sphere)
             residual, incl, proj = split_off(label, iota, rho)
@@ -752,10 +781,10 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
                 raise AssertionError("boundary must be epi after the sphere step")
             winv = tuple(inverse(mm) for mm in cov.s.comps)
             s0 = lift_through(cov.s, bnat)
-            disk = suspension(ChainFunctor([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
+            disk = suspension(ChainFunctor._trusted([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
             iota = _split_map(disk, residual, m, cov.s, s0)
-            rho_m = NatMap(Fm, cov.P, winv)
-            rho_m1 = NatMap(bnat.dom, cov.P, tuple(winv[q] @ bnat.comps[q] for q in range(poset.n)))
+            rho_m = NatMap._trusted(Fm, cov.P, winv)
+            rho_m1 = NatMap._trusted(bnat.dom, cov.P, tuple(winv[q] @ bnat.comps[q] for q in range(poset.n)))
             rho = _split_map(residual, disk, m, rho_m, rho_m1)
             label = SummandLabel("disk", m + 1, cov.generators, (), disk)
             residual, incl, proj = split_off(label, iota, rho)
@@ -788,5 +817,5 @@ def kan_extend_chain(X: ChainFunctor, ambient: FinPoset, embed: Sequence[int]) -
             exts[n + 1].cocones[q].map_into(exts[n].cocones[q], lambda s: X.d[n].comps[s])
             for q in range(ambient.n)
         ]
-        bnds.append(NatMap(layers[n + 1], layers[n], tuple(comps)))
-    return ChainFunctor(layers, bnds), exts
+        bnds.append(NatMap._trusted(layers[n + 1], layers[n], tuple(comps)))
+    return ChainFunctor._trusted(layers, bnds), exts

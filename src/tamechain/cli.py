@@ -62,7 +62,7 @@ def _read_doc(args) -> Document:
 def _element(P: FinPoset, name: str, flag: str) -> int:
     try:
         return P.index(name)
-    except KeyError:
+    except (KeyError, TypeError):
         raise ParseError(f"{flag} names unknown element {name!r}") from None
 
 
@@ -270,7 +270,7 @@ def cmd_glue(args) -> int:
     block = doc.gluing if isinstance(doc.gluing, dict) else {}
     sides = []
     for key, arg in (("A", args.A), ("B", args.B)):
-        names, flag = (arg.split(","), f"--{key}") if arg else (block.get(key), f"gluing block `{key}`")
+        names, flag = (arg.split(","), f"--{key}") if arg is not None else (block.get(key), f"gluing block `{key}`")
         if not names:
             raise ParseError("glue requires --A and --B (or a gluing block in the document)")
         if not isinstance(names, list):
@@ -302,7 +302,7 @@ def cmd_realize(args) -> int:
     if isinstance(P, RealizedPoset):
         raise ParseError("poset is already a realization")
     coords = [parse_fraction(tok) for tok in args.V.split(",")] if args.V else []
-    subset = args.D.split(",") if args.D else None
+    subset = args.D.split(",") if args.D is not None else None
     for n in subset or ():
         _element(P, n, "--D")
     rp = realize(P, subset, coords)
@@ -431,6 +431,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse reads the value of `--flag=--` as an empty list.
+        empty = [key for key, val in vars(args).items() if val == [] and key != "files"]
+        if empty:
+            raise InputError(f"--{empty[0]} needs a value")
         return args.fn(args)
     except InputError as exc:
         sys.stderr.write(f"input error ({type(exc).__name__}): {exc}\n")

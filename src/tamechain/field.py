@@ -204,8 +204,9 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     The float64 route is exact when inner * (p - 1)**2 < 2**53: every
     product and every partial sum is then an integer below 2**53, so no
-    rounding happens in any summation order.  Otherwise the int64 route
-    reduces after every `step` inner terms to stay below 2**62.
+    rounding happens in any summation order.  The int64 route is exact
+    when inner * (p - 1)**2 <= 2**62.  Above both, `_matmul_halves` splits
+    the operands.
     """
     m, inner = a.shape
     n = b.shape[1]
@@ -214,13 +215,38 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if m * inner * n >= _BLAS_MIN_MADDS and inner * (p - 1) ** 2 < 2**53:
         # Reduce in int64: np.fmod on float64 is several times slower.
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    step = max(1, int(2**62 // max(1, (p - 1) ** 2)))
-    if inner <= step:
+    if inner * (p - 1) ** 2 <= 2**62:
         return (a @ b) % p
-    acc = np.zeros((m, n), dtype=np.int64)
-    for k in range(0, inner, step):
-        acc = (acc + a[:, k : k + step] @ b[k : k + step, :]) % p
-    return acc
+    return _matmul_halves(a, b, p)
+
+
+# Inner length up to which the float64 products of 16-bit halves are exact.
+_HALVES_INNER = 2**20
+
+
+def _matmul_halves(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for any p < 2**31, by delayed reduction (Dumas, Giorgi
+    and Pernet, ACM TOMS 35(3), 2008).
+
+    With a = 2**16 a1 + a0 and b = 2**16 b1 + b0, all halves below 2**16,
+    one float64 product of [a1; a0] and [b1 b0] gives the four partial
+    products a_i b_j.  Their entries are below inner * 2**32, and the sum
+    of the two middle ones below 2**53, so they are exact for inner up to
+    2**20.  Each is reduced mod p before the int64 recombination
+    a1 b1 * (2**32 mod p) + (a1 b0 + a0 b1) * 2**16 + a0 b0, whose terms
+    stay below 2**62, 2**47 and 2**52.
+    """
+    m, n = a.shape[0], b.shape[1]
+    out = np.zeros((m, n), dtype=np.int64)
+    for k in range(0, a.shape[1], _HALVES_INNER):
+        ak, bk = a[:, k : k + _HALVES_INNER], b[k : k + _HALVES_INNER]
+        A = np.vstack([ak >> 16, ak & 0xFFFF]).astype(np.float64)
+        B = np.hstack([bk >> 16, bk & 0xFFFF]).astype(np.float64)
+        P = A @ B
+        high = P[:m, :n].astype(np.int64) % p
+        middle = (P[:m, n:] + P[m:, :n]).astype(np.int64) % p
+        out += (high * pow(2, 32, p) + middle * 2**16 + P[m:, n:].astype(np.int64)) % p
+    return out % p
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,23 @@
 
 A functor assigns a dimension to every element and a matrix to every
 cover relation.  Composites along longer paths are formed on demand by
-`map_leq` along one cover path and cached.  Path independence is checked
-once, in the constructor, and only on posets of dimension 2 or more: on
-dimension <= 1 two distinct cover paths would split at an element with
-two incomparable covers and meet again above, which is exactly the
-dimension-2 witness.  On top of that sit colimits over subposets, left
-Kan extension (colimit route and transfer route), local homology at an
-element, radicals, minimal projective covers, and length-<=1 minimal
-resolutions.
+`map_leq` along one cover path and cached.
+
+The public constructors of `VectFunctor` and `NatMap` validate their
+input: shapes, moduli, naturality, and path independence on posets of
+dimension 2 or more (on dimension <= 1 two distinct cover paths would
+split at an element with two incomparable covers and meet again above,
+which is exactly the dimension-2 witness).  Internal constructions are
+trusted: composites, identities, zeros, direct sums, free functors and
+maps out of them, kernels, cokernels, restrictions, Kan extensions and
+lifts hold their invariants by construction and build through the
+private `_trusted` constructor, which runs no check.  The test suite
+replaces `_trusted` with the checking constructor, so it re-checks every
+one of them.
+
+On top of that sit colimits over subposets, left Kan extension (colimit
+route and transfer route), local homology at an element, radicals,
+minimal projective covers, and length-<=1 minimal resolutions.
 """
 
 from __future__ import annotations
@@ -56,32 +65,45 @@ class VectFunctor:
     generators: Optional[tuple[tuple[int, int], ...]] = None
 
     def __init__(self, poset: FinPoset, dims: Sequence[int], maps: dict[tuple[int, int], Mat], p: int):
-        self.poset = poset
-        self.dims = tuple(int(d) for d in dims)
-        if len(self.dims) != poset.n or any(d < 0 for d in self.dims):
+        dims = tuple(int(d) for d in dims)
+        if len(dims) != poset.n or any(d < 0 for d in dims):
             raise ValidationError("functor dims must list one non-negative value per element")
-        self.p = p
         full: dict[tuple[int, int], Mat] = {}
         for y, x in poset.covers:
             m = maps.get((y, x))
             if m is None:
-                m = Mat.zeros(self.dims[x], self.dims[y], p)
+                m = Mat.zeros(dims[x], dims[y], p)
             if m.p != p:
                 raise ValidationError(f"cover map for {(y, x)} uses modulus {m.p}, expected {p}")
-            if m.shape != (self.dims[x], self.dims[y]):
+            if m.shape != (dims[x], dims[y]):
                 raise ValidationError(
                     f"cover map for ({poset.names[y]}, {poset.names[x]}) has shape {m.shape}, "
-                    f"expected {(self.dims[x], self.dims[y])}"
+                    f"expected {(dims[x], dims[y])}"
                 )
             full[(y, x)] = m
         for key in maps:
             if key not in full:
                 raise ValidationError(f"map given for non-cover pair {key}")
-        self.maps = full
-        # Composites formed so far, keyed by target and then source.
-        self._into: list[dict[int, Mat]] = [{} for _ in range(poset.n)]
+        self._assign(poset, dims, full, p)
         if not poset.dimension().at_most_one():
             self._compose_all()
+
+    @classmethod
+    def _trusted(cls, poset: FinPoset, dims: Sequence[int], maps: dict[tuple[int, int], Mat], p: int) -> "VectFunctor":
+        """The functor of an internal construction, unchecked: maps holds a
+        matrix of the right shape for every cover, and composites are path
+        independent by construction."""
+        F = cls.__new__(cls)
+        F._assign(poset, tuple(dims), maps, p)
+        return F
+
+    def _assign(self, poset: FinPoset, dims: tuple[int, ...], maps: dict[tuple[int, int], Mat], p: int) -> None:
+        self.poset = poset
+        self.dims = dims
+        self.maps = maps
+        self.p = p
+        # Composites formed so far, keyed by target and then source.
+        self._into: list[dict[int, Mat]] = [{} for _ in range(poset.n)]
 
     def _compose_all(self) -> None:
         """Fill the composite cache, checking path independence.  A cover
@@ -148,7 +170,7 @@ class VectFunctor:
             (a, b): self.map_leq(subset[a], subset[b])
             for a, b in sub.covers
         }
-        return VectFunctor(sub, [self.dims[e] for e in subset], maps, self.p)
+        return VectFunctor._trusted(sub, [self.dims[e] for e in subset], maps, self.p)
 
     def __repr__(self) -> str:
         return f"VectFunctor(dims={self.dims}, p={self.p})"
@@ -176,16 +198,24 @@ class NatMap:
                     f"naturality fails on cover ({self.dom.poset.names[y]}, {self.dom.poset.names[x]})"
                 )
 
+    @classmethod
+    def _trusted(cls, dom: VectFunctor, cod: VectFunctor, comps: tuple[Mat, ...]) -> "NatMap":
+        """The natural map of an internal construction, unchecked: one
+        component of the right shape per element, natural by construction."""
+        nat = cls.__new__(cls)
+        nat.__dict__.update(dom=dom, cod=cod, comps=comps)
+        return nat
+
     def __matmul__(self, other: "NatMap") -> "NatMap":
-        return NatMap(other.dom, self.cod, tuple(a @ b for a, b in zip(self.comps, other.comps)))
+        return NatMap._trusted(other.dom, self.cod, tuple(a @ b for a, b in zip(self.comps, other.comps)))
 
     @staticmethod
     def identity(F: VectFunctor) -> "NatMap":
-        return NatMap(F, F, tuple(Mat.identity(d, F.p) for d in F.dims))
+        return NatMap._trusted(F, F, tuple(Mat.identity(d, F.p) for d in F.dims))
 
     @staticmethod
     def zero(F: VectFunctor, G: VectFunctor) -> "NatMap":
-        return NatMap(F, G, tuple(Mat.zeros(G.dims[x], F.dims[x], F.p) for x in range(F.poset.n)))
+        return NatMap._trusted(F, G, tuple(Mat.zeros(G.dims[x], F.dims[x], F.p) for x in range(F.poset.n)))
 
     def is_epi(self) -> bool:
         return all(m.rank() == m.rows for m in self.comps)
@@ -238,7 +268,7 @@ def free_on_generators(poset: FinPoset, gens: Iterable[tuple[int, int]], p: int)
             for k in range(yb - ya):
                 m[xa + k, ya + k] = 1
         maps[(y, x)] = Mat(m, p)
-    F = VectFunctor(poset, dims, maps, p)
+    F = VectFunctor._trusted(poset, dims, maps, p)
     F.generators = gens
     return F
 
@@ -255,7 +285,7 @@ def assemble_free_map(free: VectFunctor, cod: VectFunctor, values: Sequence[Mat]
             z, d = gens[i]
             cols.append(cod.map_leq(z, q) @ values[i])
         comps.append(Mat.hstack(cols) if cols else Mat.zeros(cod.dims[q], 0, free.p))
-    return NatMap(free, cod, tuple(comps))
+    return NatMap._trusted(free, cod, tuple(comps))
 
 
 def direct_sum_functors(functors: Sequence[VectFunctor]) -> tuple[VectFunctor, list[NatMap], list[NatMap]]:
@@ -267,7 +297,7 @@ def direct_sum_functors(functors: Sequence[VectFunctor]) -> tuple[VectFunctor, l
         (y, x): Mat.block_diag([F.maps[(y, x)] for F in functors], p)
         for y, x in poset.covers
     }
-    total = VectFunctor(poset, dims, maps, p)
+    total = VectFunctor._trusted(poset, dims, maps, p)
     incls, projs = [], []
     at = [0] * poset.n
     for F in functors:
@@ -281,8 +311,8 @@ def direct_sum_functors(functors: Sequence[VectFunctor]) -> tuple[VectFunctor, l
             inc.append(Mat(i, p))
             prj.append(Mat(j, p))
             at[q] += F.dims[q]
-        incls.append(NatMap(F, total, tuple(inc)))
-        projs.append(NatMap(total, F, tuple(prj)))
+        incls.append(NatMap._trusted(F, total, tuple(inc)))
+        projs.append(NatMap._trusted(total, F, tuple(prj)))
     return total, incls, projs
 
 
@@ -360,13 +390,15 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
 
     method "colim" computes every value as a colimit over the down-set;
     "transfer" precomposes with the transfer (valid when the image is
-    closed and the ambient poset has dimension <= 1); "auto" prefers the
-    transfer route when it is available.
+    closed and the ambient poset has dimension <= 1, else a ValueError);
+    "auto" prefers the transfer route when it is available.
     """
     embed = _check_embedding(F, ambient, embed)
     image = set(embed)
-    if method == "auto":
+    if method in ("auto", "transfer"):
         ok = ambient.dimension().at_most_one() and ambient.is_closed(image)
+        if method == "transfer" and not ok:
+            raise ValueError("the transfer route needs a closed image in a poset of dimension <= 1")
         method = "transfer" if ok else "colim"
     if method == "transfer":
         pos = {e: i for i, e in enumerate(embed)}
@@ -382,7 +414,7 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
                 maps[(y, x)] = Mat.zeros(dims[x], dims[y], F.p)
             else:
                 maps[(y, x)] = F.map_leq(t[y], t[x])
-        ext = VectFunctor(ambient, dims, maps, F.p)
+        ext = VectFunctor._trusted(ambient, dims, maps, F.p)
         unit = tuple(Mat.identity(F.dims[d], F.p) for d in range(F.poset.n))
         return KanExtension(ext, unit, "transfer")
     if method != "colim":
@@ -394,7 +426,7 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
         (y, x): colims[y].map_into(colims[x], lambda s: Mat.identity(F.dims[s], F.p))
         for y, x in ambient.covers
     }
-    ext = VectFunctor(ambient, dims, maps, F.p)
+    ext = VectFunctor._trusted(ambient, dims, maps, F.p)
     unit = tuple(colims[embed[d]].cocone[d] for d in range(F.poset.n))
     return KanExtension(ext, unit, "colim", colims)
 
@@ -448,8 +480,8 @@ def _subfunctor_from_bases(F: VectFunctor, bases: list[Mat]) -> tuple[VectFuncto
     maps = {}
     for y, x in F.poset.covers:
         maps[(y, x)] = solve(bases[x], F.maps[(y, x)] @ bases[y])
-    sub = VectFunctor(F.poset, dims, maps, F.p)
-    return sub, NatMap(sub, F, tuple(bases))
+    sub = VectFunctor._trusted(F.poset, dims, maps, F.p)
+    return sub, NatMap._trusted(sub, F, tuple(bases))
 
 
 def ker_functor(nat: NatMap) -> tuple[VectFunctor, NatMap]:
@@ -468,8 +500,8 @@ def coker_functor(nat: NatMap) -> tuple[VectFunctor, NatMap]:
         (y, x): projs[x] @ G.maps[(y, x)] @ sections[y]
         for y, x in F.poset.covers
     }
-    Q = VectFunctor(F.poset, dims, maps, F.p)
-    return Q, NatMap(G, Q, tuple(projs))
+    Q = VectFunctor._trusted(F.poset, dims, maps, F.p)
+    return Q, NatMap._trusted(G, Q, tuple(projs))
 
 
 @dataclass(frozen=True)
@@ -548,7 +580,7 @@ def lift_through(f: NatMap, e: NatMap) -> NatMap:
     g = assemble_free_map(free, e.dom, values)
     if s is None:
         return g
-    return NatMap(f.dom, e.dom, tuple(m @ inverse(w) for m, w in zip(g.comps, s.comps)))
+    return NatMap._trusted(f.dom, e.dom, tuple(m @ inverse(w) for m, w in zip(g.comps, s.comps)))
 
 
 def common_discretization(

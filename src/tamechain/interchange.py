@@ -82,34 +82,49 @@ def poset_to_json(P: FinPoset) -> dict:
     return out
 
 
-def _poset(elements, covers) -> FinPoset:
+def _strings(val, what: str) -> list[str]:
+    """A JSON list of strings: element names or coordinates."""
+    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
+        raise ParseError(f"`{what}` must be a list of strings, got {val!r}")
+    return val
+
+
+def _pairs(val, what: str) -> list[tuple[str, str]]:
+    """A JSON list of [lower, upper] name pairs."""
+    if not isinstance(val, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(isinstance(v, str) for v in c) for c in val
+    ):
+        raise ParseError(f"`{what}` must be a list of [lower, upper] name pairs, got {val!r}")
+    return [tuple(c) for c in val]
+
+
+def _poset(elements: list[str], covers: list[tuple[str, str]]) -> FinPoset:
     try:
-        return FinPoset.from_covers(elements, [tuple(c) for c in covers])
-    except (TypeError, ValueError) as exc:
+        return FinPoset.from_covers(elements, covers)
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def poset_from_json(block: dict) -> FinPoset:
     if not isinstance(block, dict) or "elements" not in block or "covers" not in block:
         raise ParseError("poset block needs `elements` and `covers`")
+    elements = _strings(block["elements"], "elements")
+    listed = _pairs(block["covers"], "covers")
     real = block.get("realization")
     if real is None:
-        return _poset(block["elements"], block["covers"])
+        return _poset(elements, listed)
     if not isinstance(real, dict) or "base_elements" not in real or "base_covers" not in real:
         raise ParseError("realization block needs `base_elements` and `base_covers`")
-    base = _poset(real["base_elements"], real["base_covers"])
-    coords = [parse_fraction(s) for s in real.get("coordinates", [])]
+    base = _poset(_strings(real["base_elements"], "base_elements"), _pairs(real["base_covers"], "base_covers"))
+    coords = [parse_fraction(s) for s in _strings(real.get("coordinates", []), "coordinates")]
+    subset = real.get("subset")
     try:
-        rp = realize(base, real.get("subset"), coords)
+        rp = realize(base, None if subset is None else _strings(subset, "subset"), coords)
     except KeyError as exc:
         raise ParseError(f"realization subset names unknown element {exc}") from exc
-    if list(rp.names) != list(block["elements"]):
+    if list(rp.names) != elements:
         raise ParseError("realization block does not reproduce the listed elements")
-    try:
-        listed = [tuple(c) for c in block["covers"]]
-        listed_set = set(listed)
-    except TypeError as exc:
-        raise ParseError(f"bad cover list: {exc}") from exc
+    listed_set = set(listed)
     actual = [(rp.names[y], rp.names[x]) for y, x in rp.covers]
     actual_set = set(actual)
     extra = [c for c in listed if c not in actual_set]
@@ -118,6 +133,8 @@ def poset_from_json(block: dict) -> FinPoset:
     missing = [c for c in actual if c not in listed_set]
     if missing:
         raise ParseError(f"realization block omits cover {missing[0]} of the realization")
+    if "edges" in real and real["edges"] != poset_to_json(rp)["realization"]["edges"]:
+        raise ParseError("realization block lists `edges` that differ from the realization's")
     return rp
 
 
@@ -153,6 +170,13 @@ def _int(value, what: str, where: str = "") -> int:
     return value
 
 
+def _dim(value, what: str, where: str = "") -> int:
+    d = _int(value, what, where)
+    if d < 0:
+        raise ParseError(f"{what} is negative: {d}{where}")
+    return d
+
+
 def _table(block: dict, key: str, required: bool = False) -> dict:
     """The object under `key`; an absent or null one is empty unless required."""
     val = block.get(key)
@@ -164,6 +188,15 @@ def _table(block: dict, key: str, required: bool = False) -> dict:
     return val
 
 
+def _per_element(block: dict, key: str, P: FinPoset, required: bool = False) -> dict:
+    """The object under `key`, keyed by element names of P."""
+    val = _table(block, key, required)
+    unknown = set(val) - set(P.names)
+    if unknown:
+        raise ParseError(f"`{key}` names unknown element {min(unknown)!r}")
+    return val
+
+
 def _list(val, length: int, what: str) -> list:
     if not isinstance(val, list) or len(val) != length:
         raise ParseError(f"{what} must be a list of {length}, got {val!r}")
@@ -171,8 +204,8 @@ def _list(val, length: int, what: str) -> list:
 
 
 def functor_from_json(block: dict, P: FinPoset, p: int) -> VectFunctor:
-    given = _table(block, "dims", required=True)
-    dims = [_int(given.get(name, 0), f"dim at {name!r}") for name in P.names]
+    given = _per_element(block, "dims", P, required=True)
+    dims = [_dim(given.get(name, 0), f"dim at {name!r}") for name in P.names]
     maps = {}
     for key, val in _table(block, "maps").items():
         y, x = _cover_from_key(P, key)
@@ -198,15 +231,13 @@ def chain_to_json(X: ChainFunctor, poset_name: str) -> dict:
 
 
 def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
-    top = _int(block.get("top", 0), "`top`")
-    if top < 0:
-        raise ParseError(f"`top` must be non-negative, got {top}")
-    given_dims = _table(block, "dims", required=True)
+    top = _dim(block.get("top", 0), "`top`")
+    given_dims = _per_element(block, "dims", P, required=True)
     dims = []
     for name in P.names:
         row = _list(given_dims.get(name, [0] * (top + 1)), top + 1, f"dims at {name!r} (degrees 0..{top})")
-        dims.append([_int(d, f"dim at {name!r}", f" in degree {n}") for n, d in enumerate(row)])
-    given_bdy = _table(block, "boundaries")
+        dims.append([_dim(d, f"dim at {name!r}", f" in degree {n}") for n, d in enumerate(row)])
+    given_bdy = _per_element(block, "boundaries", P)
     bdy = []
     for q, name in enumerate(P.names):
         given = _list(given_bdy.get(name, [None] * top), top, f"boundaries at {name!r} (degrees 1..{top})")
@@ -270,13 +301,17 @@ def parse_document(text: str) -> Document:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "field" not in raw:
         raise ParseError("document must be an object with a `field` key")
+    field = raw["field"]
     try:
-        p = _check_modulus(raw["field"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad field {raw['field']!r}: {exc}") from exc
+        p = _check_modulus(_int(field, "the field modulus"))
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"bad field {field!r}: {exc}") from exc
     doc = Document(field=p)
     for name, block in _table(raw, "posets").items():
-        doc.posets[name] = poset_from_json(block)
+        try:
+            doc.posets[name] = poset_from_json(block)
+        except ParseError as exc:
+            raise ParseError(f"poset {name!r}: {exc}") from exc
     for key, kind, table, build in (
         ("functors", "functor", doc.functors, functor_from_json),
         ("chain_functors", "chain functor", doc.chains, chain_from_json),

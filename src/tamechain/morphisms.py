@@ -258,10 +258,10 @@ def _image_split(X: ChainFunctor, f: ChainMap) -> tuple[ChainFunctor, ChainMap, 
     ]
     sub, incl = _subcomplex(X, incls)
     retr = tuple(
-        NatMap(F, sub.layers[n], tuple(solve(b, m) for b, m in zip(incls[n].comps, f.nats[n].comps)))
+        NatMap._trusted(F, sub.layers[n], tuple(solve(b, m) for b, m in zip(incls[n].comps, f.nats[n].comps)))
         for n, F in enumerate(X.layers)
     )
-    return sub, incl, ChainMap(X, sub, retr)
+    return sub, incl, ChainMap._trusted(X, sub, retr)
 
 
 def split_by_idempotent(obj: Functorlike, e: ChainMap):
@@ -287,8 +287,8 @@ def fitting_idempotent(obj: Functorlike, phi: ChainMap) -> ChainMap:
             U = Mat.hstack([V, K])
             P = inverse(U)
             comps.append(V @ P.take_rows(range(V.cols)))
-        nats.append(NatMap(F, F, tuple(comps)))
-    return ChainMap(X, X, tuple(nats))
+        nats.append(NatMap._trusted(F, F, tuple(comps)))
+    return ChainMap._trusted(X, X, tuple(nats))
 
 
 # --- gluing -------------------------------------------------------------------
@@ -365,8 +365,8 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
                     continue
                 stacked = Mat.hstack([Fn.map_leq(ab_in_b[j], q) for j in data.elements])
                 comps.append(stacked @ data.section)
-            nats.append(NatMap(ext.layers[n], Fn, tuple(comps)))
-        beta = ChainMap(ext, XB, tuple(nats))
+            nats.append(NatMap._trusted(ext.layers[n], Fn, tuple(comps)))
+        beta = ChainMap._trusted(ext, XB, tuple(nats))
     else:
         ext = zero_chain(XB.poset, X.p, XB.top)
         beta = ChainMap.zero(ext, XB)

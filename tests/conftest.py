@@ -19,6 +19,18 @@ from tamechain.functors import (
 from tamechain.chains import ChainFunctor, ChainMap
 
 
+@pytest.fixture(autouse=True, scope="session")
+def checked_internal_constructions():
+    """The program trusts its internal constructions and builds them with
+    `_trusted`, which runs no check.  The suite replaces `_trusted` with
+    the checking constructor on all four classes, so every object the
+    algorithms build is validated here."""
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (VectFunctor, NatMap, ChainFunctor, ChainMap):
+            mp.setattr(cls, "_trusted", classmethod(lambda cls, *fields: cls(*fields)))
+        yield
+
+
 @pytest.fixture
 def zigzag():
     # a1 -> a2 -> a4 <- a3

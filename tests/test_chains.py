@@ -4,7 +4,7 @@ import pytest
 
 from tamechain.errors import HomologyNotResolvableError, KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat
-from tamechain.functors import NatMap, free_on_generators
+from tamechain.functors import NatMap, VectFunctor, free_on_generators
 from tamechain.chains import (
     ChainFunctor,
     ChainMap,
@@ -74,6 +74,25 @@ def test_chain_constructors_check_degrees_and_squares(point):
         ChainMap(d1, d1, (NatMap.identity(F),))
     with pytest.raises(ValidationError, match="chain square fails at element \\*, degree 1"):
         ChainMap(d1, d1, (NatMap.identity(F), NatMap.zero(F, F)))
+
+
+def test_suite_checks_trusted_constructions(point, chain2, diamond):
+    # Internal constructions skip their checks through `_trusted`; the
+    # suite's conftest puts the checking constructor in its place, so each
+    # of these broken builds must still raise here.
+    I, Z = Mat.identity(1, 2), Mat.zeros(1, 1, 2)
+    paths_disagree = {(0, 1): I, (0, 2): I, (1, 3): I, (2, 3): Z}
+    with pytest.raises(ValidationError, match="functoriality fails"):
+        VectFunctor._trusted(diamond, [1, 1, 1, 1], paths_disagree, 2)
+    F = free_on_generators(chain2, ((0, 1),), 2)
+    with pytest.raises(ValidationError, match="naturality fails"):
+        NatMap._trusted(F, F, (I, Z))
+    G = free_on_generators(point, ((0, 1),), 2)
+    with pytest.raises(ValidationError, match="boundary square is nonzero"):
+        ChainFunctor._trusted([G, G, G], [NatMap.identity(G)] * 2)
+    d1 = standard_complex(point, "disk", 1, 0, 1, 2)
+    with pytest.raises(ValidationError, match="chain square fails"):
+        ChainMap._trusted(d1, d1, (NatMap.identity(G), NatMap.zero(G, G)))
 
 
 def test_sphere_and_disk_shapes(point):

@@ -273,6 +273,16 @@ def test_non_prime_document_field_is_input_error():
             assert f"bad field {field!r}" in err
 
 
+def test_float_or_bool_document_field_is_input_error():
+    for field in (3.5, 3.0, True):
+        for cmd in ("cover", "info"):
+            code, out, err = invoke([cmd], _dims_only_document(field))
+            assert code == 2, (field, cmd)
+            assert out == ""
+            assert "Traceback" not in err
+            assert f"bad field {field!r}" in err
+
+
 PLAIN = json.dumps({"field": 3, "posets": {"Q": {"elements": ["a", "b"], "covers": [["a", "b"]]}}})
 
 
@@ -337,6 +347,14 @@ def _check_input_error(doc: str, message: str) -> None:
 )
 def test_bad_realization_blocks_are_input_errors(edits, message):
     _check_input_error(json.dumps(_realized(**edits)), message)
+
+
+@pytest.mark.parametrize("key", ["coordinates", "subset", "elements"])
+def test_non_list_realization_keys_are_input_errors(key):
+    doc = _realized()
+    block = doc["posets"]["Q_realized"]
+    (block if key == "elements" else block["realization"])[key] = 3
+    _check_input_error(json.dumps(doc), f"poset 'Q_realized': `{key}` must be a list of strings, got 3")
 
 
 def test_non_integer_dims_are_input_errors():
@@ -404,6 +422,60 @@ def test_malformed_chain_functors_are_input_errors(edit, message):
 )
 def test_bad_glue_and_indec_arguments_are_input_errors(argv, message):
     code, out, err = invoke(argv, _fig2_document(lambda c: None))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
+def _functor_document(**edits) -> str:
+    doc = json.loads(_dims_only_document(3))
+    for key, value in edits.items():
+        doc["functors"]["F"][key] = value
+    return json.dumps(doc)
+
+
+def _poset_document(**edits) -> str:
+    doc = json.loads(PLAIN)
+    doc["posets"]["Q"].update(edits)
+    return json.dumps(doc)
+
+
+def _glued_document(**gluing) -> str:
+    doc = json.loads(_fig2_document(lambda c: None))
+    doc["gluing"] = gluing
+    return json.dumps(doc)
+
+
+def _realized_edges(edges) -> str:
+    doc = _realized()
+    doc["posets"]["Q_realized"]["realization"]["edges"] = edges
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["info"], _functor_document(dims={"a": -1}), "functor 'F': dim at 'a' is negative: -1"),
+        (["info"], _functor_document(dims={"a": 1, "zz": 1}), "functor 'F': `dims` names unknown element 'zz'"),
+        (["info"], _poset_document(elements=[1, 2]), "poset 'Q': `elements` must be a list of strings"),
+        (["info"], _poset_document(covers={"ab": 1}), "poset 'Q': `covers` must be a list of [lower, upper] name pairs"),
+        (["info"], _realized_edges([]), "poset 'Q_realized': realization block lists `edges` that differ"),
+        (["glue", "--A", "", "--B", "x1"], _fig2_document(lambda c: None), "--A names unknown element ''"),
+        (["glue"], _glued_document(A=[["x1"]], B=["x1"]), "gluing block `A` names unknown element ['x1']"),
+        (["realize", "--D="], PLAIN, "--D names unknown element ''"),
+        (["realize", "--D=--"], PLAIN, "--D needs a value"),
+        (["realize", "--V=--"], PLAIN, "--V needs a value"),
+        (["indec", "--budget=--"], _fig2_document(lambda c: None), "--budget needs a value"),
+    ],
+    ids=[
+        "negative-dim", "unknown-dims-key", "non-string-elements", "covers-object", "edges-differ",
+        "empty-glue-side", "unhashable-gluing-name", "empty-realize-subset", "dashes-subset",
+        "dashes-coordinates", "dashes-budget",
+    ],
+)
+def test_inputs_found_by_the_exit_code_fuzz_are_input_errors(argv, text, message):
+    code, out, err = invoke(argv, text)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err

@@ -326,3 +326,22 @@ def test_kernels_match_unblocked_oracle(rows, cols, p, seed):
 def test_field_mismatch_error():
     with pytest.raises(FieldMismatchError):
         Mat([[1]], 2) + Mat([[1]], 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 32749, 1073741789, 1500000001, 2147483629]),
+    m=st.integers(0, 40),
+    inner=st.integers(0, 70),
+    n=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_matches_exact_integers(p, m, inner, n, seed):
+    # Every route of _matmul, including the 16-bit halves above p ~ 1.5e9,
+    # against Python integers; extreme residues stress the bounds.
+    rng = np.random.default_rng(seed)
+    a = rng.choice([0, 1, p - 1, int(rng.integers(0, p))], size=(m, inner)).astype(np.int64)
+    b = rng.integers(0, p, (inner, n))
+    b[rng.random((inner, n)) < 0.5] = p - 1
+    exact = (a.astype(object) @ b.astype(object)) % p if inner else np.zeros((m, n), dtype=object)
+    assert np.array_equal(_matmul(a, b, p), exact.astype(np.int64))

@@ -126,6 +126,18 @@ def test_kan_extension_free(fence):
     assert ext.functor.dims == free.dims
 
 
+def test_kan_transfer_route_needs_its_hypotheses(fence, diamond):
+    # The transfer route builds its extension unchecked, so it refuses
+    # the inputs on which it would not be a functor.
+    F = VectFunctor(fence.restrict([0, 1]), [1, 1], {}, 2)
+    with pytest.raises(ValueError, match="closed image"):
+        kan_extend(F, fence, [0, 1], method="transfer")
+    assert kan_extend(F, fence, [0, 1]).method == "colim"
+    G = VectFunctor(diamond.restrict([0]), [1], {}, 2)
+    with pytest.raises(ValueError, match="dimension <= 1"):
+        kan_extend(G, diamond, [0], method="transfer")
+
+
 def test_kan_extension_restriction_is_iso():
     rng = random.Random(1)
     for _ in range(15):
