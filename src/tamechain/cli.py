@@ -233,12 +233,13 @@ def cmd_endring(args) -> int:
     ring = end_ring(obj)
     report = {"object": name, "dim": ring.dim}
     if args.machine:
+        cols = ring.columns.arr
         report["basis"] = [
             {
-                name: [nat.comps[q].tolist() for nat in b.nats]
+                name: [cols[o : o + r * c, j].reshape(r, c).tolist() for o, r, c in ring.blocks[q]]
                 for q, name in enumerate(ring.obj.poset.names)
             }
-            for b in ring.basis
+            for j in range(ring.dim)
         ]
     _emit_report(args, report)
     return 0

@@ -18,18 +18,14 @@ from .errors import FieldMismatchError, NoSolutionError
 __all__ = [
     "Mat",
     "Rref",
-    "KernelCokernel",
     "Pullback",
-    "Pushout",
     "rref",
     "kernel",
     "cokernel",
-    "kernel_and_cokernel",
     "solve",
     "solve_or_none",
     "inverse",
     "pullback",
-    "pushout",
 ]
 
 _CHECKED_PRIMES: set[int] = set()
@@ -393,18 +389,6 @@ def cokernel(M: Mat) -> tuple[Mat, Mat]:
     return C, section
 
 
-@dataclass(frozen=True)
-class KernelCokernel:
-    kernel: Mat
-    coker_proj: Mat
-    coker_section: Mat
-
-
-def kernel_and_cokernel(M: Mat) -> KernelCokernel:
-    C, section = cokernel(M)
-    return KernelCokernel(kernel(M), C, section)
-
-
 def solve(A: Mat, B: Mat) -> Mat:
     """Canonical X with A X = B (free variables zero); raises NoSolutionError."""
     X = solve_or_none(A, B)
@@ -452,19 +436,3 @@ def pullback(f: Mat, g: Mat) -> Pullback:
     K = kernel(Mat.hstack([f, -g]))
     return Pullback(K.cols, K.take_rows(range(f.cols)), K.take_rows(range(f.cols, f.cols + g.cols)))
 
-
-@dataclass(frozen=True)
-class Pushout:
-    """coker [f ; -g] with its two block injections into the pushout space."""
-
-    dim: int
-    from_left: Mat
-    from_right: Mat
-
-
-def pushout(f: Mat, g: Mat) -> Pushout:
-    _same_field(f, g)
-    if f.cols != g.cols:
-        raise ValueError(f"pushout requires equal domains: {f.shape} vs {g.shape}")
-    C, _ = cokernel(Mat.vstack([f, -g]))
-    return Pushout(C.rows, C.take_cols(range(f.rows)), C.take_cols(range(f.rows, f.rows + g.rows)))

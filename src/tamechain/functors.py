@@ -104,6 +104,7 @@ class VectFunctor:
         self.p = p
         # Composites formed so far, keyed by target and then source.
         self._into: list[dict[int, Mat]] = [{} for _ in range(poset.n)]
+        self._cover: Optional[Cover] = None
 
     def _compose_all(self) -> None:
         """Fill the composite cache, checking path independence.  A cover
@@ -446,12 +447,16 @@ class LocalHomology:
     h1_incl: Mat
 
 
-def local_homology(F: VectFunctor, x: int) -> LocalHomology:
+def _incoming(F: VectFunctor, x: int) -> Mat:
+    """The maps into F(x) from the elements that x covers, side by side."""
     ys = F.poset.covered_by(x)
     if ys:
-        A = Mat.hstack([F.maps[(y, x)] for y in ys])
-    else:
-        A = Mat.zeros(F.dims[x], 0, F.p)
+        return Mat.hstack([F.maps[(y, x)] for y in ys])
+    return Mat.zeros(F.dims[x], 0, F.p)
+
+
+def local_homology(F: VectFunctor, x: int) -> LocalHomology:
+    A = _incoming(F, x)
     proj, section = cokernel(A)
     K = kernel(A)
     return LocalHomology(proj.rows, proj, section, K.cols, K)
@@ -465,14 +470,7 @@ def column_space_basis(M: Mat) -> Mat:
 
 def radical(F: VectFunctor) -> tuple[VectFunctor, NatMap]:
     """Subfunctor of images of all maps from strictly smaller elements."""
-    bases = []
-    for x in range(F.poset.n):
-        ys = F.poset.covered_by(x)
-        if ys:
-            bases.append(column_space_basis(Mat.hstack([F.maps[(y, x)] for y in ys])))
-        else:
-            bases.append(Mat.zeros(F.dims[x], 0, F.p))
-    return _subfunctor_from_bases(F, bases)
+    return _subfunctor_from_bases(F, [column_space_basis(_incoming(F, x)) for x in range(F.poset.n)])
 
 
 def _subfunctor_from_bases(F: VectFunctor, bases: list[Mat]) -> tuple[VectFunctor, NatMap]:
@@ -515,19 +513,21 @@ class Cover:
 
 def minimal_cover(F: VectFunctor) -> Cover:
     """Minimal projective cover: one generator block per element, of size
-    dim H0 there, mapped in through a canonical section of the quotient."""
-    locals_ = [local_homology(F, x) for x in range(F.poset.n)]
-    gens = _normalize_gens((x, locals_[x].h0_dim) for x in range(F.poset.n))
-    P = free_on_generators(F.poset, gens, F.p)
-    values = [solve(locals_[z].h0_proj, Mat.identity(d, F.p)) for z, d in gens]
-    s = assemble_free_map(P, F, values)
-    return Cover(P, gens, s)
+    dim H0 there, mapped in through the canonical section of the quotient.
+    It is built once per functor and kept on it."""
+    if F._cover is None:
+        sections = [cokernel(_incoming(F, x))[1] for x in range(F.poset.n)]
+        gens = _normalize_gens((x, sections[x].cols) for x in range(F.poset.n))
+        P = free_on_generators(F.poset, gens, F.p)
+        F._cover = Cover(P, gens, assemble_free_map(P, F, [sections[z] for z, _ in gens]))
+    return F._cover
 
 
 def is_projective(F: VectFunctor) -> Optional[Cover]:
-    """The minimal cover of F when it is an iso (F projective), else None."""
+    """The minimal cover of F when it is an iso (F projective), else None.
+    The cover map is onto, so it is an iso exactly when the dims agree."""
     cov = minimal_cover(F)
-    return cov if cov.s.is_iso() else None
+    return cov if cov.P.dims == F.dims else None
 
 
 @dataclass(frozen=True)

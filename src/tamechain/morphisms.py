@@ -22,7 +22,7 @@ from .errors import (
     NotIdempotentError,
     ZeroObjectError,
 )
-from .field import Mat, inverse, kernel, rref, solve, solve_or_none
+from .field import Mat, _matmul, inverse, kernel, rref, solve, solve_or_none
 from .functors import NatMap, VectFunctor, _subfunctor_from_bases, column_space_basis, radical
 from .chains import ChainFunctor, ChainMap, _subcomplex, chain_coker, kan_extend_chain, zero_chain
 
@@ -51,14 +51,52 @@ def total_dim(obj: Functorlike) -> int:
     return as_chain(obj).total_dim()
 
 
-def _blocks(X: ChainFunctor, Y: ChainFunctor) -> list[tuple[int, int, int, int]]:
-    """(element, degree, rows, cols) for the unknown component matrices."""
+def _block_offsets(X: ChainFunctor, Y: ChainFunctor) -> list[list[tuple[int, int, int]]]:
+    """Per element q and degree n: (offset, rows, cols) of the component
+    of a map X -> Y at q and n in its `ChainMap.to_vec` coordinates."""
     D = max(X.top, Y.top)
-    return [
-        (q, n, Y.dim_at(q, n), X.dim_at(q, n))
+    offs = []
+    at = 0
+    for q in range(X.poset.n):
+        row = []
+        for n in range(D + 1):
+            r, c = Y.dim_at(q, n), X.dim_at(q, n)
+            row.append((at, r, c))
+            at += r * c
+        offs.append(row)
+    return offs
+
+
+def _hom_kernel(X: ChainFunctor, Y: ChainFunctor) -> Mat:
+    """Canonical kernel basis, as columns in `ChainMap.to_vec` coordinates,
+    of the linear system of naturality and chain-square constraints on the
+    components of a map X -> Y."""
+    p = X.p
+    D = max(X.top, Y.top)
+    offs = _block_offsets(X, Y)
+    nvars = sum(r * c for row in offs for _, r, c in row)
+    # (left, a, b, right): left @ M_a - M_b @ right = 0.
+    constraints = [
+        (Y.boundary_at(q, n), offs[q][n], offs[q][n - 1], X.boundary_at(q, n))
         for q in range(X.poset.n)
+        for n in range(1, D + 1)
+    ] + [
+        (Y.map_at((y, x), n), offs[y][n], offs[x][n], X.map_at((y, x), n))
+        for (y, x) in X.poset.covers
         for n in range(D + 1)
     ]
+    system = np.zeros((sum(left.rows * a[2] for left, a, _, _ in constraints), nvars), dtype=np.int64)
+    at = 0
+    for left, (oa, ra, ca), (ob, rb, cb), right in constraints:
+        # Row-major vectorization: equation (i, k) of the rb x ca entries
+        # has left[i, l] on M_a[l, k] and -right[j, k] on M_b[i, j].
+        i = np.arange(rb)[:, None, None]
+        k = np.arange(ca)
+        eq = at + i * ca + k
+        system[eq, oa + np.arange(ra)[:, None] * ca + k] = left.arr[:, :, None]
+        system[eq, ob + i * cb + np.arange(cb)[:, None]] = (-right.arr) % p
+        at += rb * ca
+    return kernel(Mat._wrap(system, p))
 
 
 def hom_space(Xobj: Functorlike, Yobj: Functorlike) -> list[ChainMap]:
@@ -68,69 +106,54 @@ def hom_space(Xobj: Functorlike, Yobj: Functorlike) -> list[ChainMap]:
     whose canonical kernel basis is returned, one chain map per vector.
     """
     X, Y = as_chain(Xobj), as_chain(Yobj)
-    p = X.p
-    D = max(X.top, Y.top)
-    blocks = _blocks(X, Y)
-    offs: dict[tuple[int, int], tuple[int, int, int]] = {}
-    at = 0
-    for q, n, r, c in blocks:
-        offs[(q, n)] = (at, r, c)
-        at += r * c
-    nvars = at
-    rows: list[np.ndarray] = []
-
-    def add_constraint(left: Mat, a: tuple[int, int], b: tuple[int, int], right: Mat):
-        # left @ M_a - M_b @ right = 0, row-major vectorization.
-        oa, ra, ca = offs[a]
-        ob, rb, cb = offs[b]
-        block = np.zeros((left.rows * ca, nvars), dtype=np.int64)
-        if ra * ca:
-            block[:, oa : oa + ra * ca] = np.kron(left.arr, np.eye(ca, dtype=np.int64))
-        if rb * cb:
-            block[:, ob : ob + rb * cb] = (-np.kron(np.eye(rb, dtype=np.int64), right.arr.T)) % p
-        if block.shape[0]:
-            rows.append(block % p)
-
-    for q in range(X.poset.n):
-        for n in range(1, D + 1):
-            add_constraint(Y.boundary_at(q, n), (q, n), (q, n - 1), X.boundary_at(q, n))
-    for (y, x) in X.poset.covers:
-        for n in range(D + 1):
-            add_constraint(Y.map_at((y, x), n), (y, n), (x, n), X.map_at((y, x), n))
-
-    if rows:
-        system = Mat(np.vstack(rows), p)
-    else:
-        system = Mat.zeros(0, nvars, p)
-    K = kernel(system)
+    K = _hom_kernel(X, Y)
     return [ChainMap.from_vec(X, Y, K.arr[:, j]) for j in range(K.cols)]
 
 
 @dataclass(frozen=True)
 class EndRing:
-    """Basis of all natural chain endomorphisms; closed under composition."""
+    """All natural chain endomorphisms of obj, closed under composition.
+
+    `columns` holds the canonical basis of `hom_space(obj, obj)` as columns
+    in `ChainMap.to_vec` coordinates; the ring works in the coordinates of
+    that basis and builds chain maps only on request.
+    """
 
     obj: ChainFunctor
-    basis: tuple[ChainMap, ...]
+    columns: Mat
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.columns.cols
 
     @functools.cached_property
-    def _columns(self) -> Mat:
-        """The basis maps as columns of `ChainMap.to_vec` coordinates."""
-        return Mat(np.stack([b.to_vec() for b in self.basis], axis=1), self.obj.p)
+    def basis(self) -> tuple[ChainMap, ...]:
+        return tuple(ChainMap.from_vec(self.obj, self.obj, self.columns.arr[:, j]) for j in range(self.dim))
+
+    @functools.cached_property
+    def blocks(self) -> list[list[tuple[int, int, int]]]:
+        """(offset, rows, cols) of the component at each element and degree
+        in the rows of `columns`."""
+        return _block_offsets(self.obj, self.obj)
+
+    @functools.cached_property
+    def _free(self) -> np.ndarray:
+        """The row of each basis column's free variable.  A canonical kernel
+        column is 1 there, 0 at the other free variables and nonzero only at
+        pivots left of it, so its last nonzero entry is its free variable,
+        and the coordinates of an endomorphism are its entries at these rows."""
+        K = self.columns.arr
+        return np.array([np.flatnonzero(K[:, j])[-1] for j in range(self.dim)], dtype=np.intp)
 
     def element(self, coeffs: Sequence[int]) -> ChainMap:
         """The endomorphism with the given coordinates in the basis."""
         column = Mat(np.asarray(coeffs, dtype=np.int64).reshape(-1, 1), self.obj.p)
-        return ChainMap.from_vec(self.obj, self.obj, (self._columns @ column).arr[:, 0])
+        return ChainMap.from_vec(self.obj, self.obj, (self.columns @ column).arr[:, 0])
 
     def coordinates_of(self, phi: ChainMap) -> Optional[Mat]:
-        if not self.basis:
+        if not self.dim:
             return None
-        return solve_or_none(self._columns, Mat(phi.to_vec().reshape(-1, 1), self.obj.p))
+        return solve_or_none(self.columns, Mat(phi.to_vec().reshape(-1, 1), self.obj.p))
 
     def contains(self, phi: ChainMap) -> bool:
         return self.coordinates_of(phi) is not None
@@ -138,16 +161,30 @@ class EndRing:
 
 def end_ring(obj: Functorlike) -> EndRing:
     X = as_chain(obj)
-    return EndRing(X, tuple(hom_space(X, X)))
+    return EndRing(X, _hom_kernel(X, X))
 
 
 def _structure_constants(ring: EndRing) -> np.ndarray:
-    """C[i, j] = coordinates of basis[i] . basis[j]."""
-    dim = ring.dim
-    p = ring.obj.p
-    prods = [(a @ b).to_vec() for a in ring.basis for b in ring.basis]
-    coords = solve(ring._columns, Mat(np.stack(prods, axis=1) % p, p))
-    return coords.arr.T.reshape(dim, dim, dim)
+    """C[i, j] = coordinates of basis[i] . basis[j].
+
+    Per (element, degree) block that holds free variables, one product of
+    the basis components stacked as a (dim * r, r) matrix with the same
+    components side by side as an (r, dim * r) one forms every basis
+    product there; the coordinates are its entries at the free variables.
+    """
+    dim, p = ring.dim, ring.obj.p
+    K, free = ring.columns.arr, ring._free
+    C = np.zeros((dim, dim, dim), dtype=np.int64)
+    for o, r, _ in itertools.chain.from_iterable(ring.blocks):
+        ks = np.flatnonzero((free >= o) & (free < o + r * r))
+        if not ks.size:
+            continue
+        comps = K[o : o + r * r].T.reshape(dim, r, r)
+        P = _matmul(comps.reshape(dim * r, r), comps.transpose(1, 0, 2).reshape(r, dim * r), p)
+        a, b = np.divmod(free[ks] - o, r)
+        # P[i * r + a, j * r + b] is entry (a, b) of basis[i] . basis[j].
+        C[:, :, ks] = P.reshape(dim, r, dim, r)[:, a, :, b].transpose(1, 2, 0)
+    return C
 
 
 def _idempotents(ring: EndRing, budget: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -223,7 +260,7 @@ def indecomposable(
     p = X.p
     if strategy == "exhaustive":
         found = _idempotents(ring, 1 << 20 if budget is None else budget)
-        ident = tuple(int(v) for v in ring.coordinates_of(ChainMap.identity(X)).arr[:, 0])
+        ident = tuple(int(v) for v in ChainMap.identity(X).to_vec()[ring._free])
         for position, coeffs in found:
             if position and coeffs != ident:
                 return IndecResult(False, True, ring.element(coeffs), position, ring.dim)
@@ -312,13 +349,11 @@ def chain_radical(X: ChainFunctor) -> tuple[ChainFunctor, ChainMap]:
     return _subcomplex(X, [radical(F)[1] for F in X.layers])
 
 
-def _restriction_kernel(ring: EndRing, elements: Sequence[int]) -> list[ChainMap]:
-    """Basis of endomorphisms vanishing on the given elements."""
-    if not ring.basis:
-        return []
-    R = Mat(np.stack([b.to_vec(elements) for b in ring.basis], axis=1), ring.obj.p)
-    K = kernel(R)
-    return [ring.element(K.arr[:, j]) for j in range(K.cols)]
+def _restriction_kernel(ring: EndRing, elements: Sequence[int]) -> Mat:
+    """End coordinates, as columns, of a basis of the endomorphisms that
+    vanish on the given elements."""
+    rows = [i for q in elements for o, r, c in ring.blocks[q] for i in range(o, o + r * c)]
+    return kernel(Mat._wrap(ring.columns.arr[rows], ring.obj.p))
 
 
 def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str]) -> GluingReport:
@@ -371,12 +406,11 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
         ext = zero_chain(XB.poset, X.p, XB.top)
         beta = ChainMap.zero(ext, XB)
     coker, _ = chain_coker(beta)
-    hom_full = hom_space(coker, XB)
+    hom_full = _hom_kernel(coker, XB).cols
     radB, _ = chain_radical(XB)
-    hom_rad = hom_space(coker, radB)
+    hom_rad = _hom_kernel(coker, radB).cols
     ring = end_ring(XB)
-    kernel_basis = _restriction_kernel(ring, ab_in_b)
-    nilpotent = _ideal_is_nilpotent(kernel_basis, ring)
+    restriction_kernel = _restriction_kernel(ring, ab_in_b)
     kan_degrees = tuple(
         n for n in range(ext.top + 1) if any(ext.dim_at(q, n) for q in range(ext.poset.n))
     )
@@ -385,31 +419,37 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
             tuple(coker.dim_at(q, n) for n in range(max(coker.top, X.top) + 1))
             for q in range(coker.poset.n)
         ),
-        crit_hom_zero=not hom_full,
-        crit_rad_iso=len(hom_rad) == len(hom_full),
-        crit_kernel_nilpotent=nilpotent,
-        crit_restriction_injective=not kernel_basis,
-        hom_coker_dim=len(hom_full),
-        hom_coker_rad_dim=len(hom_rad),
-        restriction_kernel_dim=len(kernel_basis),
+        crit_hom_zero=hom_full == 0,
+        crit_rad_iso=hom_rad == hom_full,
+        crit_kernel_nilpotent=_ideal_is_nilpotent(restriction_kernel, ring),
+        crit_restriction_injective=restriction_kernel.cols == 0,
+        hom_coker_dim=hom_full,
+        hom_coker_rad_dim=hom_rad,
+        restriction_kernel_dim=restriction_kernel.cols,
         kan_nonzero_degrees=kan_degrees,
     )
 
 
-def _ideal_is_nilpotent(kernel_basis: list[ChainMap], ring: EndRing) -> bool:
-    if not kernel_basis:
+def _ideal_is_nilpotent(ideal: Mat, ring: EndRing) -> bool:
+    """Whether the powers of the span of ideal's columns, given in End
+    coordinates, reach zero.  Products are formed in End coordinates
+    through the structure constants, with `_matmul`, which is exact for
+    every modulus."""
+    if not ideal.cols:
         return True
-    X, p = ring.obj, ring.obj.p
-    power = list(kernel_basis)
-    for _ in range(max(1, ring.dim)):
+    dim, p, m = ring.dim, ring.obj.p, ideal.cols
+    C = _structure_constants(ring)
+    # times[i, k * m + b] = coordinate k of basis[i] . (ideal column b).
+    times = _matmul(C.transpose(0, 2, 1).reshape(dim * dim, dim), ideal.arr, p).reshape(dim, dim * m)
+    power = ideal.arr.T
+    for _ in range(max(1, dim)):
+        prods = _matmul(power, times, p).reshape(len(power), dim, m).transpose(0, 2, 1).reshape(-1, dim)
         # Canonical basis of the span of the products: the nonzero rows of an rref.
-        prods = np.stack([(a @ b).to_vec() for a in power for b in kernel_basis])
-        rr = rref(Mat(prods, p), transform=False)
-        nxt = [ChainMap.from_vec(X, X, rr.R.arr[i]) for i in range(rr.rank)]
-        if not nxt:
+        rr = rref(Mat._wrap(prods, p), transform=False)
+        if not rr.rank:
             return True
-        if len(nxt) == len(power):
+        if rr.rank == len(power):
             # Descending chain stabilized at a nonzero ideal power.
             return False
-        power = nxt
+        power = rr.R.arr[: rr.rank]
     return False

@@ -15,8 +15,10 @@ from tamechain.functors import (
     assemble_free_map,
     coker_functor,
     free_on_generators,
+    ker_functor,
 )
 from tamechain.chains import ChainFunctor, ChainMap
+from tamechain.morphisms import hom_space
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -137,6 +139,21 @@ def random_functor_dim1(rng: random.Random, poset: FinPoset, p: int, max_dim: in
         (y, x): random_matrix(rng, dims[x], dims[y], p) for y, x in poset.covers
     }
     return VectFunctor(poset, dims, maps, p)
+
+
+def random_chain(rng: random.Random, poset: FinPoset, p: int, top: int) -> ChainFunctor:
+    """A random functor (top 0), the complex of a random map between two
+    (top 1), or that complex with the kernel of the map on top (top 2)."""
+    F = random_functor(rng, poset, p, max_dim=2)
+    if top == 0:
+        return ChainFunctor([F], [])
+    G = random_functor(rng, poset, p, max_dim=2)
+    maps = hom_space(F, G)
+    d = combine(maps, [rng.randrange(p) for _ in maps]).nats[0] if maps else NatMap.zero(F, G)
+    if top == 1:
+        return ChainFunctor([G, F], [d])
+    K, incl = ker_functor(d)
+    return ChainFunctor([G, F, K], [d, incl])
 
 
 def random_nat_in_kernel(rng: random.Random, basis: list, constraint, p: int):

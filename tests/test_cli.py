@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,9 @@ from tamechain.interchange import build_document, dumps_document, parse_document
 from tamechain.examples import builtin_example
 from tamechain.posets import FinPoset, realize
 from tamechain.functors import free_functor
+from tamechain.morphisms import hom_space
+
+from conftest import random_chain, random_poset
 
 
 def invoke(argv, stdin_text=""):
@@ -179,6 +183,22 @@ def test_interchange_round_trip_chain():
     assert X2.dims == X.dims
     assert [b.comps for b in X2.d] == [b.comps for b in X.d]
     assert [F.maps for F in X2.layers] == [F.maps for F in X.layers]
+
+
+@pytest.mark.parametrize("p", [2, 3, 32749, 2147483629])
+def test_endring_machine_prints_the_hom_space_basis(p):
+    rng = random.Random(p)
+    for top in (0, 1, 2):
+        X = random_chain(rng, random_poset(rng, 4), p, top)
+        text = dumps_document(build_document(p, {"P": X.poset}, chains={"X": (X, "P")}))
+        code, out, _ = invoke(["endring", "--machine"], text)
+        assert code == 0
+        Xd = parse_document(text).chains["X"][0]
+        expected = [
+            {name: [nat.comps[q].tolist() for nat in b.nats] for q, name in enumerate(Xd.poset.names)}
+            for b in hom_space(Xd, Xd)
+        ]
+        assert json.loads(out)["basis"] == expected
 
 
 def test_indec_on_plain_functor_document():

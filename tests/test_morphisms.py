@@ -1,11 +1,17 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamechain.errors import BadCoverError, BudgetExceededError, NotIdempotentError, ZeroObjectError
+from tamechain.field import Mat, kernel, rref, solve
 from tamechain.functors import free_functor, free_on_generators
 from tamechain.chains import ChainMap, direct_sum_chains, standard_complex, zero_chain
 from tamechain.morphisms import (
+    _ideal_is_nilpotent,
+    _restriction_kernel,
+    _structure_constants,
     as_chain,
     end_ring,
     fitting_idempotent,
@@ -16,7 +22,7 @@ from tamechain.morphisms import (
 )
 from tamechain.posets import FinPoset
 
-from conftest import random_functor, random_functor_dim1, random_poset
+from conftest import random_chain, random_functor, random_functor_dim1, random_poset
 
 
 def test_hom_contains_identity(fence):
@@ -180,3 +186,75 @@ def test_gluing_criteria_track_indecomposability():
         if rep.crit_hom_zero:
             assert rep.crit_rad_iso
         checked += 1
+
+
+# --- the End ring in coordinates against chain-map products ------------------------
+
+ORACLE_PRIMES = [2, 3, 5, 32749, 2147483629]
+
+
+def reference_structure_constants(ring) -> np.ndarray:
+    """C[i, j] = coordinates of basis[i] . basis[j], from chain-map
+    products and one solve."""
+    dim, p = ring.dim, ring.obj.p
+    if not dim:
+        return np.zeros((0, 0, 0), dtype=np.int64)
+    prods = [(a @ b).to_vec() for a in ring.basis for b in ring.basis]
+    return solve(ring.columns, Mat(np.stack(prods, axis=1) % p, p)).arr.T.reshape(dim, dim, dim)
+
+
+def reference_restriction_kernel(ring, elements) -> Mat:
+    """End coordinates of the maps vanishing on the elements, from the
+    components of the basis maps there."""
+    rows = np.stack([b.to_vec(elements) for b in ring.basis], axis=1)
+    return kernel(Mat(rows, ring.obj.p))
+
+
+def reference_ideal_is_nilpotent(kernel_basis: list, ring) -> bool:
+    """The ideal powers formed as chain-map products, each power given by
+    the nonzero rows of an rref of the products' components."""
+    if not kernel_basis:
+        return True
+    X, p = ring.obj, ring.obj.p
+    power = list(kernel_basis)
+    for _ in range(max(1, ring.dim)):
+        prods = np.stack([(a @ b).to_vec() for a in power for b in kernel_basis])
+        rr = rref(Mat(prods, p), transform=False)
+        nxt = [ChainMap.from_vec(X, X, rr.R.arr[i]) for i in range(rr.rank)]
+        if not nxt:
+            return True
+        if len(nxt) == len(power):
+            return False
+        power = nxt
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_PRIMES), st.integers(0, 2), st.integers(0, 2**30))
+def test_end_ring_coordinates_match_chain_map_products(p, top, seed):
+    rng = random.Random(seed)
+    P = random_poset(rng, 3)
+    Y, Z = random_chain(rng, P, p, top), random_chain(rng, P, p, rng.randint(0, top))
+    X, (iY, iZ), (pY, pZ) = direct_sum_chains([Y, Z])
+    ring = end_ring(X)
+    assert ring.basis == tuple(hom_space(X, X))
+    assert np.array_equal(_structure_constants(ring), reference_structure_constants(ring))
+    if not ring.dim:
+        return
+    ident = ChainMap.identity(X).to_vec()[ring._free]
+    assert ring.coordinates_of(ChainMap.identity(X)) == Mat(ident.reshape(-1, 1), p)
+    elements = sorted(rng.sample(range(P.n), rng.randint(0, P.n)))
+    K = _restriction_kernel(ring, elements)
+    assert K == reference_restriction_kernel(ring, elements)
+    # Maps Y -> Z inside End(Y + Z) square to zero; with the maps Z -> Y
+    # added, and in a random subspace, the powers may not vanish.
+    forward = [iZ @ h @ pY for h in hom_space(Y, Z)]
+    backward = [iY @ h @ pZ for h in hom_space(Z, Y)]
+    m = rng.randint(1, 3)
+    spans = [K, Mat([[rng.randrange(p) for _ in range(m)] for _ in range(ring.dim)], p)]
+    for maps in (forward, forward + backward):
+        if maps:
+            spans.append(Mat.hstack([ring.coordinates_of(phi) for phi in maps]))
+    for ideal in spans:
+        maps = [ring.element(ideal.arr[:, j]) for j in range(ideal.cols)]
+        assert _ideal_is_nilpotent(ideal, ring) == reference_ideal_is_nilpotent(maps, ring)
