@@ -3,11 +3,16 @@
 Matrices are immutable, entries are canonical residues in [0, p), and
 every operation is deterministic: pivots are chosen leftmost-first and
 free variables are set to zero, so identical inputs give bit-identical
-outputs.  Zero-dimensional shapes (0 x n, n x 0) are first-class.
+outputs.  Zero-dimensional shapes (0 x n, n x 0) are first-class: an
+operation with a zero-size operand returns its exact result at once,
+without elimination or product.  `Mat.zeros` and `Mat.identity` return
+shared matrices, cached per (shape, p); sharing is safe because every
+`Mat` is immutable (its array is read-only).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +34,7 @@ __all__ = [
 ]
 
 _CHECKED_PRIMES: set[int] = set()
+_INT64 = np.dtype(np.int64)
 
 
 def _check_modulus(p) -> int:
@@ -74,22 +80,27 @@ class Mat:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, p: int) -> "Mat":
+        """The Mat of canonical residues `arr`, taken over without a copy
+        when it is already a C-contiguous int64 array."""
         m = object.__new__(cls)
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        if arr.dtype is not _INT64 or not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr, dtype=np.int64)
         arr.flags.writeable = False
         m.arr = arr
         m.p = p
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "Mat":
-        p = _check_modulus(p)
-        return cls._wrap(np.zeros((rows, cols), dtype=np.int64), p)
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def zeros(rows: int, cols: int, p: int) -> "Mat":
+        """The zero matrix, shared among calls with the same arguments."""
+        return Mat._wrap(np.zeros((rows, cols), dtype=np.int64), _check_modulus(p))
 
-    @classmethod
-    def identity(cls, n: int, p: int) -> "Mat":
-        p = _check_modulus(p)
-        return cls._wrap(np.eye(n, dtype=np.int64), p)
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def identity(n: int, p: int) -> "Mat":
+        """The identity matrix, shared among calls with the same arguments."""
+        return Mat._wrap(np.eye(n, dtype=np.int64), _check_modulus(p))
 
     @property
     def rows(self) -> int:
@@ -133,8 +144,11 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         p = _same_field(self, other)
-        if self.cols != other.rows:
+        (m, inner), (k, n) = self.arr.shape, other.arr.shape
+        if inner != k:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
+        if not (m and inner and n):
+            return Mat.zeros(m, n, p)
         return Mat._wrap(_matmul(self.arr, other.arr, p), p)
 
     def transpose(self) -> "Mat":
@@ -165,7 +179,7 @@ class Mat:
         p = mats[0].p
         for m in mats:
             _same_field(mats[0], m)
-        return Mat._wrap(np.hstack([m.arr for m in mats]), p)
+        return Mat._wrap(np.concatenate([m.arr for m in mats], axis=1), p)
 
     @staticmethod
     def vstack(mats: list["Mat"]) -> "Mat":
@@ -174,7 +188,7 @@ class Mat:
         p = mats[0].p
         for m in mats:
             _same_field(mats[0], m)
-        return Mat._wrap(np.vstack([m.arr for m in mats]), p)
+        return Mat._wrap(np.concatenate([m.arr for m in mats], axis=0), p)
 
     @staticmethod
     def block_diag(mats: list["Mat"], p: int) -> "Mat":
@@ -348,6 +362,32 @@ def _eliminate(A: np.ndarray, ncols: int, p: int) -> list[int]:
     return pivots
 
 
+def _with_identity(a: np.ndarray) -> np.ndarray:
+    """[a | I], a fresh array to eliminate in place."""
+    m, n = a.shape
+    A = np.zeros((m, n + m), dtype=np.int64)
+    A[:, :n] = a
+    A.reshape(-1)[n :: n + m + 1] = 1
+    return A
+
+
+def _solution(A: np.ndarray, n: int, p: int) -> Optional[np.ndarray]:
+    """Canonical X with a X = b (free variables zero), or None when there
+    is none, from A = [a | b] with a of n columns, eliminated in place.
+
+    Pivots are sought only among a's columns: the system is consistent
+    exactly when the rows without a pivot are then zero in b, and in that
+    case eliminating [a | b] entirely would find the same pivots.
+    """
+    pivots = _eliminate(A, n, p)
+    r = len(pivots)
+    if A[r:, n:].any():
+        return None
+    X = np.zeros((n, A.shape[1] - n), dtype=np.int64)
+    X[pivots] = A[:r, n:]
+    return X
+
+
 def rref(M: Mat, transform: bool = True) -> Rref:
     """Reduced row-echelon form of M, pivots leftmost-first.
 
@@ -356,12 +396,10 @@ def rref(M: Mat, transform: bool = True) -> Rref:
     With transform=False, T is None and the identity block is never built.
     """
     p = M.p
-    m, n = M.shape
-    if transform:
-        A = np.eye(m, n + m, n, dtype=np.int64)
-        A[:, :n] = M.arr
-    else:
-        A = M.arr.copy()
+    m, n = M.arr.shape
+    if not (m and n):
+        return Rref(M, (), Mat.identity(m, p) if transform else None)
+    A = _with_identity(M.arr) if transform else M.arr.copy()
     pivots = _eliminate(A, n, p)
     T = Mat._wrap(A[:, n:], p) if transform else None
     return Rref(Mat._wrap(A[:, :n], p), tuple(pivots), T)
@@ -369,24 +407,36 @@ def rref(M: Mat, transform: bool = True) -> Rref:
 
 def kernel(M: Mat) -> Mat:
     """Canonical basis of ker M as columns; full column rank cols - rank."""
-    rr = rref(M, transform=False)
     p = M.p
-    pivots = list(rr.pivots)
+    m, n = M.arr.shape
+    if not (m and n):
+        return Mat.identity(n, p)
+    R = M.arr.copy()
+    pivots = _eliminate(R, n, p)
     pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
-    K = np.zeros((M.cols, len(free)), dtype=np.int64)
+    free = [c for c in range(n) if c not in pivot_set]
+    K = np.zeros((n, len(free)), dtype=np.int64)
     if free:
         K[free, np.arange(len(free))] = 1
-        K[pivots] = (-rr.R.arr[: len(pivots), free]) % p
+        K[pivots] = (-R[: len(pivots), free]) % p
     return Mat._wrap(K, p)
 
 
 def cokernel(M: Mat) -> tuple[Mat, Mat]:
-    """(C, section): C M = 0, C surjective of rank rows - rank(M), C section = id."""
-    rr = rref(M)
-    C = rr.T.take_rows(range(rr.rank, M.rows))
-    section = solve(C, Mat.identity(C.rows, M.p))
-    return C, section
+    """(C, section): C M = 0, C surjective of rank rows - rank(M), C section = id.
+
+    C is the last rows - rank(M) rows of the transform of `rref(M)`, and
+    the section is the canonical solution of C X = I.
+    """
+    p = M.p
+    m, n = M.arr.shape
+    if not (m and n):
+        ident = Mat.identity(m, p)
+        return ident, ident
+    A = _with_identity(M.arr)
+    r = len(_eliminate(A, n, p))
+    C = A[r:, n:]
+    return Mat._wrap(C, p), Mat._wrap(_solution(_with_identity(C), m, p), p)
 
 
 def solve(A: Mat, B: Mat) -> Mat:
@@ -397,23 +447,27 @@ def solve(A: Mat, B: Mat) -> Mat:
     return X
 
 
-def solve_or_none(A: Mat, B: Mat):
+def solve_or_none(A: Mat, B: Mat) -> Optional[Mat]:
+    """Canonical X with A X = B (free variables zero), or None."""
     p = _same_field(A, B)
-    if A.rows != B.rows:
+    (m, n), (k, w) = A.arr.shape, B.arr.shape
+    if m != k:
         raise ValueError(f"row mismatch in solve: {A.shape} vs {B.shape}")
-    rr = rref(Mat.hstack([A, B]), transform=False)
-    pivots = list(rr.pivots)
-    X = np.zeros((A.cols, B.cols), dtype=np.int64)
-    if pivots:
-        if pivots[-1] >= A.cols:
-            return None
-        X[pivots] = rr.R.arr[: len(pivots), A.cols :]
-    return Mat._wrap(X, p)
+    if not (m and n and w):
+        # With no unknowns, only B = 0 is reached.
+        return None if not n and B.arr.any() else Mat.zeros(n, w, p)
+    S = np.empty((m, n + w), dtype=np.int64)
+    S[:, :n] = A.arr
+    S[:, n:] = B.arr
+    X = _solution(S, n, p)
+    return None if X is None else Mat._wrap(X, p)
 
 
 def inverse(M: Mat) -> Mat:
     if M.rows != M.cols:
         raise ValueError(f"cannot invert non-square matrix of shape {M.shape}")
+    if not M.rows:
+        return M
     rr = rref(M)
     if rr.rank != M.rows:
         raise NoSolutionError(f"matrix of shape {M.shape} is singular (rank {rr.rank})")

@@ -213,19 +213,30 @@ def enumerate_idempotents(ring: EndRing, budget: int = 1 << 20) -> list[tuple[in
     return [coeffs for _, coeffs in _idempotents(ring, budget)]
 
 
-def _power(phi: ChainMap, n: int) -> ChainMap:
+def _power(m: Mat, n: int) -> Mat:
+    """m**n for n >= 1, by repeated squaring."""
     result = None
-    base = phi
-    while n:
+    while True:
         if n & 1:
-            result = base if result is None else result @ base
-        base = base @ base
+            result = m if result is None else result @ m
         n >>= 1
-    return phi if result is None else result
+        if not n:
+            return result
+        m = m @ m
 
 
-def _map_rank(phi: ChainMap) -> int:
-    return sum(m.rank() for nat in phi.nats for m in nat.comps)
+def _fitting_candidates(ring: EndRing, rng: random.Random, draws: int) -> Iterator[ChainMap]:
+    """The endomorphisms the "fitting" strategy tries, in order, formed
+    one at a time: the basis, its pairwise products, then `draws` random
+    elements, skipping the zero ones."""
+    yield from ring.basis
+    for a in ring.basis:
+        for b in ring.basis:
+            yield a @ b
+    for _ in range(draws):
+        coeffs = [rng.randrange(ring.obj.p) for _ in range(ring.dim)]
+        if any(coeffs):
+            yield ring.element(coeffs)
 
 
 @dataclass(frozen=True)
@@ -267,20 +278,10 @@ def indecomposable(
         return IndecResult(True, True, None, p**ring.dim - 1, ring.dim)
     if strategy == "fitting":
         N = X.total_dim()
-        rng = random.Random(seed)
-        candidates: list[ChainMap] = list(ring.basis)
-        for a in ring.basis:
-            for b in ring.basis:
-                candidates.append(a @ b)
-        for _ in range(32 if budget is None else budget):
-            coeffs = [rng.randrange(p) for _ in range(ring.dim)]
-            if any(coeffs):
-                candidates.append(ring.element(coeffs))
         trials = 0
-        for phi in candidates:
+        for phi in _fitting_candidates(ring, random.Random(seed), 32 if budget is None else budget):
             trials += 1
-            psi = _power(phi, max(1, N))
-            r = _map_rank(psi)
+            r = sum(_power(m, max(1, N)).rank() for nat in phi.nats for m in nat.comps)
             if 0 < r < N:
                 return IndecResult(False, True, phi, trials, ring.dim)
         return IndecResult(True, False, None, trials, ring.dim)
@@ -314,11 +315,12 @@ def split_by_idempotent(obj: Functorlike, e: ChainMap):
 def fitting_idempotent(obj: Functorlike, phi: ChainMap) -> ChainMap:
     """Projection onto im(phi^N) along ker(phi^N), N the total dimension."""
     X = as_chain(obj)
-    psi = _power(phi, max(1, X.total_dim()))
+    N = max(1, X.total_dim())
     nats = []
     for n, F in enumerate(X.layers):
         comps = []
-        for m in psi.nats[n].comps:
+        for m in phi.nats[n].comps:
+            m = _power(m, N)
             V = column_space_basis(m)
             K = kernel(m)
             U = Mat.hstack([V, K])

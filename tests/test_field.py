@@ -290,6 +290,55 @@ def test_kernels_match_unblocked_oracle(rows, cols, p, seed):
             inverse(Mat(square, p))
 
 
+@pytest.mark.parametrize("p", [2, 2147483629])
+def test_degenerate_shapes_match_oracle(p):
+    # Every shape with a zero or small dimension, against the unblocked
+    # oracle: these take the zero-size exits, which random shapes reach
+    # only by chance.
+    rng = np.random.default_rng(p)
+    for rows, cols in itertools.product((0, 1, 3), repeat=2):
+        for arr in (np.zeros((rows, cols), dtype=np.int64), rng.integers(1, p, (rows, cols))):
+            M = Mat(arr, p)
+            R, pivots, T = _oracle_rref(arr, p)
+            rr = rref(M)
+            assert rr.pivots == pivots and rr.R.shape == (rows, cols) and rr.T.shape == (rows, rows)
+            assert np.array_equal(rr.R.arr, R) and np.array_equal(rr.T.arr, T)
+            lean = rref(M, transform=False)
+            assert lean.T is None and lean.pivots == pivots and np.array_equal(lean.R.arr, R)
+            K = kernel(M)
+            assert K.shape == (cols, cols - len(pivots)) and np.array_equal(K.arr, _oracle_kernel(arr, p))
+            C, section = cokernel(M)
+            assert C.shape == (rows - len(pivots), rows) and np.array_equal(C.arr, T[len(pivots) :])
+            want = _oracle_solve(C.arr, np.eye(C.rows, dtype=np.int64), p)
+            assert section.shape == want.shape and np.array_equal(section.arr, want)
+            for width in (0, 1, 3):
+                b = _matmul(arr, rng.integers(0, p, (cols, width)), p)
+                X = solve_or_none(M, Mat(b, p))
+                assert X.shape == (cols, width) and np.array_equal(X.arr, _oracle_solve(arr, b, p))
+                other = rng.integers(0, p, (cols, width))
+                prod = M @ Mat(other, p)
+                exact = (arr.astype(object) @ other.astype(object)) % p if cols else np.zeros((rows, width))
+                assert prod.shape == (rows, width) and np.array_equal(prod.arr, exact.astype(np.int64))
+        if rows:
+            # No unknowns: only a zero right-hand side is reached.
+            empty = Mat.zeros(rows, 0, p)
+            b = rng.integers(1, p, (rows, cols))
+            assert (solve_or_none(empty, Mat(b, p)) is None) == (_oracle_solve(empty.arr, b, p) is None) == bool(cols)
+    assert inverse(Mat.zeros(0, 0, p)).shape == (0, 0)
+
+
+def test_zeros_and_identities_are_shared_and_read_only():
+    for p in (2, 5):
+        Z, I = Mat.zeros(2, 3, p), Mat.identity(3, p)
+        assert Z is Mat.zeros(2, 3, p) and I is Mat.identity(3, p)
+        assert Z.is_zero() and Z.shape == (2, 3) and I.is_identity() and I.p == p
+        for shared in (Z, I, Mat.zeros(0, 4, p)):
+            with pytest.raises(ValueError):
+                shared.arr[:, :1] = 1
+    with pytest.raises(ValueError):
+        Mat.zeros(1, 1, 4)
+
+
 def test_field_mismatch_error():
     with pytest.raises(FieldMismatchError):
         Mat([[1]], 2) + Mat([[1]], 3)

@@ -132,6 +132,60 @@ def test_fitting_silent_on_indecomposable(fence):
     assert res.trials > 0
 
 
+def _eager_fitting(obj, budget, seed):
+    """The "fitting" search with every candidate formed before the first
+    is tried, and powers taken as chain-map products: the reference for
+    the lazy search."""
+    X = as_chain(obj)
+    ring = end_ring(X)
+    rng = random.Random(seed)
+    candidates = list(ring.basis) + [a @ b for a in ring.basis for b in ring.basis]
+    for _ in range(budget):
+        coeffs = [rng.randrange(X.p) for _ in range(ring.dim)]
+        if any(coeffs):
+            candidates.append(ring.element(coeffs))
+    N = X.total_dim()
+    for trials, phi in enumerate(candidates, 1):
+        psi = phi
+        for _ in range(N - 1):
+            psi = psi @ phi
+        if 0 < sum(m.rank() for nat in psi.nats for m in nat.comps) < N:
+            return False, True, phi, trials, ring.dim
+    return True, False, None, len(candidates), ring.dim
+
+
+def _same_fitting_result(res, eager):
+    indec, certain, witness, trials, end_dim = eager
+    assert (res.indecomposable, res.certain, res.trials, res.end_dim) == (indec, certain, trials, end_dim)
+    assert (res.witness is None) == (witness is None)
+    assert witness is None or np.array_equal(res.witness.to_vec(), witness.to_vec())
+
+
+def test_fitting_forms_candidates_lazily(fence, monkeypatch):
+    anti = FinPoset.from_covers(["x", "y"], [])
+    F = free_on_generators(anti, ((0, 1), (1, 1)), 5)
+    eager = _eager_fitting(F, 32, 0)
+    assert eager[3] == 1  # decided by the first basis element
+    products = []
+    original = ChainMap.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(ChainMap, "__matmul__", counted)
+    res = indecomposable(F, "fitting", budget=32)
+    assert not products
+    _same_fitting_result(res, eager)
+    monkeypatch.undo()
+    # Searches that run past the basis products draw the same random
+    # elements in the same order.
+    rng = random.Random(4)
+    for G in (free_functor(fence, 0, 1, 2), random_functor_dim1(rng, fence, 2), random_functor_dim1(rng, fence, 3)):
+        seed = rng.randrange(1000)
+        _same_fitting_result(indecomposable(G, "fitting", budget=8, seed=seed), _eager_fitting(G, 8, seed))
+
+
 def test_gluing_b_contains_a(chain3):
     rng = random.Random(3)
     F = random_functor_dim1(rng, chain3, 2)
