@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import KernelNotProjectiveError, ValidationError
 from .field import Mat, kernel, cokernel, rref, solve, inverse
-from .posets import FinPoset, transfer_point
+from .posets import FinPoset, _greatest_below
 
 __all__ = [
     "VectFunctor",
@@ -339,7 +339,7 @@ class Colimit:
             ya, yb = self.blocks[s]
             xa, xb = dst.blocks[s]
             moved[xa:xb, ya:yb] = block(s).arr
-        return dst.proj @ Mat(moved, self.proj.p) @ self.section
+        return dst.proj @ Mat._wrap(moved, self.proj.p) @ self.section
 
 
 def colim_over(F: VectFunctor, subset: Iterable[int]) -> Colimit:
@@ -351,18 +351,17 @@ def colim_over(F: VectFunctor, subset: Iterable[int]) -> Colimit:
     for s in elements:
         blocks[s] = (at, at + F.dims[s])
         at += F.dims[s]
-    total = at
-    sub = F.poset.restrict(elements) if elements else None
-    cols = []
-    if sub is not None:
-        for a, b in sub.covers:
-            y, x = elements[a], elements[b]
-            col = Mat.zeros(total, F.dims[y], p).arr.copy()
-            m = F.map_leq(y, x)
-            col[blocks[x][0] : blocks[x][1], :] = m.arr
-            col[blocks[y][0] : blocks[y][1], :] -= Mat.identity(F.dims[y], p).arr
-            cols.append(Mat(col, p))
-    delta = Mat.hstack(cols) if cols else Mat.zeros(total, 0, p)
+    covers = F.poset.restrict(elements).covers if elements else ()
+    delta = np.zeros((at, sum(F.dims[elements[a]] for a, _ in covers)), dtype=np.int64)
+    c = 0
+    for a, b in covers:
+        y, x = elements[a], elements[b]
+        d = F.dims[y]
+        delta[blocks[x][0] : blocks[x][1], c : c + d] = F.map_leq(y, x).arr
+        # The -identity block, written as its residue p - 1.
+        delta[blocks[y][0] + np.arange(d), c + np.arange(d)] = p - 1
+        c += d
+    delta = Mat._wrap(delta, p)
     proj, section = cokernel(delta)
     cocone = {s: proj.take_cols(range(*blocks[s])) for s in elements}
     return Colimit(proj.rows, elements, cocone, proj, section, blocks)
@@ -389,7 +388,8 @@ def _check_embedding(F: VectFunctor, ambient: FinPoset, embed: Sequence[int]) ->
 def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: str = "auto") -> KanExtension:
     """Left Kan extension along a full subposet inclusion.
 
-    method "colim" computes every value as a colimit over the down-set;
+    method "colim" computes every value as a colimit over the down-set
+    in the image, one colimit per distinct down-set;
     "transfer" precomposes with the transfer (valid when the image is
     closed and the ambient poset has dimension <= 1, else a ValueError);
     "auto" prefers the transfer route when it is available.
@@ -402,16 +402,16 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
             raise ValueError("the transfer route needs a closed image in a poset of dimension <= 1")
         method = "transfer" if ok else "colim"
     if method == "transfer":
-        pos = {e: i for i, e in enumerate(embed)}
-        members = sorted(image)
-        t = []
-        for x in range(ambient.n):
-            w = transfer_point(ambient, members, x)
-            t.append(None if w is None else pos[w])
-        dims = [0 if t[x] is None else F.dims[t[x]] for x in range(ambient.n)]
+        # t[x]: the element of F's poset that x transfers to, or -1.
+        t = _greatest_below(
+            F.poset.leq_matrix,
+            ambient.leq_matrix[list(embed)],
+            lambda x: f"of the subposet below {ambient.names[x]!r}",
+        ).tolist()
+        dims = [0 if t[x] < 0 else F.dims[t[x]] for x in range(ambient.n)]
         maps = {}
         for y, x in ambient.covers:
-            if t[y] is None or t[x] is None:
+            if t[y] < 0 or t[x] < 0:
                 maps[(y, x)] = Mat.zeros(dims[x], dims[y], F.p)
             else:
                 maps[(y, x)] = F.map_leq(t[y], t[x])
@@ -420,8 +420,16 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
         return KanExtension(ext, unit, "transfer")
     if method != "colim":
         raise ValueError(f"unknown Kan extension method {method!r}")
-    below = ambient.leq_matrix[list(embed)]  # row d: which elements embed[d] lies below
-    colims = {x: colim_over(F, np.flatnonzero(below[:, x]).tolist()) for x in range(ambient.n)}
+    # Row x: the elements d of F's poset with embed[d] <= x.  Points with
+    # the same down-set in the image share one colimit.
+    downs = np.ascontiguousarray(ambient.leq_matrix[list(embed)].T)
+    shared: dict[bytes, Colimit] = {}
+    colims = {}
+    for x in range(ambient.n):
+        key = downs[x].tobytes()
+        if key not in shared:
+            shared[key] = colim_over(F, np.flatnonzero(downs[x]).tolist())
+        colims[x] = shared[key]
     dims = [colims[x].dim for x in range(ambient.n)]
     maps = {
         (y, x): colims[y].map_into(colims[x], lambda s: Mat.identity(F.dims[s], F.p))

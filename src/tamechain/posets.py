@@ -7,9 +7,14 @@ transfer) is an array operation on it.  Boolean matrix products are
 taken in float64 BLAS; they count common elements, which is exact while
 a poset has fewer than 2**53 elements.
 
+Transfers are one pass over the order matrix: one count product finds
+the greatest subposet element below every queried point at once.
+
 Elements are addressed by integer index internally and by name at the
-boundaries.  Realization points live on exact rational coordinates so
-the order on an inserted open interval is decided exactly.
+boundaries.  Realization points live on exact rational coordinates; a
+realization fixes each point's integer coordinate rank at construction,
+so the order on an inserted open interval is decided by integer
+comparisons.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import bisect
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -223,15 +228,23 @@ def _closure_of_covers(n: int, covers: Iterable[tuple[int, int]]) -> np.ndarray:
     return leq
 
 
-def _greatest(leq: np.ndarray, below: np.ndarray, where: str) -> Optional[int]:
-    """The greatest of the elements `below` (indices into `leq`), or None
-    when there are none; TransferUndefinedError when several are maximal."""
-    if not below.size:
-        return None
-    maxima = below[leq[below[:, None], below].sum(axis=1) == 1]
-    if len(maxima) != 1:
-        raise TransferUndefinedError(f"no greatest element {where}")
-    return int(maxima[0])
+def _greatest_below(order: np.ndarray, below: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+    """Entry j: the greatest member i with below[i, j], or -1 when there is
+    none; TransferUndefinedError names where(j) for the first j with
+    several maximal ones.  `order` is the order matrix of the members.
+    Member i is greatest below j when every member below j lies below i,
+    so one count product decides every query."""
+    live = np.flatnonzero(below.any(axis=1))
+    if not live.size:
+        return np.full(below.shape[1], -1, dtype=np.intp)
+    below = below[live]
+    under = below.sum(axis=0)
+    greatest = below & (_counts(order[live[:, None], live].T, below) == under)
+    found = greatest.any(axis=0)
+    undefined = np.flatnonzero(~found & (under > 0))
+    if undefined.size:
+        raise TransferUndefinedError(f"no greatest element {where(int(undefined[0]))}")
+    return np.where(found, live[greatest.argmax(axis=0)], -1)
 
 
 # --- realizations -----------------------------------------------------------
@@ -297,10 +310,10 @@ class RealizedPoset(FinPoset):
     its covers at coordinates V.
 
     A point is held as three integers: the base indices of its top and
-    bottom (both q for the vertex q) and the rank of its coordinate, the
-    number of coordinates of V at or below it minus one (len(V) for a
-    vertex).  The rule of `point_leq` is then one broadcast over the base
-    order matrix."""
+    bottom (both q for the vertex q) and the rank of its coordinate, its
+    index in the sorted V (len(V) for a vertex).  The points are sorted on
+    these integers at construction, and the rule of `point_leq` is then
+    one broadcast over the base order matrix."""
 
     def __init__(self, base: FinPoset, d_subset: Sequence[int], vset: Sequence[Fraction]):
         if not base.dimension().at_most_one():
@@ -309,27 +322,26 @@ class RealizedPoset(FinPoset):
         if not base.is_closed(d_subset):
             raise NotClosedError("realization subset must be closed under suplim")
         vset = tuple(sorted(set(_check_coordinate(v) for v in vset)))
-        points: list[Point] = [Vertex(base.names[q]) for q in d_subset]
-        for x in d_subset:
-            for y in base.covered_by(x):
-                for v in vset:
-                    points.append(Edge(base.names[x], base.names[y], v))
+        ends = [(q, q, len(vset)) for q in d_subset]
+        ends += sorted((x, y, r) for x in d_subset for y in base.covered_by(x) for r in range(len(vset)))
+        names = base.names
         self.base = base
         self.d_subset = d_subset
         self.vset = vset
-        points.sort(key=lambda z: (isinstance(z, Edge), self._point_ends(z)))
-        self.points = tuple(points)
-        self._ends = np.array([self._point_ends(z) for z in points], dtype=np.intp).reshape(-1, 3).T
+        self.points = tuple(
+            Vertex(names[x]) if r == len(vset) else Edge(names[x], names[y], vset[r]) for x, y, r in ends
+        )
+        self._ends = np.array(ends, dtype=np.intp).reshape(-1, 3).T
         top, bottom, rank = self._ends
         leq = base.leq_matrix[top[:, None], bottom] | (
             (top[:, None] == top) & (bottom[:, None] == bottom) & (rank[:, None] <= rank)
         )
-        self._init_order(tuple(point_name(z) for z in points), leq)
+        self._init_order(tuple(point_name(z) for z in self.points), leq)
 
     def _point_ends(self, z: Point) -> tuple[int, int, int]:
-        """Top, bottom and coordinate rank of a point of the ambient
-        realization; the rank compares exactly with the ranks of the
-        points of this poset."""
+        """Top, bottom and coordinate rank of a query point of the ambient
+        realization: the number of coordinates of V at or below it minus
+        one, which compares exactly with the ranks of this poset's points."""
         if isinstance(z, Vertex):
             q = self.base.index(z.q)
             return q, q, len(self.vset)
@@ -351,8 +363,8 @@ class RealizedPoset(FinPoset):
         z_top, z_bottom, z_rank = self._point_ends(z)
         top, bottom, rank = self._ends
         below = self.base.leq_matrix[top, z_bottom] | ((top == z_top) & (bottom == z_bottom) & (rank <= z_rank))
-        w = _greatest(self.leq_matrix, np.flatnonzero(below), f"below {z!r}")
-        return None if w is None else self.points[w]
+        (w,) = _greatest_below(self.leq_matrix, below[:, None], lambda _: f"below {z!r}")
+        return None if w < 0 else self.points[w]
 
 
 def realize(base: FinPoset, d_subset: Optional[Sequence[str]] = None, vset: Sequence[Fraction] = ()) -> RealizedPoset:
@@ -382,6 +394,8 @@ def transfer_point(amb: FinPoset, sub: Sequence[int], z: int) -> Optional[int]:
     Returns None (bottom) when the set is empty and raises
     TransferUndefinedError when it has several maximal elements.
     """
-    members = np.array(sorted(set(sub)), dtype=np.intp)
-    below = members[amb.leq_matrix[members, z]]
-    return _greatest(amb.leq_matrix, below, f"of the subposet below {amb.names[z]!r}")
+    members = sorted(set(sub))
+    below = np.zeros((amb.n, 1), dtype=bool)
+    below[members, 0] = amb.leq_matrix[members, z]
+    (w,) = _greatest_below(amb.leq_matrix, below, lambda _: f"of the subposet below {amb.names[z]!r}")
+    return None if w < 0 else int(w)

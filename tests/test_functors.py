@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tamechain.functors
+from tamechain.chains import kan_extend_chain
 from tamechain.errors import KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat, inverse, kernel, solve
 from tamechain.functors import (
@@ -28,7 +30,16 @@ from tamechain.functors import (
 )
 from tamechain.posets import FinPoset, realize
 
-from conftest import combine, random_dim1_poset, random_functor_dim1, random_invertible, random_matrix
+from conftest import (
+    combine,
+    random_chain,
+    random_dim1_poset,
+    random_functor,
+    random_functor_dim1,
+    random_invertible,
+    random_matrix,
+    random_poset,
+)
 
 
 def test_free_functor_zero_multiplicity(chain2):
@@ -181,6 +192,87 @@ def test_kan_transfer_path_equals_colim_path():
             m1 = e1.functor.maps[(y, x)]
             m2 = e2.functor.maps[(y, x)]
             assert m1 @ iso[y] == iso[x] @ m2
+
+
+def per_point_colimits(F: VectFunctor, ambient: FinPoset, embed) -> list:
+    """The colimit over the down-set in the image, formed separately at
+    every ambient point."""
+    return [
+        colim_over(F, [d for d in range(F.poset.n) if ambient.leq(embed[d], x)])
+        for x in range(ambient.n)
+    ]
+
+
+def check_colim_route(monkeypatch, F: VectFunctor, ambient: FinPoset, embed) -> int:
+    """kan_extend(method="colim") forms one colimit per distinct down-set
+    and equals the per-point construction exactly; returns the number of
+    colimits formed."""
+    calls = []
+
+    def counting(G, subset):
+        calls.append(tuple(subset))
+        return colim_over(G, subset)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tamechain.functors, "colim_over", counting)
+        ext = kan_extend(F, ambient, embed, method="colim")
+    oracle = per_point_colimits(F, ambient, embed)
+    assert len(calls) == len(set(calls)) == len({co.elements for co in oracle})
+    assert ext.functor.dims == tuple(co.dim for co in oracle)
+    for y, x in ambient.covers:
+        expected = oracle[y].map_into(oracle[x], lambda s: Mat.identity(F.dims[s], F.p))
+        assert ext.functor.maps[(y, x)] == expected
+    assert ext.unit == tuple(oracle[embed[d]].cocone[d] for d in range(F.poset.n))
+    for x, co in enumerate(oracle):
+        got = ext.cocones[x]
+        assert got.proj == co.proj and got.section == co.section
+        assert got.elements == co.elements and got.blocks == co.blocks
+        assert got.cocone == co.cocone
+    return len(calls)
+
+
+def test_colim_route_forms_one_colimit_per_down_set(monkeypatch):
+    rng = random.Random(31)
+    # Random dimension-1 posets.
+    for _ in range(20):
+        amb = random_dim1_poset(rng, 7)
+        sub = sorted({rng.randrange(amb.n) for _ in range(rng.randint(1, amb.n))})
+        F = random_functor_dim1(rng, amb.restrict(sub), rng.choice([2, 3, 5]))
+        check_colim_route(monkeypatch, F, amb, sub)
+    # A realization along its vertices: an edge point shares the down-set
+    # of its bottom vertex.
+    base = FinPoset.from_covers(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("d", "c")])
+    rp = realize(base, None, [Fraction(-3, 4), Fraction(-1, 2), Fraction(-1, 5)])
+    F = random_functor_dim1(rng, base, 3)
+    assert check_colim_route(monkeypatch, F, rp, [rp.index(n) for n in base.names]) < rp.n
+    # Dimension-2 ambient posets, where only the colimit route is legal.
+    done = 0
+    while done < 8:
+        amb = random_poset(rng, 7)
+        if amb.dimension().at_most_one():
+            continue
+        sub = sorted({rng.randrange(amb.n) for _ in range(rng.randint(1, amb.n))})
+        F = random_functor(rng, amb.restrict(sub), rng.choice([2, 3]))
+        with pytest.raises(ValueError):
+            kan_extend(F, amb, sub, method="transfer")
+        check_colim_route(monkeypatch, F, amb, sub)
+        done += 1
+
+
+def test_kan_extend_chain_boundaries_match_per_point_colimits():
+    rng = random.Random(32)
+    base = FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    rp = realize(base, None, [Fraction(-2, 3), Fraction(-1, 3)])
+    embed = [rp.index(n) for n in base.names]
+    for p in (2, 3, 5):
+        X = random_chain(rng, base, p, 2)
+        ext, _ = kan_extend_chain(X, rp, embed)
+        oracle = [per_point_colimits(F, rp, embed) for F in X.layers]
+        assert [F.dims for F in ext.layers] == [tuple(co.dim for co in cos) for cos in oracle]
+        for n in range(X.top):
+            for q in range(rp.n):
+                expected = oracle[n + 1][q].map_into(oracle[n][q], lambda s: X.d[n].comps[s])
+                assert ext.d[n].comps[q] == expected
 
 
 def test_local_homology_of_free(chain2, diamond):

@@ -13,6 +13,8 @@ from tamechain.errors import (
     NotClosedError,
     TransferUndefinedError,
 )
+from tamechain.field import Mat
+from tamechain.functors import kan_extend
 from tamechain.posets import (
     Edge,
     FinPoset,
@@ -26,7 +28,7 @@ from tamechain.posets import (
     transfer_point,
 )
 
-from conftest import random_dim1_poset
+from conftest import random_dim1_poset, random_functor_dim1
 
 
 def brute_suplim(P: FinPoset, subset):
@@ -332,6 +334,53 @@ def outcome(fn, *args):
     except TransferUndefinedError:
         return ("undefined",)
     return ("bottom",) if w is None else ("at", w)
+
+
+def test_transfers_and_integer_points_match_oracles(diamond):
+    # Every subset of the diamond, the undefined transfer at its top included.
+    for mask in range(1 << diamond.n):
+        sub = [e for e in range(diamond.n) if mask >> e & 1]
+        for z in range(diamond.n):
+            expected = oracle_greatest(diamond.leq, sub, lambda d: diamond.leq(d, z))
+            assert outcome(transfer_point, diamond, sub, z) == expected
+    assert outcome(transfer_point, diamond, [1, 2], 3) == ("undefined",)
+
+    rng = random.Random(21)
+    for _ in range(30):
+        Q = random_dim1_poset(rng, 6)
+        V = sorted({Fraction(-rng.randint(1, 12), 13) for _ in range(rng.randint(0, 4))})
+        closed = Q.closure([e for e in range(Q.n) if rng.random() < 0.7]) or (0,)
+        rp = realize(Q, [Q.names[e] for e in closed], V)
+        for i, z in enumerate(rp.points):
+            assert tuple(rp._ends[:, i].tolist()) == rp._point_ends(z)
+        sub = [e for e in range(Q.n) if rng.random() < 0.5]
+        for z in range(Q.n):
+            expected = oracle_greatest(Q.leq, sub, lambda d: Q.leq(d, z))
+            assert outcome(transfer_point, Q, sub, z) == expected
+        queries = [Vertex(n) for n in Q.names]
+        for y, x in Q.covers:
+            queries += [Edge(Q.names[x], Q.names[y], Fraction(-rng.randint(1, 25), 26)) for _ in range(2)]
+        for z in queries:
+            expected = oracle_greatest(
+                lambda i, j: rp.leq(i, j), range(rp.n), lambda i: point_leq(Q, rp.points[i], z)
+            )
+            got = outcome(rp.transfer, z)
+            assert got == (expected if expected[0] != "at" else ("at", rp.points[expected[1]]))
+        # The transfer route of the Kan extension along the vertices.
+        embed = [rp.index(Q.names[e]) for e in closed]
+        F = random_functor_dim1(rng, Q.restrict(closed), 3)
+        ext = kan_extend(F, rp, embed, method="transfer").functor
+        pos = {e: d for d, e in enumerate(embed)}
+        t = []
+        for x in range(rp.n):
+            kind, *w = oracle_greatest(rp.leq, embed, lambda e: rp.leq(e, x))
+            t.append(pos[w[0]] if kind == "at" else None)
+            assert ext.dims[x] == (0 if t[x] is None else F.dims[t[x]])
+        for y, x in rp.covers:
+            if t[y] is None or t[x] is None:
+                assert ext.maps[(y, x)] == Mat.zeros(ext.dims[x], ext.dims[y], 3)
+            else:
+                assert ext.maps[(y, x)] == F.map_leq(t[y], t[x])
 
 
 def oracle_realization(base, d_subset, vset):
