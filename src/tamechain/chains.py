@@ -227,6 +227,22 @@ class ChainFunctor:
         return f"ChainFunctor(top={self.top}, dims={self.dims}, p={self.p})"
 
 
+def _block_offsets(X: ChainFunctor, Y: ChainFunctor) -> list[list[tuple[int, int, int]]]:
+    """Per element q and degree n: (offset, rows, cols) of the component
+    of a map X -> Y at q and n in its `ChainMap.to_vec` coordinates."""
+    D = max(X.top, Y.top)
+    offs = []
+    at = 0
+    for q in range(X.poset.n):
+        row = []
+        for n in range(D + 1):
+            r, c = Y.dim_at(q, n), X.dim_at(q, n)
+            row.append((at, r, c))
+            at += r * c
+        offs.append(row)
+    return offs
+
+
 @dataclass(frozen=True)
 class ChainMap:
     """Natural chain map between chain functors on the same poset: one
@@ -287,16 +303,11 @@ class ChainMap:
         """Inverse of `to_vec` over all elements, unchecked: every caller
         passes the coordinates of a linear combination of chain maps
         dom -> cod, which is a chain map."""
-        p = dom.p
-        D = max(dom.top, cod.top)
-        comps: list[list[Mat]] = [[] for _ in range(D + 1)]
-        at = 0
-        for q in range(dom.poset.n):
-            for n in range(D + 1):
-                r, c = cod.dim_at(q, n), dom.dim_at(q, n)
-                comps[n].append(Mat(vec[at : at + r * c].reshape(r, c), p))
-                at += r * c
-        nats = tuple(NatMap._trusted(dom.layer(n), cod.layer(n), tuple(comps[n])) for n in range(D + 1))
+        comps = [[Mat(vec[o : o + r * c].reshape(r, c), dom.p) for o, r, c in row] for row in _block_offsets(dom, cod)]
+        nats = tuple(
+            NatMap._trusted(dom.layer(n), cod.layer(n), tuple(row[n] for row in comps))
+            for n in range(max(dom.top, cod.top) + 1)
+        )
         return ChainMap._trusted(dom, cod, nats)
 
     @staticmethod
@@ -507,22 +518,19 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
     zero = _zero_functor(poset, p)
     into = list(X.d) + [NatMap.zero(zero, X.layers[-1])]  # into[n]: X_{n+1} -> X_n
     parts = []  # per degree n: (P_n functor, lifted map P_n -> X_n)
-    gens = []
     for n in range(X.top + 1):
         cov, lifted = _cover_of_coker(into[n])
         parts.append((cov.P, lifted))
-        gens.append(cov.generators)
-    sums = []
-    for n in range(X.top + 1):
-        upper = parts[n + 1][0] if n + 1 <= X.top else zero
-        sums.append(direct_sum_functors([upper, parts[n][0]]))
-    layers = [s[0] for s in sums]
+    frees = [P_n for P_n, _ in parts] + [zero]
+    layers = [direct_sum_functors([frees[n + 1], frees[n]])[0] for n in range(X.top + 1)]
     bnds = []
     for n in range(X.top):
-        # (u, v) in P_{n+1} (+) P_n drops to (v, 0).
-        _, _, src_projs = sums[n + 1]
-        _, dst_incls, _ = sums[n]
-        comps = tuple(dst_incls[0].comps[q] @ src_projs[1].comps[q] for q in range(poset.n))
+        # (u, v) in P_{n+2} (+) P_{n+1} drops to (v, 0) in P_{n+1} (+) P_n:
+        # the identity shifted right by dim P_{n+2}(q).
+        comps = tuple(
+            Mat._wrap(np.eye(layers[n].dims[q], layers[n + 1].dims[q], frees[n + 2].dims[q], dtype=np.int64), p)
+            for q in range(poset.n)
+        )
         bnds.append(NatMap._trusted(layers[n + 1], layers[n], comps))
     P = ChainFunctor._trusted(layers, bnds)
     cover_nats = []
@@ -537,7 +545,7 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
             comps.append(Mat.hstack([upper_map, parts[n][1].comps[q]]))
         cover_nats.append(NatMap._trusted(layers[n], X.layers[n], tuple(comps)))
     cover = ChainMap._trusted(P, X, tuple(cover_nats))
-    return ChCover(P, cover, tuple(tuple(g) for g in gens))
+    return ChCover(P, cover, tuple(P_n.generators for P_n, _ in parts))
 
 
 def chain_projective_resolution(X: ChainFunctor) -> tuple[list[ChCover], int]:

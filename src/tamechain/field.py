@@ -169,9 +169,6 @@ class Mat:
     def rank(self) -> int:
         return len(rref(self, transform=False).pivots)
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     @staticmethod
     def hstack(mats: list["Mat"]) -> "Mat":
         if not mats:

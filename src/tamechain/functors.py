@@ -16,6 +16,13 @@ private `_trusted` constructor, which runs no check.  The test suite
 replaces `_trusted` with the checking constructor, so it re-checks every
 one of them.
 
+A free functor on (element, multiplicity) generators gives each
+coordinate one owner element: F(q) holds the coordinates whose owner is
+<= q, in generator order, and every cover map is the 0/1 inclusion of
+those coordinates.  Maps out of free functors, lifts and the witnesses
+of direct sums follow the same index rule, and `Cover` and `Resolution`
+read their generators from their free functors.
+
 On top of that sit colimits over subposets, left Kan extension (colimit
 route and transfer route), local homology at an element, radicals,
 minimal projective covers, and length-<=1 minimal resolutions.
@@ -236,40 +243,22 @@ def free_functor(poset: FinPoset, z: int, d: int, p: int) -> VectFunctor:
     return free_on_generators(poset, ((z, d),), p)
 
 
-def _gen_blocks(poset: FinPoset, gens: Sequence[tuple[int, int]], q: int) -> list[tuple[int, int, int]]:
-    """(generator index, start, stop) coordinate blocks present at q."""
-    blocks = []
-    at = 0
-    for i, (z, d) in enumerate(gens):
-        if poset.leq(z, q) and d:
-            blocks.append((i, at, at + d))
-            at += d
-    return blocks
-
-
-def _normalize_gens(gens: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def free_on_generators(poset: FinPoset, gens: Iterable[tuple[int, int]], p: int) -> VectFunctor:
+    """Free functor on (element, multiplicity) generators, merged per
+    element and sorted; its coordinates follow the module docstring."""
     merged: dict[int, int] = {}
     for z, d in gens:
         if d < 0:
             raise ValueError("generator multiplicity must be non-negative")
         merged[z] = merged.get(z, 0) + d
-    return tuple((z, d) for z, d in sorted(merged.items()) if d > 0)
-
-
-def free_on_generators(poset: FinPoset, gens: Iterable[tuple[int, int]], p: int) -> VectFunctor:
-    gens = _normalize_gens(gens)
-    dims = [sum(d for z, d in gens if poset.leq(z, q)) for q in range(poset.n)]
-    maps = {}
-    for y, x in poset.covers:
-        m = Mat.zeros(dims[x], dims[y], p).arr.copy()
-        ybl = {i: (a, b) for i, a, b in _gen_blocks(poset, gens, y)}
-        xbl = {i: (a, b) for i, a, b in _gen_blocks(poset, gens, x)}
-        for i, (ya, yb) in ybl.items():
-            xa, xb = xbl[i]
-            for k in range(yb - ya):
-                m[xa + k, ya + k] = 1
-        maps[(y, x)] = Mat(m, p)
-    F = VectFunctor._trusted(poset, dims, maps, p)
+    gens = tuple((z, d) for z, d in sorted(merged.items()) if d > 0)
+    owner = np.repeat(np.array([z for z, _ in gens], dtype=np.intp), [d for _, d in gens])
+    coords = [np.flatnonzero(poset.leq_matrix[owner, q]) for q in range(poset.n)]
+    maps = {
+        (y, x): Mat._wrap((coords[x][:, None] == coords[y]).astype(np.int64), p)
+        for y, x in poset.covers
+    }
+    F = VectFunctor._trusted(poset, [len(c) for c in coords], maps, p)
     F.generators = gens
     return F
 
@@ -277,20 +266,17 @@ def free_on_generators(poset: FinPoset, gens: Iterable[tuple[int, int]], p: int)
 def assemble_free_map(free: VectFunctor, cod: VectFunctor, values: Sequence[Mat]) -> NatMap:
     """Map out of a free functor determined by one matrix per generator,
     each of shape cod(z) x multiplicity."""
-    gens = free.generators
-    poset = free.poset
+    leq = free.poset.leq_matrix
     comps = []
-    for q in range(poset.n):
-        cols = []
-        for i, a, b in _gen_blocks(poset, gens, q):
-            z, d = gens[i]
-            cols.append(cod.map_leq(z, q) @ values[i])
+    for q in range(free.poset.n):
+        cols = [cod.map_leq(z, q) @ v for (z, _), v in zip(free.generators, values) if leq[z, q]]
         comps.append(Mat.hstack(cols) if cols else Mat.zeros(cod.dims[q], 0, free.p))
     return NatMap._trusted(free, cod, tuple(comps))
 
 
 def direct_sum_functors(functors: Sequence[VectFunctor]) -> tuple[VectFunctor, list[NatMap], list[NatMap]]:
-    """Direct sum with inclusion and projection witnesses."""
+    """Direct sum with inclusion and projection witnesses: at q, the rows
+    of the identity at each summand's running offset."""
     poset = functors[0].poset
     p = functors[0].p
     dims = [sum(F.dims[q] for F in functors) for q in range(poset.n)]
@@ -302,18 +288,10 @@ def direct_sum_functors(functors: Sequence[VectFunctor]) -> tuple[VectFunctor, l
     incls, projs = [], []
     at = [0] * poset.n
     for F in functors:
-        inc, prj = [], []
-        for q in range(poset.n):
-            i = Mat.zeros(dims[q], F.dims[q], p).arr.copy()
-            j = Mat.zeros(F.dims[q], dims[q], p).arr.copy()
-            for k in range(F.dims[q]):
-                i[at[q] + k, k] = 1
-                j[k, at[q] + k] = 1
-            inc.append(Mat(i, p))
-            prj.append(Mat(j, p))
-            at[q] += F.dims[q]
-        incls.append(NatMap._trusted(F, total, tuple(inc)))
-        projs.append(NatMap._trusted(total, F, tuple(prj)))
+        rows = [Mat.identity(dims[q], p).arr[at[q] : at[q] + d] for q, d in enumerate(F.dims)]
+        at = [a + d for a, d in zip(at, F.dims)]
+        incls.append(NatMap._trusted(F, total, tuple(Mat._wrap(r.T, p) for r in rows)))
+        projs.append(NatMap._trusted(total, F, tuple(Mat._wrap(r, p) for r in rows)))
     return total, incls, projs
 
 
@@ -515,8 +493,11 @@ class Cover:
     """Minimal projective cover s: P -> F, P free on the generators."""
 
     P: VectFunctor
-    generators: tuple[tuple[int, int], ...]
     s: NatMap
+
+    @property
+    def generators(self) -> tuple[tuple[int, int], ...]:
+        return self.P.generators
 
 
 def minimal_cover(F: VectFunctor) -> Cover:
@@ -525,9 +506,8 @@ def minimal_cover(F: VectFunctor) -> Cover:
     It is built once per functor and kept on it."""
     if F._cover is None:
         sections = [cokernel(_incoming(F, x))[1] for x in range(F.poset.n)]
-        gens = _normalize_gens((x, sections[x].cols) for x in range(F.poset.n))
-        P = free_on_generators(F.poset, gens, F.p)
-        F._cover = Cover(P, gens, assemble_free_map(P, F, [sections[z] for z, _ in gens]))
+        P = free_on_generators(F.poset, ((x, s.cols) for x, s in enumerate(sections)), F.p)
+        F._cover = Cover(P, assemble_free_map(P, F, [sections[z] for z, _ in P.generators]))
     return F._cover
 
 
@@ -546,8 +526,14 @@ class Resolution:
     p0: VectFunctor
     d: NatMap
     aug: NatMap
-    gens0: tuple[tuple[int, int], ...]
-    gens1: tuple[tuple[int, int], ...]
+
+    @property
+    def gens0(self) -> tuple[tuple[int, int], ...]:
+        return self.p0.generators
+
+    @property
+    def gens1(self) -> tuple[tuple[int, int], ...]:
+        return self.p1.generators
 
     @property
     def length(self) -> int:
@@ -563,7 +549,7 @@ def minimal_resolution(F: VectFunctor) -> Resolution:
             "kernel of the minimal cover is not projective; the indexing poset is not of dimension <= 1"
         )
     d = incl @ kcov.s
-    return Resolution(kcov.P, cov.P, d, cov.s, cov.generators, kcov.generators)
+    return Resolution(kcov.P, cov.P, d, cov.s)
 
 
 def lift_through(f: NatMap, e: NatMap) -> NatMap:
@@ -579,10 +565,11 @@ def lift_through(f: NatMap, e: NatMap) -> NatMap:
         if cov is None:
             raise ValueError("lift requires a projective domain")
         free, s = cov.P, cov.s
-    gens = free.generators
+    gens, leq = free.generators, free.poset.leq_matrix
     values = []
     for i, (z, d) in enumerate(gens):
-        blk = range(*next((a, b) for j, a, b in _gen_blocks(free.poset, gens, z) if j == i))
+        a = sum(c for w, c in gens[:i] if leq[w, z])
+        blk = range(a, a + d)
         target = f.comps[z].take_cols(blk) if s is None else f.comps[z] @ s.comps[z].take_cols(blk)
         values.append(solve(e.comps[z], target))
     g = assemble_free_map(free, e.dom, values)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .field import Mat, _matmul, inverse, kernel, rref, solve, solve_or_none
 from .functors import NatMap, VectFunctor, _subfunctor_from_bases, column_space_basis, radical
-from .chains import ChainFunctor, ChainMap, _subcomplex, chain_coker, kan_extend_chain, zero_chain
+from .chains import ChainFunctor, ChainMap, _block_offsets, _subcomplex, chain_coker, kan_extend_chain, zero_chain
 
 __all__ = [
     "hom_space",
@@ -49,22 +49,6 @@ def as_chain(obj: Functorlike) -> ChainFunctor:
 
 def total_dim(obj: Functorlike) -> int:
     return as_chain(obj).total_dim()
-
-
-def _block_offsets(X: ChainFunctor, Y: ChainFunctor) -> list[list[tuple[int, int, int]]]:
-    """Per element q and degree n: (offset, rows, cols) of the component
-    of a map X -> Y at q and n in its `ChainMap.to_vec` coordinates."""
-    D = max(X.top, Y.top)
-    offs = []
-    at = 0
-    for q in range(X.poset.n):
-        row = []
-        for n in range(D + 1):
-            r, c = Y.dim_at(q, n), X.dim_at(q, n)
-            row.append((at, r, c))
-            at += r * c
-        offs.append(row)
-    return offs
 
 
 def _hom_kernel(X: ChainFunctor, Y: ChainFunctor) -> Mat:
@@ -205,12 +189,6 @@ def _idempotents(ring: EndRing, budget: int) -> Iterator[tuple[int, tuple[int, .
         square = np.einsum("i,j,ijk->k", a, a, C) % p
         if np.array_equal(square, a):
             yield i, coeffs
-
-
-def enumerate_idempotents(ring: EndRing, budget: int = 1 << 20) -> list[tuple[int, ...]]:
-    """Coordinate vectors of all idempotents of the endomorphism ring,
-    in canonical enumeration order (includes 0 and the identity)."""
-    return [coeffs for _, coeffs in _idempotents(ring, budget)]
 
 
 def _power(m: Mat, n: int) -> Mat:

@@ -337,6 +337,8 @@ class RealizedPoset(FinPoset):
             (top[:, None] == top) & (bottom[:, None] == bottom) & (rank[:, None] <= rank)
         )
         self._init_order(tuple(point_name(z) for z in self.points), leq)
+        # A realization of a poset of dimension <= 1 has dimension <= 1.
+        self._dim = PosetDim.ONE if self.covers else PosetDim.ZERO
 
     def _point_ends(self, z: Point) -> tuple[int, int, int]:
         """Top, bottom and coordinate rank of a query point of the ambient

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -26,10 +27,23 @@ def checked_internal_constructions():
     """The program trusts its internal constructions and builds them with
     `_trusted`, which runs no check.  The suite replaces `_trusted` with
     the checking constructor on all four classes, so every object the
-    algorithms build is validated here."""
+    algorithms build is validated here.  Likewise a poset whose dimension
+    is set at construction (a realization) has it compared with the
+    computed one the first time it is asked for."""
+    dimension = FinPoset.dimension
+    agreed = weakref.WeakSet()
+
+    def checked_dimension(poset):
+        if poset not in agreed:
+            if poset._dim is not None and poset._dim is not poset._compute_dimension():
+                raise AssertionError(f"preset dimension {poset._dim} of {poset!r} disagrees with the computed one")
+            agreed.add(poset)
+        return dimension(poset)
+
     with pytest.MonkeyPatch.context() as mp:
         for cls in (VectFunctor, NatMap, ChainFunctor, ChainMap):
             mp.setattr(cls, "_trusted", classmethod(lambda cls, *fields: cls(*fields)))
+        mp.setattr(FinPoset, "dimension", checked_dimension)
         yield
 
 

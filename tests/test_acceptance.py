@@ -39,8 +39,8 @@ from tamechain.chains import (
 )
 from tamechain.morphisms import (
     as_chain,
+    _idempotents,
     end_ring,
-    enumerate_idempotents,
     gluing_check,
     hom_space,
     indecomposable,
@@ -134,7 +134,7 @@ def test_criterion_1_counterexample_certificate():
 
     # Route (b): exhaustive idempotent search over End(fig2) finds 0, id.
     ring = end_ring(fig2)
-    idem = enumerate_idempotents(ring)
+    idem = [coeffs for _, coeffs in _idempotents(ring, 1 << 20)]
     assert len(idem) == 2
     realized = [ring.element(c) for c in idem if any(c)]
     assert len(realized) == 1

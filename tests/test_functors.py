@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,6 @@ from tamechain.functors import (
     minimal_cover,
     minimal_resolution,
     radical,
-    _gen_blocks,
 )
 from tamechain.posets import FinPoset, realize
 
@@ -53,6 +53,110 @@ def test_free_functor_on_chain(chain2):
     assert F.maps[(0, 1)].is_identity()
     G = free_functor(chain2, 1, 3, 3)
     assert G.dims == (0, 3)
+
+
+def oracle_free(poset, gens, p):
+    """Free functor coordinate by coordinate: at q, the blocks of the
+    generators below q in generator order; each cover map sends every
+    coordinate of a block to the same coordinate of that block above."""
+    merged = {}
+    for z, d in gens:
+        merged[z] = merged.get(z, 0) + d
+    gens = tuple((z, d) for z, d in sorted(merged.items()) if d)
+
+    def blocks(q):
+        out, at = {}, 0
+        for i, (z, d) in enumerate(gens):
+            if poset.leq(z, q):
+                out[i] = at
+                at += d
+        return out
+
+    dims = [sum(d for z, d in gens if poset.leq(z, q)) for q in range(poset.n)]
+    maps = {}
+    for y, x in poset.covers:
+        m = np.zeros((dims[x], dims[y]), dtype=np.int64)
+        above = blocks(x)
+        for i, start in blocks(y).items():
+            for k in range(gens[i][1]):
+                m[above[i] + k, start + k] = 1
+        maps[(y, x)] = Mat(m, p)
+    return tuple(dims), maps, gens
+
+
+def oracle_direct_sum(functors):
+    """Direct sum coordinate by coordinate: summand j occupies the
+    coordinates after those of summands 0..j-1 at every element."""
+    poset, p = functors[0].poset, functors[0].p
+    dims = [sum(F.dims[q] for F in functors) for q in range(poset.n)]
+    maps = {}
+    for y, x in poset.covers:
+        m = np.zeros((dims[x], dims[y]), dtype=np.int64)
+        ry = rx = 0
+        for F in functors:
+            m[rx : rx + F.dims[x], ry : ry + F.dims[y]] = F.maps[(y, x)].arr
+            ry += F.dims[y]
+            rx += F.dims[x]
+        maps[(y, x)] = Mat(m, p)
+    incls, projs = [], []
+    at = [0] * poset.n
+    for F in functors:
+        inc, prj = [], []
+        for q in range(poset.n):
+            i = np.zeros((dims[q], F.dims[q]), dtype=np.int64)
+            j = np.zeros((F.dims[q], dims[q]), dtype=np.int64)
+            for k in range(F.dims[q]):
+                i[at[q] + k, k] = 1
+                j[k, at[q] + k] = 1
+            inc.append(Mat(i, p))
+            prj.append(Mat(j, p))
+            at[q] += F.dims[q]
+        incls.append(tuple(inc))
+        projs.append(tuple(prj))
+    return tuple(dims), maps, incls, projs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.sampled_from([2, 3, 5]), st.integers(min_value=0, max_value=2**30))
+def test_free_functors_and_direct_sums_match_per_coordinate_oracles(dim1, p, seed):
+    rng = random.Random(seed)
+    P = random_dim1_poset(rng, 7) if dim1 else random_poset(rng, 7)
+    # Repeated elements and multiplicity 0 included; no generators at all too.
+    gens = [(rng.randrange(P.n), rng.randint(0, 2)) for _ in range(rng.randint(0, 6))]
+    F = free_on_generators(P, gens, p)
+    dims, maps, normalized = oracle_free(P, gens, p)
+    assert F.dims == dims and F.maps == maps and F.generators == normalized
+
+    summands = [F, random_functor(rng, P, p, max_dim=2), free_on_generators(P, (), p)]
+    summands = [summands[rng.randrange(3)] for _ in range(rng.randint(1, 4))]
+    total, incls, projs = direct_sum_functors(summands)
+    dims, maps, oracle_incls, oracle_projs = oracle_direct_sum(summands)
+    assert total.dims == dims and total.maps == maps
+    assert [i.comps for i in incls] == oracle_incls
+    assert [j.comps for j in projs] == oracle_projs
+    for G, i, j in zip(summands, incls, projs):
+        assert i.dom is G and i.cod is total and j.dom is total and j.cod is G
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.sampled_from([2, 3, 5]), st.integers(min_value=0, max_value=2**30))
+def test_cover_and_resolution_generators_are_local_h0(dim1, p, seed):
+    rng = random.Random(seed)
+    P = random_dim1_poset(rng, 6) if dim1 else random_poset(rng, 6)
+    F = random_functor(rng, P, p, max_dim=2)
+
+    def h0_generators(G):
+        return tuple((x, h) for x in range(P.n) if (h := local_homology(G, x).h0_dim))
+
+    cov = minimal_cover(F)
+    assert cov.generators == h0_generators(F) and cov.generators is cov.P.generators
+    if not dim1:
+        return
+    res = minimal_resolution(F)
+    K, _ = ker_functor(cov.s)
+    assert res.gens0 == h0_generators(F) and res.gens1 == h0_generators(K)
+    assert res.gens0 is res.p0.generators and res.gens1 is res.p1.generators
+    assert tuple(a - b for a, b in zip(res.p0.dims, res.p1.dims)) == F.dims
 
 
 def test_functoriality_check_rejects_bad_square(diamond):
@@ -485,8 +589,12 @@ def oracle_lift(f, e, gens, witness):
     free = witness.dom
     values = []
     for i, (z, d) in enumerate(gens):
-        blk = next((a, b) for j, a, b in _gen_blocks(free.poset, gens, z) if j == i)
-        values.append(solve(e.comps[z], f.comps[z] @ witness.comps[z].take_cols(range(*blk))))
+        # At z, the generators below z own consecutive blocks in order.
+        start = 0
+        for w, c in gens[:i]:
+            if free.poset.leq(w, z):
+                start += c
+        values.append(solve(e.comps[z], f.comps[z] @ witness.comps[z].take_cols(range(start, start + d))))
     g0 = assemble_free_map(free, e.dom, values)
     return tuple(g0.comps[x] @ inverse(witness.comps[x]) for x in range(free.poset.n))
 

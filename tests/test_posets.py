@@ -160,6 +160,25 @@ def test_realize_v_poset_subdivision():
     assert rp.dimension() is PosetDim.ONE
 
 
+def test_realizations_preset_their_dimension_and_the_suite_checks_it(chain3, point):
+    # A realization sets its dimension at construction instead of computing
+    # it; the suite's conftest compares that preset with the computed one
+    # the first time a poset is asked, so a wrong preset must raise here.
+    assert realize(point, None, [])._dim is PosetDim.ZERO
+    rng = random.Random(17)
+    for _ in range(30):
+        Q = random_dim1_poset(rng, 6)
+        V = sorted({Fraction(-rng.randint(1, 12), 13) for _ in range(rng.randint(0, 3))})
+        closed = Q.closure([e for e in range(Q.n) if rng.random() < 0.7]) or (0,)
+        rp = realize(Q, [Q.names[e] for e in closed], V)
+        assert rp._dim is rp._compute_dimension()
+    rp = realize(chain3, None, [Fraction(-1, 2)])
+    assert rp._dim is PosetDim.ONE
+    rp._dim = PosetDim.TWO_PLUS
+    with pytest.raises(AssertionError, match="preset dimension"):
+        rp.dimension()
+
+
 def test_realize_rejects_bad_inputs(diamond, chain2):
     with pytest.raises(DimensionTooHighError):
         realize(diamond, None, [])
