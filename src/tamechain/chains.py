@@ -40,7 +40,6 @@ from .functors import (
     free_on_generators,
     is_projective,
     ker_functor,
-    kan_extend,
     lift_through,
     minimal_cover,
     minimal_resolution,
@@ -67,7 +66,6 @@ __all__ = [
     "is_cofibrant",
     "structure_decompose",
     "reassemble",
-    "kan_extend_chain",
 ]
 
 
@@ -810,20 +808,3 @@ def reassemble(dec: Decomposition, poset: Optional[FinPoset] = None, p: Optional
     total, _, _ = direct_sum_chains([s.complex for s in dec.summands])
     return total
 
-
-# --- Kan extension of chain functors -----------------------------------------
-
-
-def kan_extend_chain(X: ChainFunctor, ambient: FinPoset, embed: Sequence[int]) -> tuple[ChainFunctor, list]:
-    """Degreewise colimit Kan extension along a full inclusion, with the
-    per-degree colimit data (used to build mediating maps)."""
-    exts = [kan_extend(F, ambient, embed, method="colim") for F in X.layers]
-    layers = [e.functor for e in exts]
-    bnds = []
-    for n in range(X.top):
-        comps = [
-            exts[n + 1].cocones[q].map_into(exts[n].cocones[q], lambda s: X.d[n].comps[s])
-            for q in range(ambient.n)
-        ]
-        bnds.append(NatMap._trusted(layers[n + 1], layers[n], tuple(comps)))
-    return ChainFunctor._trusted(layers, bnds), exts

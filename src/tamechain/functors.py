@@ -456,7 +456,18 @@ def column_space_basis(M: Mat) -> Mat:
 
 def radical(F: VectFunctor) -> tuple[VectFunctor, NatMap]:
     """Subfunctor of images of all maps from strictly smaller elements."""
-    return _subfunctor_from_bases(F, [column_space_basis(_incoming(F, x)) for x in range(F.poset.n)])
+    return _spanned_by(F, [F.poset.covered_by(x) for x in range(F.poset.n)])
+
+
+def _spanned_by(F: VectFunctor, sources: Sequence[Sequence[int]]) -> tuple[VectFunctor, NatMap]:
+    """Subfunctor spanned at each q by the images of F(y <= q) for the y in
+    sources[q], with canonical bases; the sources must make the spans a
+    subfunctor (every source of q lies below a source of each q' >= q)."""
+    bases = []
+    for q, ys in enumerate(sources):
+        stacked = Mat.hstack([F.map_leq(y, q) for y in ys]) if ys else Mat.zeros(F.dims[q], 0, F.p)
+        bases.append(column_space_basis(stacked))
+    return _subfunctor_from_bases(F, bases)
 
 
 def _subfunctor_from_bases(F: VectFunctor, bases: list[Mat]) -> tuple[VectFunctor, NatMap]:

@@ -155,35 +155,36 @@ class FinPoset:
     def closure(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Least closed superset: fixpoint of suplim over subsets.
 
-        For dimension <= 1 the pairwise suplims generate, and an element u
+        Pairwise suplims generate on every finite poset: a minimal upper
+        bound u of U u {c} lies above a minimal upper bound m of U, and u
+        is then a minimal upper bound of {m, c}.  So the set takes in the
+        suplims of its pairs until stable; for each member one count
+        product finds, among the upper bounds of its pairs, those with no
+        other upper bound below them.  For dimension <= 1 an element u
         outside the set is the suplim of two members exactly when the
         members below u lie below two different lower covers of u: an
         upper bound strictly below u lies below a lower cover of u, and an
         element lies below at most one lower cover of u (two would be
-        incomparable with a common lower and upper bound).  Otherwise all
-        subsets of the current set are fed back in until stable.
+        incomparable with a common lower and upper bound).
         """
-        current = set(subset)
-        if self.dimension().at_most_one():
-            inside = np.zeros(self.n, dtype=bool)
-            inside[list(current)] = True
-            while True:
-                reached = self.leq_matrix[inside].any(axis=0)
-                joins = ~inside & ((self._cover_matrix & reached[:, None]).sum(axis=0) >= 2)
-                if not joins.any():
-                    return tuple(np.flatnonzero(inside).tolist())
-                inside |= joins
+        leq = self.leq_matrix
+        inside = np.zeros(self.n, dtype=bool)
+        inside[list(set(subset))] = True
+        low = self.dimension().at_most_one()
         while True:
-            new = set(current)
-            items = sorted(current)
-            if len(items) > 20:
-                raise ValueError("closure fixpoint over subsets limited to 20 elements")
-            for mask in range(1, 1 << len(items)):
-                u = [items[k] for k in range(len(items)) if mask >> k & 1]
-                new.update(self.suplim(u))
-            if new == current:
-                return tuple(sorted(current))
-            current = new
+            if low:
+                reached = leq[inside].any(axis=0)
+                joins = (self._cover_matrix & reached[:, None]).sum(axis=0) >= 2
+            else:
+                members = leq[inside]
+                joins = np.zeros(self.n, dtype=bool)
+                for row in members:
+                    bounds = row & members
+                    joins |= (bounds & (_counts(bounds, leq) == 1)).any(axis=0)
+            joins &= ~inside
+            if not joins.any():
+                return tuple(np.flatnonzero(inside).tolist())
+            inside |= joins
 
     def is_closed(self, subset: Iterable[int]) -> bool:
         sub = set(subset)

@@ -450,3 +450,18 @@ def test_isomorphic_objects_share_labels():
     keys_c = sorted(s.key() for s in structure_decompose(fact.C).summands)
     keys_r = sorted(s.key() for s in structure_decompose(pair.right).summands)
     assert keys_c == keys_r
+
+
+def test_every_module_export_resolves():
+    import importlib
+    import pkgutil
+
+    import tamechain
+
+    modules = [tamechain] + [
+        importlib.import_module(f"tamechain.{info.name}") for info in pkgutil.iter_modules(tamechain.__path__)
+    ]
+    assert len(modules) > 5
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"

@@ -103,6 +103,17 @@ def test_math_error_exit_code():
     assert "KernelNotProjective" in err
 
 
+def test_glue_reads_repeated_names_as_sets():
+    _, doc, _ = invoke(["example", "fig3_a"])
+    code, plain, _ = invoke(["glue", "--machine", "--A", "x2", "--B", "x1,x2,x3,x4"], doc)
+    assert code == 0
+    assert json.loads(plain)["kan_nonzero_degrees"] == [0]
+    for a, b in (("x2", "x1,x1,x2,x3,x4"), ("x2,x2", "x4,x3,x2,x1,x4")):
+        code, out, _ = invoke(["glue", "--machine", "--A", a, "--B", b], doc)
+        assert code == 0
+        assert out == plain
+
+
 def test_machine_output_deterministic():
     _, doc, _ = invoke(["example", "fig3_b"])
     c1, out1, _ = invoke(["glue", "--machine"], doc)

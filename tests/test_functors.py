@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tamechain.functors
-from tamechain.chains import kan_extend_chain
 from tamechain.errors import KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat, inverse, kernel, solve
 from tamechain.functors import (
@@ -32,7 +31,6 @@ from tamechain.posets import FinPoset, realize
 
 from conftest import (
     combine,
-    random_chain,
     random_dim1_poset,
     random_functor,
     random_functor_dim1,
@@ -361,22 +359,6 @@ def test_colim_route_forms_one_colimit_per_down_set(monkeypatch):
             kan_extend(F, amb, sub, method="transfer")
         check_colim_route(monkeypatch, F, amb, sub)
         done += 1
-
-
-def test_kan_extend_chain_boundaries_match_per_point_colimits():
-    rng = random.Random(32)
-    base = FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
-    rp = realize(base, None, [Fraction(-2, 3), Fraction(-1, 3)])
-    embed = [rp.index(n) for n in base.names]
-    for p in (2, 3, 5):
-        X = random_chain(rng, base, p, 2)
-        ext, _ = kan_extend_chain(X, rp, embed)
-        oracle = [per_point_colimits(F, rp, embed) for F in X.layers]
-        assert [F.dims for F in ext.layers] == [tuple(co.dim for co in cos) for cos in oracle]
-        for n in range(X.top):
-            for q in range(rp.n):
-                expected = oracle[n + 1][q].map_into(oracle[n][q], lambda s: X.d[n].comps[s])
-                assert ext.d[n].comps[q] == expected
 
 
 def test_local_homology_of_free(chain2, diamond):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from tamechain.errors import BadCoverError, BudgetExceededError, NotIdempotentError, ZeroObjectError
 from tamechain.field import Mat, kernel, rref, solve
-from tamechain.functors import free_functor, free_on_generators
-from tamechain.chains import ChainMap, direct_sum_chains, standard_complex, zero_chain
+from tamechain.functors import NatMap, free_functor, free_on_generators, kan_extend
+from tamechain.chains import ChainFunctor, ChainMap, chain_coker, direct_sum_chains, standard_complex, zero_chain
 from tamechain.morphisms import (
+    _hom_kernel,
     _ideal_is_nilpotent,
     _restriction_kernel,
     _structure_constants,
     as_chain,
+    chain_radical,
     end_ring,
     fitting_idempotent,
     gluing_check,
@@ -22,7 +25,7 @@ from tamechain.morphisms import (
 )
 from tamechain.posets import FinPoset
 
-from conftest import random_chain, random_functor, random_functor_dim1, random_poset
+from conftest import random_chain, random_dim1_poset, random_functor, random_functor_dim1, random_poset
 
 
 def test_hom_contains_identity(fence):
@@ -312,3 +315,101 @@ def test_end_ring_coordinates_match_chain_map_products(p, top, seed):
     for ideal in spans:
         maps = [ring.element(ideal.arr[:, j]) for j in range(ideal.cols)]
         assert _ideal_is_nilpotent(ideal, ring) == reference_ideal_is_nilpotent(maps, ring)
+
+
+# --- gluing against beta built from the Kan extension's cocones ---------------------
+
+
+def oracle_gluing(X, a_idx, b_idx) -> tuple:
+    """The GluingReport fields, with coker beta taken from the comparison
+    beta: Lan(X|AnB) -> X_B that the colimit cocones of each layer's Kan
+    extension give, and the crossing check as a double loop; A and B are
+    sets of element indices."""
+    P = X.poset
+    inter = a_idx & b_idx
+    for u in range(P.n):
+        for v in range(P.n):
+            if u == v or not P.leq(u, v) or {u, v} <= a_idx or {u, v} <= b_idx:
+                continue
+            if not any(P.leq(u, d) and P.leq(d, v) for d in inter):
+                raise BadCoverError("crossing relation")
+    b_sorted = sorted(b_idx)
+    XB = X.restrict(b_sorted)
+    ab_in_b = [i for i, e in enumerate(b_sorted) if e in a_idx]
+    if ab_in_b:
+        XAB = XB.restrict(ab_in_b)
+        exts = [kan_extend(F, XB.poset, ab_in_b, method="colim") for F in XAB.layers]
+        layers = [e.functor for e in exts]
+        d = [
+            NatMap(
+                layers[n + 1],
+                layers[n],
+                tuple(
+                    exts[n + 1].cocones[q].map_into(exts[n].cocones[q], lambda s: XAB.d[n].comps[s])
+                    for q in range(XB.poset.n)
+                ),
+            )
+            for n in range(XAB.top)
+        ]
+        ext = ChainFunctor(layers, d)
+        nats = []
+        for n, F in enumerate(XB.layers):
+            comps = []
+            for q in range(XB.poset.n):
+                co = exts[n].cocones[q]
+                if co.elements:
+                    comps.append(Mat.hstack([F.map_leq(ab_in_b[j], q) for j in co.elements]) @ co.section)
+                else:
+                    comps.append(Mat.zeros(F.dims[q], ext.dim_at(q, n), X.p))
+            nats.append(NatMap(ext.layers[n], F, tuple(comps)))
+        beta = ChainMap(ext, XB, tuple(nats))
+    else:
+        ext = zero_chain(XB.poset, X.p, XB.top)
+        beta = ChainMap.zero(ext, XB)
+    coker, _ = chain_coker(beta)
+    hom_full = _hom_kernel(coker, XB).cols
+    hom_rad = _hom_kernel(coker, chain_radical(XB)[0]).cols
+    ring = end_ring(XB)
+    K = _restriction_kernel(ring, ab_in_b)
+    return (
+        tuple(tuple(coker.dim_at(q, n) for n in range(max(coker.top, X.top) + 1)) for q in range(coker.poset.n)),
+        hom_full == 0,
+        hom_rad == hom_full,
+        _ideal_is_nilpotent(K, ring),
+        K.cols == 0,
+        hom_full,
+        hom_rad,
+        K.cols,
+        tuple(n for n in range(ext.top + 1) if any(ext.dim_at(q, n) for q in range(ext.poset.n))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), flat=st.booleans(), top=st.integers(0, 2), p=st.sampled_from([2, 3]))
+def test_gluing_check_matches_kan_cocone_beta(seed, flat, top, p):
+    rng = random.Random(seed)
+    if flat:
+        D = random_dim1_poset(rng, 5)
+    else:
+        D = random_poset(rng, 6)
+        while D.dimension().at_most_one():
+            D = random_poset(rng, 6)
+    # Each element joins A only, B only or both; B is never empty.
+    sides = [rng.choice(("A", "B", "AB")) for _ in range(D.n)]
+    if "B" not in "".join(sides):
+        sides[rng.randrange(D.n)] = "B"
+    a_idx = {e for e, s in enumerate(sides) if "A" in s}
+    b_idx = {e for e, s in enumerate(sides) if "B" in s}
+    X = random_chain(rng, D, p, top)
+    # Names go in shuffled and repeated; the report is that of the sets.
+    a_names = [D.names[e] for e in sorted(a_idx) for _ in range(rng.randint(1, 2))]
+    b_names = [D.names[e] for e in sorted(b_idx) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(a_names)
+    rng.shuffle(b_names)
+    try:
+        expected = oracle_gluing(as_chain(X), a_idx, b_idx)
+    except BadCoverError:
+        with pytest.raises(BadCoverError):
+            gluing_check(X, a_names, b_names)
+        return
+    assert dataclasses.astuple(gluing_check(X, a_names, b_names)) == expected

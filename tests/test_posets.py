@@ -95,6 +95,24 @@ def test_suplim_closure_chain(chain3):
     assert chain3.closure([0, 2]) == (0, 2)
 
 
+def test_closure_of_many_diamond_middles():
+    # Eleven disjoint diamonds: the closure of the 22 middle elements adds
+    # the 11 tops (each the suplim of its two middles) and nothing else;
+    # too many members for a closure over all subsets.
+    names, covers = [], []
+    for k in range(11):
+        bottom, left, right, top = (f"d{k}{part}" for part in "blrt")
+        names += [bottom, left, right, top]
+        covers += [(bottom, left), (bottom, right), (left, top), (right, top)]
+    P = FinPoset.from_covers(names, covers)
+    assert not P.dimension().at_most_one()
+    middles = [P.index(n) for n in names if n[-1] in "lr"]
+    expected = sorted(middles + [P.index(n) for n in names if n.endswith("t")])
+    assert P.closure(middles) == tuple(expected)
+    assert P.is_closed(expected) and not P.is_closed(middles)
+    assert oracle_closure(P, middles[:4]) == P.closure(middles[:4])
+
+
 def test_closure_idempotent_monotone():
     rng = random.Random(0)
     for _ in range(25):
