@@ -19,6 +19,7 @@ decomposition of cofibrant objects over dimension-<=1 posets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,6 +36,7 @@ from .functors import (
     Cover,
     NatMap,
     VectFunctor,
+    _quotient,
     coker_functor,
     direct_sum_functors,
     free_on_generators,
@@ -476,20 +478,20 @@ def chain_ker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
 
 
 def chain_coker(phi: ChainMap) -> tuple[ChainFunctor, ChainMap]:
-    layers, projs = [], []
-    for n in range(phi.cod.top + 1):
-        Q, proj = coker_functor(phi.nats[n])
-        layers.append(Q)
-        projs.append(proj)
-    bnds = []
-    for n in range(phi.cod.top):
-        comps = []
-        for q in range(phi.dom.poset.n):
-            sec = solve(projs[n + 1].comps[q], Mat.identity(layers[n + 1].dims[q], phi.dom.p))
-            comps.append(projs[n].comps[q] @ phi.cod.boundary_at(q, n + 1) @ sec)
-        bnds.append(NatMap._trusted(layers[n + 1], layers[n], tuple(comps)))
+    return _chain_quotient(phi.cod, [nat.comps for nat in phi.nats])
+
+
+def _chain_quotient(X: ChainFunctor, images: Sequence[Sequence[Mat]]) -> tuple[ChainFunctor, ChainMap]:
+    """X modulo the subcomplex spanned in degree n at q by the columns of
+    images[n][q], with the quotient map."""
+    layers, projs, secs = zip(*map(_quotient, X.layers, images))
+    bnds = [
+        NatMap._trusted(layers[n + 1], layers[n], tuple(
+            projs[n].comps[q] @ X.boundary_at(q, n + 1) @ secs[n + 1][q] for q in range(X.poset.n)))
+        for n in range(X.top)
+    ]
     Q = ChainFunctor._trusted(layers, bnds).trimmed()
-    return Q, ChainMap._trusted(phi.cod, Q, tuple(projs))
+    return Q, ChainMap._trusted(X, Q, tuple(projs))
 
 
 # --- minimal projective covers of chain functors -----------------------------
@@ -594,16 +596,11 @@ def _mediate_pullback(P: VectFunctor, bases: list[Mat], u: NatMap, v: NatMap) ->
     return NatMap._trusted(u.dom, P, comps)
 
 
-def _factor_min_projective(m: NatMap) -> tuple[VectFunctor, NatMap, NatMap, VectFunctor]:
+def _factor_min_projective(m: NatMap) -> tuple[VectFunctor, NatMap, NatMap]:
     """Minimal projective factorization of m: X -> Q as X -> X (+) P -> Q."""
     cov, lifted = _cover_of_coker(m)
-    W, incls, projs = direct_sum_functors([m.dom, cov.P])
-    c = incls[0]
-    p_comps = tuple(
-        Mat.hstack([m.comps[q], lifted.comps[q]]) for q in range(m.dom.poset.n)
-    )
-    p = NatMap._trusted(W, m.cod, p_comps)
-    return W, c, p, cov.P
+    W, incls, _ = direct_sum_functors([m.dom, cov.P])
+    return W, incls[0], NatMap._trusted(W, m.cod, tuple(Mat.hstack([a, b]) for a, b in zip(m.comps, lifted.comps)))
 
 
 @dataclass(frozen=True)
@@ -636,7 +633,7 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
     Qbases: Optional[list[Mat]] = None
     m = fn[0]
     for n in range(NN + 1):
-        Wn, cn, pn, _ = _factor_min_projective(m)
+        Wn, cn, pn = _factor_min_projective(m)
         W.append(Wn)
         cmaps.append(cn)
         pmaps.append(pn)
@@ -698,65 +695,77 @@ class SummandLabel:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Summands with their inclusions into the decomposed object X.  The
+    retractions of a direct-sum decomposition are its unique dual system,
+    so `splits` forms them on request: at each element and degree, the row
+    blocks of the inverse of the inclusions side by side."""
+
     summands: tuple[SummandLabel, ...]
-    splits: tuple[tuple[ChainMap, ChainMap], ...]  # (iota into X, rho out of X)
+    inclusions: tuple[ChainMap, ...]
 
-
-def _split_map(dom: ChainFunctor, cod: ChainFunctor, m: int, low: NatMap, high: NatMap) -> ChainMap:
-    """Chain map that is low in degree m, high in degree m + 1 and zero
-    elsewhere (high is dropped above both top degrees, where it is zero)."""
-    given = {m: low, m + 1: high}
-    nats = tuple(
-        given[n] if n in given else NatMap.zero(dom.layer(n), cod.layer(n))
-        for n in range(max(dom.top, cod.top) + 1)
-    )
-    return ChainMap._trusted(dom, cod, nats)
-
-
-def _residual_after(R: ChainFunctor, iota: ChainMap, rho: ChainMap) -> tuple[ChainFunctor, ChainMap, ChainMap]:
-    """Complementary summand ker(rho) with inclusion and retraction."""
-    K, incl = chain_ker(rho)
-    comp = iota @ rho
-    nats = []
-    for n in range(R.top + 1):
-        comps = tuple(
-            solve(incl.at(q, n), Mat.identity(R.dim_at(q, n), R.p) - comp.at(q, n))
-            for q in range(R.poset.n)
+    @functools.cached_property
+    def splits(self) -> tuple[tuple[ChainMap, ChainMap], ...]:  # (iota into X, rho out of X)
+        if not self.summands:
+            return ()
+        X = self.inclusions[0].cod
+        total, _, projs = direct_sum_chains([s.complex for s in self.summands])
+        inv = tuple(
+            NatMap._trusted(F, total.layer(n), tuple(
+                inverse(Mat.hstack([i.at(q, n) for i in self.inclusions])) for q in range(X.poset.n)))
+            for n, F in enumerate(X.layers)
         )
-        nats.append(NatMap._trusted(R.layers[n], K.layer(n), comps))
-    return K, incl, ChainMap._trusted(R, K, tuple(nats))
+        return tuple((i, pr @ ChainMap._trusted(X, total, inv)) for i, pr in zip(self.inclusions, projs))
 
 
 def structure_decompose(C: ChainFunctor) -> Decomposition:
     """Split a cofibrant chain functor over a dimension-<=1 poset into
-    spheres on minimal resolutions and disks on projectives, with explicit
-    split witnesses against the input."""
+    spheres on minimal resolutions and disks on projectives.
+
+    A split at degree m cuts the residual down to the kernels of the
+    summand's retraction in degrees m and m + 1 and keeps its other layers
+    and their covers.  A canonical kernel basis depends only on the kernel
+    subspace (its free variables are the last nonzero positions of the
+    subspace's vectors), so ker(inv . p0) = ker(p0) and no inverse is
+    formed; an untouched degree is the kernel of a zero map, an identity.
+    Only the inclusions into C are kept; see `Decomposition`.
+    """
     poset = C.poset
     if not poset.dimension().at_most_one():
         raise HomologyNotResolvableError("structure decomposition requires a poset of dimension <= 1")
     if not is_cofibrant(C):
         raise ValidationError("structure decomposition requires a cofibrant (degreewise projective) input")
-    residual = C
-    incl = ChainMap.identity(C)
-    proj = ChainMap.identity(C)
-    summands: list[SummandLabel] = []
-    splits: list[tuple[ChainMap, ChainMap]] = []
+    R = C.trimmed()  # the residual
+    zero = _zero_functor(poset, C.p)
+    incl = [NatMap.identity(F) for F in C.layers + (zero,)]  # R's degree n into C's
+    summands, inclusions = [], []
 
-    def split_off(label: SummandLabel, iota: ChainMap, rho: ChainMap):
-        """Record a summand of the residual; the new residual, incl, proj."""
+    def split_off(label: SummandLabel, low: NatMap, high: NatMap, keep0: NatMap, keep1: NatMap) -> ChainFunctor:
+        """Record a summand that low and high include into R in degrees m
+        and m + 1; R cut down there to what keep0 and keep1 include."""
+        S, at = label.complex, {m: incl[m] @ low, m + 1: incl[m + 1] @ high}
         summands.append(label)
-        splits.append((incl @ iota, rho @ proj))
-        K, kincl, kproj = _residual_after(residual, iota, rho)
-        return K, incl @ kincl, kproj @ proj
+        inclusions.append(ChainMap._trusted(
+            S, C, tuple(at.get(n) or NatMap.zero(S.layer(n), C.layer(n)) for n in range(C.top + 1))))
+        incl[m], incl[m + 1] = incl[m] @ keep0, incl[m + 1] @ keep1
+        layers, d = list(R.layers), list(R.d)
+        layers[m] = keep0.dom
+        if m:
+            d[m - 1] = NatMap.zero(layers[m], layers[m - 1])
+        if m < R.top:
+            layers[m + 1] = keep1.dom
+            d[m] = NatMap._trusted(layers[m + 1], layers[m], tuple(map(solve, keep0.comps, (R.d[m] @ keep1).comps)))
+        if m + 1 < R.top:
+            d[m + 1] = NatMap._trusted(layers[m + 2], layers[m + 1], tuple(map(solve, keep1.comps, R.d[m + 1].comps)))
+        return ChainFunctor._trusted(layers, d).trimmed()
 
     for m in range(C.top + 1):
-        if residual.is_zero():
+        if m > R.top:
             break
-        if not all(residual.dim_at(q, k) == 0 for q in range(poset.n) for k in range(m)):
+        # Earlier steps left lower degrees zero and no later step touches them.
+        if m and not R.layers[m - 1].is_zero():
             raise AssertionError("residual must vanish below the current degree")
         # Sphere step: split off S^m(minimal resolution of H_m).
-        Fm, Fm1 = residual.layer(m), residual.layer(m + 1)
-        bnat = residual.d[m] if m < residual.top else NatMap.zero(Fm1, Fm)
+        bnat = R.d[m] if m < R.top else NatMap.zero(R.layer(m + 1), R.layers[m])
         H, qmap = coker_functor(bnat)
         if not H.is_zero():
             try:
@@ -765,38 +774,25 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
                 raise HomologyNotResolvableError(str(exc)) from exc
             s0 = lift_through(res.aug, qmap)
             p0 = lift_through(qmap, res.aug)
-            s1 = lift_through(s0 @ res.d, bnat)
             p1 = lift_through(p0 @ bnat, res.d)
-            inv0 = tuple(inverse(mm) for mm in (p0 @ s0).comps)
-            inv1 = tuple(inverse(mm) for mm in (p1 @ s1).comps)
             sphere = suspension(ChainFunctor._trusted([res.p0, res.p1], [res.d]), m).trimmed()
-            iota = _split_map(sphere, residual, m, s0, s1)
-            rho_m = NatMap._trusted(Fm, res.p0, tuple(inv0[q] @ p0.comps[q] for q in range(poset.n)))
-            rho_m1 = NatMap._trusted(Fm1, res.p1, tuple(inv1[q] @ p1.comps[q] for q in range(poset.n)))
-            rho = _split_map(residual, sphere, m, rho_m, rho_m1)
             label = SummandLabel("sphere", m, res.gens0, res.gens1, sphere)
-            residual, incl, proj = split_off(label, iota, rho)
+            R = split_off(label, s0, lift_through(s0 @ res.d, bnat), ker_functor(p0)[1], ker_functor(p1)[1])
         # Disk step: what remains in degree m is hit isomorphically from above.
-        Fm = residual.layer(m)
+        Fm = R.layer(m)
         if not Fm.is_zero():
             cov = is_projective(Fm)
             if cov is None:
                 raise ValidationError("residual degree is not projective; input was not cofibrant")
-            bnat = residual.d[m] if m < residual.top else NatMap.zero(residual.layer(m + 1), Fm)
+            bnat = R.d[m] if m < R.top else NatMap.zero(R.layer(m + 1), Fm)
             if not bnat.is_epi():
                 raise AssertionError("boundary must be epi after the sphere step")
-            winv = tuple(inverse(mm) for mm in cov.s.comps)
-            s0 = lift_through(cov.s, bnat)
             disk = suspension(ChainFunctor._trusted([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
-            iota = _split_map(disk, residual, m, cov.s, s0)
-            rho_m = NatMap._trusted(Fm, cov.P, winv)
-            rho_m1 = NatMap._trusted(bnat.dom, cov.P, tuple(winv[q] @ bnat.comps[q] for q in range(poset.n)))
-            rho = _split_map(residual, disk, m, rho_m, rho_m1)
             label = SummandLabel("disk", m + 1, cov.generators, (), disk)
-            residual, incl, proj = split_off(label, iota, rho)
-    if not residual.is_zero():
+            R = split_off(label, cov.s, lift_through(cov.s, bnat), NatMap.zero(zero, Fm), ker_functor(bnat)[1])
+    if not R.is_zero():
         raise AssertionError("decomposition left a nonzero residual")
-    return Decomposition(tuple(summands), tuple(splits))
+    return Decomposition(tuple(summands), tuple(inclusions))
 
 
 def reassemble(dec: Decomposition, poset: Optional[FinPoset] = None, p: Optional[int] = None) -> ChainFunctor:

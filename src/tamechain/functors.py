@@ -456,18 +456,18 @@ def column_space_basis(M: Mat) -> Mat:
 
 def radical(F: VectFunctor) -> tuple[VectFunctor, NatMap]:
     """Subfunctor of images of all maps from strictly smaller elements."""
-    return _spanned_by(F, [F.poset.covered_by(x) for x in range(F.poset.n)])
+    return _subfunctor_from_bases(F, _spanned_by(F, [F.poset.covered_by(x) for x in range(F.poset.n)]))
 
 
-def _spanned_by(F: VectFunctor, sources: Sequence[Sequence[int]]) -> tuple[VectFunctor, NatMap]:
-    """Subfunctor spanned at each q by the images of F(y <= q) for the y in
-    sources[q], with canonical bases; the sources must make the spans a
+def _spanned_by(F: VectFunctor, sources: Sequence[Sequence[int]]) -> list[Mat]:
+    """Canonical bases, per element q, of the span of the images of
+    F(y <= q) for the y in sources[q]; the sources must make the spans a
     subfunctor (every source of q lies below a source of each q' >= q)."""
     bases = []
     for q, ys in enumerate(sources):
         stacked = Mat.hstack([F.map_leq(y, q) for y in ys]) if ys else Mat.zeros(F.dims[q], 0, F.p)
         bases.append(column_space_basis(stacked))
-    return _subfunctor_from_bases(F, bases)
+    return bases
 
 
 def _subfunctor_from_bases(F: VectFunctor, bases: list[Mat]) -> tuple[VectFunctor, NatMap]:
@@ -484,19 +484,24 @@ def ker_functor(nat: NatMap) -> tuple[VectFunctor, NatMap]:
 
 
 def coker_functor(nat: NatMap) -> tuple[VectFunctor, NatMap]:
-    F, G = nat.dom, nat.cod
+    return _quotient(nat.cod, nat.comps)[:2]
+
+
+def _quotient(G: VectFunctor, images: Sequence[Mat]) -> tuple[VectFunctor, NatMap, list[Mat]]:
+    """G modulo the subfunctor spanned by the columns of images[q] at each
+    q, with the quotient map and its canonical section at each q."""
     projs, sections = [], []
-    for m in nat.comps:
+    for m in images:
         c, s = cokernel(m)
         projs.append(c)
         sections.append(s)
     dims = [c.rows for c in projs]
     maps = {
         (y, x): projs[x] @ G.maps[(y, x)] @ sections[y]
-        for y, x in F.poset.covers
+        for y, x in G.poset.covers
     }
-    Q = VectFunctor._trusted(F.poset, dims, maps, F.p)
-    return Q, NatMap._trusted(G, Q, tuple(projs))
+    Q = VectFunctor._trusted(G.poset, dims, maps, G.p)
+    return Q, NatMap._trusted(G, Q, tuple(projs)), sections
 
 
 @dataclass(frozen=True)

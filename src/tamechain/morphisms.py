@@ -24,7 +24,7 @@ from .errors import (
 )
 from .field import Mat, _matmul, inverse, kernel, rref, solve, solve_or_none
 from .functors import NatMap, VectFunctor, _spanned_by, _subfunctor_from_bases, column_space_basis, radical
-from .chains import ChainFunctor, ChainMap, _block_offsets, _subcomplex, chain_coker
+from .chains import ChainFunctor, ChainMap, _block_offsets, _chain_quotient, _subcomplex
 from .posets import _counts
 
 __all__ = [
@@ -372,8 +372,7 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
     XB = X.restrict(b_idx)
     ab_in_b = np.flatnonzero(inter[b_idx]).tolist()
     below = [[d for d in ab_in_b if XB.poset.leq(d, q)] for q in range(XB.poset.n)]
-    _, beta_image = _subcomplex(XB, [_spanned_by(F, below)[1] for F in XB.layers])
-    coker, _ = chain_coker(beta_image)
+    coker, _ = _chain_quotient(XB, [_spanned_by(F, below) for F in XB.layers])
     hom_full = _hom_kernel(coker, XB).cols
     radB, _ = chain_radical(XB)
     hom_rad = _hom_kernel(coker, radB).cols

@@ -14,10 +14,15 @@ from __future__ import annotations
 import copy
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tamechain
 from tamechain.cli import run
 from test_golden import random_document
 
@@ -288,3 +293,24 @@ FLAGS = ["--object", "--budget", "--strategy", "--A", "--B", "--V", "--D", "--po
 )
 def test_mutated_arguments_exit_cleanly(text, args, command):
     _check(command + args, text, must_fail=False)
+
+
+# Run one command in a child process capped at 2 GB of address space, so
+# that a missing size check fails fast instead of swapping.
+CAPPED = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from tamechain.cli import run; sys.exit(run(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("name", ["sphere(100000000)", "disk(" + "9" * 30 + ")"])
+def test_example_degree_above_the_bound_exits_2(name):
+    src = str(Path(tamechain.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED, "example", name],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    degree = name[name.index("(") + 1 : -1]
+    assert degree in proc.stderr and str(tamechain.examples.MAX_EXAMPLE_DEGREE) in proc.stderr
