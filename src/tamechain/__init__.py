@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     ZeroObjectError,
 )
-from .field import Mat, kernel, pullback, rref, solve, solve_or_none
+from .field import Mat, kernel, rref, solve, solve_or_none
 from .posets import Edge, FinPoset, PosetDim, RealizedPoset, Vertex, alpha_v_formula, realize, transfer_point
 from .functors import (
     Colimit,

@@ -30,13 +30,14 @@ from .errors import (
     KernelNotProjectiveError,
     ValidationError,
 )
-from .field import Mat, cokernel, inverse, kernel, pullback, solve
+from .field import Mat, inverse, kernel, solve
 from .posets import FinPoset
 from .functors import (
     Cover,
     NatMap,
     VectFunctor,
     _quotient,
+    _subfunctor_from_bases,
     coker_functor,
     direct_sum_functors,
     free_on_generators,
@@ -189,6 +190,12 @@ class ChainFunctor:
     def dim_at(self, q: int, n: int) -> int:
         return self.layers[n].dims[q] if 0 <= n <= self.top else 0
 
+    def boundary(self, n: int) -> NatMap:
+        """The boundary d_n: X_n -> X_{n-1}; the zero map outside 1..top."""
+        if 1 <= n <= self.top:
+            return self.d[n - 1]
+        return NatMap.zero(self.layer(n), self.layer(n - 1))
+
     def boundary_at(self, q: int, n: int) -> Mat:
         """The boundary from degree n to degree n-1 at element q."""
         if 1 <= n <= self.top:
@@ -282,7 +289,7 @@ class ChainMap:
         return self.nats[n].comps[q]
 
     def _nat(self, n: int) -> NatMap:
-        if n <= self.depth:
+        if 0 <= n <= self.depth:
             return self.nats[n]
         return NatMap.zero(self.dom.layer(n), self.cod.layer(n))
 
@@ -396,47 +403,30 @@ def direct_sum_chains(parts: Sequence[ChainFunctor]) -> tuple[ChainFunctor, list
 # --- homology and classification --------------------------------------------
 
 
-def _homology(X: ChainFunctor, n: int):
-    """H_n for n >= 0 (zero above the top degree), with per element the
-    kernel basis, the H projection from kernel coordinates and the
-    representatives that induce maps into and out of it."""
-    data = []
-    for q in range(X.poset.n):
-        dn = X.boundary_at(q, n)
-        dn1 = X.boundary_at(q, n + 1)
-        K = kernel(dn)
-        A = solve(K, dn1)
-        C, S = cokernel(A)
-        data.append((K, C, K @ S))
-    if n > X.top:
-        return _zero_functor(X.poset, X.p), data
-    dims = [d[1].rows for d in data]
-    maps = {}
-    for y, x in X.poset.covers:
-        Ky, Cy, Ry = data[y]
-        Kx, Cx, Rx = data[x]
-        maps[(y, x)] = Cx @ solve(Kx, X.map_at((y, x), n) @ Ry)
-    return VectFunctor._trusted(X.poset, dims, maps, X.p), data
+def _homology(X: ChainFunctor, n: int) -> tuple[VectFunctor, NatMap, NatMap, list[Mat]]:
+    """H_n = Z_n / B_n for every n, with the cycle inclusion Z_n -> X_n, the
+    quotient map Z_n -> H_n and its canonical section at each element."""
+    Z, cycles = ker_functor(X.boundary(n))
+    H, quot, secs = _quotient(Z, list(map(solve, cycles.comps, X.boundary(n + 1).comps)))
+    return H, cycles, quot, secs
 
 
 def homology_functor(X: ChainFunctor, n: int) -> VectFunctor:
     """H_n = ker boundary / im boundary with induced maps."""
-    if n < 0 or n > X.top:
-        return _zero_functor(X.poset, X.p)
     return _homology(X, n)[0]
 
 
 def homology_map(phi: ChainMap, n: int) -> NatMap:
-    if n < 0 or (n > phi.dom.top and n > phi.cod.top):
-        return NatMap.zero(homology_functor(phi.dom, n), homology_functor(phi.cod, n))
-    dom_h, ddata = _homology(phi.dom, n)
-    cod_h, cdata = _homology(phi.cod, n)
-    comps = []
-    for q in range(phi.dom.poset.n):
-        _, _, Rd = ddata[q]
-        Kc, Cc, _ = cdata[q]
-        comps.append(Cc @ solve(Kc, phi.at(q, n) @ Rd))
-    return NatMap._trusted(dom_h, cod_h, tuple(comps))
+    """H_n(phi): each class's representative cycle, mapped by phi and read
+    back in the target's cycle coordinates."""
+    dom_h, dcyc, _, dsecs = _homology(phi.dom, n)
+    cod_h, ccyc, cquot, _ = _homology(phi.cod, n)
+    f = phi._nat(n)
+    comps = tuple(
+        cquot.comps[q] @ solve(ccyc.comps[q], f.comps[q] @ (dcyc.comps[q] @ dsecs[q]))
+        for q in range(phi.dom.poset.n)
+    )
+    return NatMap._trusted(dom_h, cod_h, comps)
 
 
 @dataclass(frozen=True)
@@ -449,7 +439,7 @@ class MorphismClass:
 def classify_morphism(phi: ChainMap) -> MorphismClass:
     """Model-structure flags: quasi-isomorphism; degreewise epi in degrees
     >= 1; degreewise mono with projective cokernel functor."""
-    weak = all(homology_map(phi, n).is_iso() for n in range(phi.depth + 2))
+    weak = all(homology_map(phi, n).is_iso() for n in range(phi.depth + 1))
     fib = all(nat.is_epi() for nat in phi.nats[1:])
     cof = True
     for nat in phi.nats:
@@ -464,7 +454,7 @@ def classify_morphism(phi: ChainMap) -> MorphismClass:
 
 
 def is_cofibrant(X: ChainFunctor) -> bool:
-    return all(is_projective(F) is not None for F in X.layers)
+    return all(F.is_zero() or is_projective(F) is not None for F in X.layers)
 
 
 # --- kernels and cokernels of chain maps -------------------------------------
@@ -516,12 +506,9 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
     boundary cokernels, one per degree."""
     poset, p = X.poset, X.p
     zero = _zero_functor(poset, p)
-    into = list(X.d) + [NatMap.zero(zero, X.layers[-1])]  # into[n]: X_{n+1} -> X_n
-    parts = []  # per degree n: (P_n functor, lifted map P_n -> X_n)
-    for n in range(X.top + 1):
-        cov, lifted = _cover_of_coker(into[n])
-        parts.append((cov.P, lifted))
-    frees = [P_n for P_n, _ in parts] + [zero]
+    covs, lifts = zip(*(_cover_of_coker(X.boundary(n + 1)) for n in range(X.top + 1)))
+    frees = [cov.P for cov in covs] + [zero]
+    lifts += (NatMap.zero(zero, zero),)  # lifts[n]: P_n -> X_n
     layers = [direct_sum_functors([frees[n + 1], frees[n]])[0] for n in range(X.top + 1)]
     bnds = []
     for n in range(X.top):
@@ -533,19 +520,12 @@ def minimal_projective_cover_ch(X: ChainFunctor) -> ChCover:
         )
         bnds.append(NatMap._trusted(layers[n + 1], layers[n], comps))
     P = ChainFunctor._trusted(layers, bnds)
-    cover_nats = []
-    for n in range(X.top + 1):
-        comps = []
-        for q in range(poset.n):
-            upper_map = (
-                X.boundary_at(q, n + 1) @ parts[n + 1][1].comps[q]
-                if n + 1 <= X.top
-                else Mat.zeros(X.dim_at(q, n), 0, p)
-            )
-            comps.append(Mat.hstack([upper_map, parts[n][1].comps[q]]))
-        cover_nats.append(NatMap._trusted(layers[n], X.layers[n], tuple(comps)))
-    cover = ChainMap._trusted(P, X, tuple(cover_nats))
-    return ChCover(P, cover, tuple(P_n.generators for P_n, _ in parts))
+    cover_nats = tuple(
+        NatMap._trusted(layers[n], X.layers[n], tuple(
+            map(Mat.hstack, zip((X.boundary(n + 1) @ lifts[n + 1]).comps, lifts[n].comps))))
+        for n in range(X.top + 1)
+    )
+    return ChCover(P, ChainMap._trusted(P, X, cover_nats), tuple(cov.generators for cov in covs))
 
 
 def chain_projective_resolution(X: ChainFunctor) -> tuple[list[ChCover], int]:
@@ -567,33 +547,19 @@ def chain_projective_resolution(X: ChainFunctor) -> tuple[list[ChCover], int]:
 # --- minimal cofibrant factorization -----------------------------------------
 
 
-def _pullback_functor(pn: NatMap, beta: NatMap) -> tuple[VectFunctor, NatMap, NatMap, list[Mat]]:
-    """Objectwise pullback of pn: W -> Q and beta: Y -> Q with projections."""
-    W, Y = pn.dom, beta.dom
-    poset, p = W.poset, W.p
-    bases, to_w, to_y = [], [], []
-    for q in range(poset.n):
-        pb = pullback(pn.comps[q], beta.comps[q])
-        to_w.append(pb.to_left)
-        to_y.append(pb.to_right)
-        bases.append(Mat.vstack([pb.to_left, pb.to_right]))
-    dims = [b.cols for b in bases]
-    maps = {}
-    for y, x in poset.covers:
-        moved = Mat.vstack([W.maps[(y, x)] @ to_w[y], Y.maps[(y, x)] @ to_y[y]])
-        maps[(y, x)] = solve(bases[x], moved)
-    P = VectFunctor._trusted(poset, dims, maps, p)
-    prW = NatMap._trusted(P, W, tuple(to_w))
-    prY = NatMap._trusted(P, Y, tuple(to_y))
-    return P, prW, prY, bases
+def _pullback_functor(pn: NatMap, beta: NatMap) -> tuple[NatMap, NatMap, NatMap]:
+    """Objectwise pullback of pn: W -> Q and beta: Y -> Q as the subfunctor
+    ker [pn | -beta] of W (+) Y: its inclusion and its two projections."""
+    _, _, (to_w, to_y) = direct_sum_functors([pn.dom, beta.dom])
+    _, incl = _subfunctor_from_bases(
+        to_w.dom, [kernel(Mat.hstack([a, -b])) for a, b in zip(pn.comps, beta.comps)])
+    return incl, to_w @ incl, to_y @ incl
 
 
-def _mediate_pullback(P: VectFunctor, bases: list[Mat], u: NatMap, v: NatMap) -> NatMap:
-    comps = tuple(
-        solve(bases[q], Mat.vstack([u.comps[q], v.comps[q]]))
-        for q in range(P.poset.n)
-    )
-    return NatMap._trusted(u.dom, P, comps)
+def _mediate_pullback(incl: NatMap, u: NatMap, v: NatMap) -> NatMap:
+    """The map into the pullback with projections u and v."""
+    stacked = map(Mat.vstack, zip(u.comps, v.comps))
+    return NatMap._trusted(u.dom, incl.dom, tuple(map(solve, incl.comps, stacked)))
 
 
 def _factor_min_projective(m: NatMap) -> tuple[VectFunctor, NatMap, NatMap]:
@@ -617,21 +583,12 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
     the target, with a minimal projective factorization at every level."""
     X, Y = f.dom, f.cod
     NN = f.depth + 1
-    Xn = [X.layer(n) for n in range(NN + 1)]
-    Yn = [Y.layer(n) for n in range(NN + 1)]
-    fn = list(f.nats) + [NatMap.zero(Xn[NN], Yn[NN])]
-
     W: list[VectFunctor] = []
     cmaps: list[NatMap] = []
     pmaps: list[NatMap] = []
     prW: list[Optional[NatMap]] = [None]
-    prY: list[NatMap] = []
-
-    # Level 0 data: Q_0 = Y_0.
-    Q = Yn[0]
-    prY.append(NatMap.identity(Yn[0]))
-    Qbases: Optional[list[Mat]] = None
-    m = fn[0]
+    prY = [NatMap.identity(Y.layers[0])]  # level 0: Q_0 = Y_0
+    m = f._nat(0)
     for n in range(NN + 1):
         Wn, cn, pn = _factor_min_projective(m)
         W.append(Wn)
@@ -640,15 +597,10 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
         if n == NN:
             break
         # beta: Y_{n+1} -> Q_n.
-        dY = Y.d[n] if n < Y.top else NatMap.zero(Yn[n + 1], Yn[n])
-        if n == 0:
-            beta = dY
-        else:
-            beta = _mediate_pullback(Q, Qbases, NatMap.zero(Yn[n + 1], prW[n].cod), dY)
-        Qnext, w_proj, y_proj, bases = _pullback_functor(pn, beta)
-        dX = X.d[n] if n < X.top else NatMap.zero(Xn[n + 1], Xn[n])
-        m = _mediate_pullback(Qnext, bases, cn @ dX, fn[n + 1])
-        Q, Qbases = Qnext, bases
+        dY = Y.boundary(n + 1)
+        beta = dY if n == 0 else _mediate_pullback(incl, NatMap.zero(dY.dom, prW[n].cod), dY)
+        incl, w_proj, y_proj = _pullback_functor(pn, beta)
+        m = _mediate_pullback(incl, cn @ X.boundary(n + 1), f._nat(n + 1))
         prW.append(w_proj)
         prY.append(y_proj)
 
@@ -764,8 +716,10 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
         # Earlier steps left lower degrees zero and no later step touches them.
         if m and not R.layers[m - 1].is_zero():
             raise AssertionError("residual must vanish below the current degree")
+        if R.layers[m].is_zero():  # no homology and no disk in degree m
+            continue
         # Sphere step: split off S^m(minimal resolution of H_m).
-        bnat = R.d[m] if m < R.top else NatMap.zero(R.layer(m + 1), R.layers[m])
+        bnat = R.boundary(m + 1)
         H, qmap = coker_functor(bnat)
         if not H.is_zero():
             try:
@@ -784,7 +738,7 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             cov = is_projective(Fm)
             if cov is None:
                 raise ValidationError("residual degree is not projective; input was not cofibrant")
-            bnat = R.d[m] if m < R.top else NatMap.zero(R.layer(m + 1), Fm)
+            bnat = R.boundary(m + 1)
             if not bnat.is_epi():
                 raise AssertionError("boundary must be epi after the sphere step")
             disk = suspension(ChainFunctor._trusted([cov.P, cov.P], [NatMap.identity(cov.P)]), m)

@@ -23,14 +23,12 @@ from .errors import FieldMismatchError, NoSolutionError
 __all__ = [
     "Mat",
     "Rref",
-    "Pullback",
     "rref",
     "kernel",
     "cokernel",
     "solve",
     "solve_or_none",
     "inverse",
-    "pullback",
 ]
 
 _CHECKED_PRIMES: set[int] = set()
@@ -469,21 +467,3 @@ def inverse(M: Mat) -> Mat:
     if rr.rank != M.rows:
         raise NoSolutionError(f"matrix of shape {M.shape} is singular (rank {rr.rank})")
     return rr.T
-
-
-@dataclass(frozen=True)
-class Pullback:
-    """ker [f | -g] with its two block projections out of the pullback space."""
-
-    dim: int
-    to_left: Mat
-    to_right: Mat
-
-
-def pullback(f: Mat, g: Mat) -> Pullback:
-    _same_field(f, g)
-    if f.rows != g.rows:
-        raise ValueError(f"pullback requires equal codomains: {f.shape} vs {g.shape}")
-    K = kernel(Mat.hstack([f, -g]))
-    return Pullback(K.cols, K.take_rows(range(f.cols)), K.take_rows(range(f.cols, f.cols + g.cols)))
-

@@ -297,7 +297,7 @@ def _pick(kind: str, table: dict, name: Optional[str]):
 def parse_document(text: str) -> Document:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal over Python's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "field" not in raw:
         raise ParseError("document must be an object with a `field` key")

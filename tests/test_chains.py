@@ -3,9 +3,11 @@ import random
 import pytest
 
 from tamechain.errors import HomologyNotResolvableError, KernelNotProjectiveError, ValidationError
-from tamechain.field import Mat
+from tamechain.field import Mat, kernel, solve
 from tamechain.functors import NatMap, VectFunctor, free_on_generators
+from tamechain.posets import FinPoset
 from tamechain.chains import (
+    _pullback_functor,
     ChainFunctor,
     ChainMap,
     chain_coker,
@@ -114,6 +116,64 @@ def test_disk_is_suspended_disk_and_sphere_algebra(point):
     s3 = standard_complex(point, "sphere", 3, 0, 1, 2)
     assert suspension(s1, 2).dims == s3.dims
     assert suspension(suspension(s1, 1), 1).dims == s3.dims
+
+
+def test_boundary_is_zero_outside_one_to_top(point):
+    d = standard_complex(point, "disk", 2, 0, 2, 3)  # degrees 1 and 2, top 2
+    assert d.boundary(2) is d.d[1] and d.boundary(1) is d.d[0]
+    for n in (-1, 0, 3, 4):
+        b = d.boundary(n)
+        assert b.dom.dims == d.layer(n).dims and b.cod.dims == d.layer(n - 1).dims
+        assert all(m.is_zero() for m in b.comps)
+    assert d.boundary(0).dom is d.layers[0] and d.boundary(3).cod is d.layers[2]
+    assert [m.shape for m in d.boundary(3).comps] == [(2, 0)]
+
+
+def _point_pullback(f, g):
+    """Pullback of the matrices f and g as natural maps over one element:
+    its dimension and its two projections."""
+    point = FinPoset.from_covers(["*"], [])
+    W, Y, Q = (VectFunctor(point, [d], {}, f.p) for d in (f.cols, g.cols, f.rows))
+    incl, to_left, to_right = _pullback_functor(NatMap(W, Q, (f,)), NatMap(Y, Q, (g,)))
+    assert Mat.vstack([to_left.comps[0], to_right.comps[0]]) == incl.comps[0]
+    return incl.dom.dims[0], to_left.comps[0], to_right.comps[0]
+
+
+def test_pullback_along_identity_is_iso():
+    f = Mat([[1, 0], [1, 1]], 3)
+    dim, to_left, to_right = _point_pullback(f, Mat.identity(2, 3))
+    assert dim == 2
+    assert to_left.rank() == 2
+    assert f @ to_left == to_right
+
+
+def test_pullback_of_zeros_is_direct_sum():
+    dim, _, _ = _point_pullback(Mat.zeros(1, 2, 2), Mat.zeros(1, 3, 2))
+    assert dim == 5
+
+
+def test_pullback_dimension_example():
+    dim, to_left, to_right = _point_pullback(Mat([[1, 0]], 2), Mat([[1]], 2))
+    assert dim == 2
+    assert Mat([[1, 0]], 2) @ to_left == Mat([[1]], 2) @ to_right
+
+
+def test_pullback_universal_property_randomized():
+    rng = random.Random(7)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        a, b, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        f = random_matrix(rng, c, a, p)
+        g = random_matrix(rng, c, b, p)
+        dim, to_left, to_right = _point_pullback(f, g)
+        assert f @ to_left == g @ to_right
+        # Any commuting pair factors uniquely through the pullback.
+        u = random_matrix(rng, dim, rng.randint(0, 3), p)
+        pair_a, pair_b = to_left @ u, to_right @ u
+        stacked = Mat.vstack([to_left, to_right])
+        med = solve(stacked, Mat.vstack([pair_a, pair_b]))
+        assert med == u
+        assert kernel(stacked).cols == 0  # mediating maps are unique
 
 
 def test_homology_of_spheres_and_disks(point):

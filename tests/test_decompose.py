@@ -17,7 +17,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from tamechain import chains
+from tamechain import chains, functors
 from tamechain.field import Mat, inverse, solve
 from tamechain.functors import NatMap, VectFunctor, coker_functor, is_projective, lift_through, minimal_resolution
 from tamechain.chains import (
@@ -193,3 +193,25 @@ def test_per_step_checks_do_not_grow_with_the_degree(monkeypatch, point):
     dec = structure_decompose(X)
     assert [(s.kind, s.degree) for s in dec.summands] == [("disk", N)]
     assert calls[0] <= 5 * N
+
+
+def test_minimal_covers_do_not_grow_with_the_degree(monkeypatch, point):
+    """disk(N) has two nonzero layers, so `structure_decompose` (with its
+    cofibrancy check) takes the same number of minimal covers for every N."""
+    counts = []
+    for N in (20, 2000):
+        calls = [0]
+        original = functors.minimal_cover
+
+        def counting(F, original=original, calls=calls):
+            calls[0] += 1
+            return original(F)
+
+        monkeypatch.setattr(functors, "minimal_cover", counting)
+        monkeypatch.setattr(chains, "minimal_cover", counting)
+        X = standard_complex(point, "disk", N, 0, 1, 2)
+        dec = structure_decompose(X)
+        assert [(s.kind, s.degree) for s in dec.summands] == [("disk", N)]
+        monkeypatch.undo()
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 4

@@ -314,3 +314,13 @@ def test_example_degree_above_the_bound_exits_2(name):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     degree = name[name.index("(") + 1 : -1]
     assert degree in proc.stderr and str(tamechain.examples.MAX_EXAMPLE_DEGREE) in proc.stderr
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_integer_literal_over_the_digit_limit_exits_2(command):
+    """`json` refuses integer literals over Python's int-string digit limit
+    (4,300 digits) with a plain ValueError, not a JSONDecodeError."""
+    doc = json.loads(PLAIN)
+    doc["functors"] = {"F": {"poset": "Q", "dims": {"a": 1}}}
+    text = json.dumps(doc).replace('"a": 1', '"a": ' + "9" * 5000)
+    _check(command + ["--machine"], text, must_fail=True)

@@ -13,7 +13,6 @@ from tamechain.field import (
     cokernel,
     inverse,
     kernel,
-    pullback,
     rref,
     solve,
     solve_or_none,
@@ -97,25 +96,6 @@ def test_solve_canonical_free_variable():
     assert solve(A, B) == Mat([[1], [0]], 2)
 
 
-def test_pullback_along_identity_is_iso():
-    f = Mat([[1, 0], [1, 1]], 3)
-    pb = pullback(f, Mat.identity(2, 3))
-    assert pb.dim == 2
-    assert pb.to_left.rank() == 2
-    assert f @ pb.to_left == pb.to_right
-
-
-def test_pullback_of_zeros_is_direct_sum():
-    pb = pullback(Mat.zeros(1, 2, 2), Mat.zeros(1, 3, 2))
-    assert pb.dim == 5
-
-
-def test_pullback_dimension_example():
-    pb = pullback(Mat([[1, 0]], 2), Mat([[1]], 2))
-    assert pb.dim == 2
-    assert Mat([[1, 0]], 2) @ pb.to_left == Mat([[1]], 2) @ pb.to_right
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=0, max_value=8),
@@ -141,24 +121,6 @@ def test_cokernel_section_identity(p, seed):
     d = proj.rows
     assert proj @ section == Mat.identity(d, p)
     assert (proj @ M).is_zero()
-
-
-def test_pullback_universal_property_randomized():
-    rng = random.Random(7)
-    for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        a, b, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
-        f = random_matrix(rng, c, a, p)
-        g = random_matrix(rng, c, b, p)
-        pb = pullback(f, g)
-        assert f @ pb.to_left == g @ pb.to_right
-        # Any commuting pair factors uniquely through the pullback.
-        u = random_matrix(rng, pb.dim, rng.randint(0, 3), p)
-        pair_a, pair_b = pb.to_left @ u, pb.to_right @ u
-        stacked = Mat.vstack([pb.to_left, pb.to_right])
-        med = solve(stacked, Mat.vstack([pair_a, pair_b]))
-        assert med == u
-        assert kernel(stacked).cols == 0  # mediating maps are unique
 
 
 def test_operations_deterministic():
