@@ -605,9 +605,13 @@ def minimal_cofibrant_factorization(f: ChainMap) -> Factorization:
         prY.append(y_proj)
 
     if any(kernel(mm).cols for mm in pmaps[NN].comps):
-        raise KernelNotProjectiveError(
-            "cofibrant factorization does not close at the top degree; the poset is not of dimension <= 1"
-        )
+        # On a poset of dimension <= 1 it closes whenever the domain is cofibrant.
+        bad = [(n, q) for n, F in enumerate(X.layers) for q, d in enumerate(minimal_cover(F).P.dims) if d != F.dims[q]]
+        cause = "the poset is not of dimension <= 1"
+        if bad and X.poset.dimension().at_most_one():
+            n, q = bad[0]
+            cause = f"the domain is not cofibrant: its degree-{n} layer is not projective at {X.poset.names[q]!r}"
+        raise KernelNotProjectiveError(f"cofibrant factorization does not close at the top degree; {cause}")
 
     C = ChainFunctor._trusted(W, [prW[n + 1] @ pmaps[n + 1] for n in range(NN)])
     pi_nats = [pmaps[0]] + [prY[n] @ pmaps[n] for n in range(1, NN + 1)]

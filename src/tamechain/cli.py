@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import InputError, MathError, ParseError, TamechainError
+from .errors import InputError, MathError, ParseError, TamechainError, TooLargeError
 from .field import _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, Vertex, point_name, realize, transfer_point
 from .functors import minimal_cover, minimal_resolution
@@ -306,7 +306,10 @@ def cmd_realize(args) -> int:
     subset = args.D.split(",") if args.D is not None else None
     for n in subset or ():
         _element(P, n, "--D")
-    rp = realize(P, subset, coords)
+    try:
+        rp = realize(P, subset, coords)
+    except TooLargeError as exc:
+        raise TooLargeError(f"--V: {exc}") from exc
     out = build_document(doc.field, {f"{name}_realized": rp})
     sys.stdout.write(dumps_document(out))
     return 0

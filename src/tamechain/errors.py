@@ -42,6 +42,10 @@ class FieldMismatchError(InputError):
     """Objects over different field moduli were combined."""
 
 
+class TooLargeError(InputError):
+    """An input implies an object above a documented size bound."""
+
+
 class ParseError(InputError):
     """An interchange document could not be parsed."""
 

@@ -409,8 +409,10 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
             shared[key] = colim_over(F, np.flatnonzero(downs[x]).tolist())
         colims[x] = shared[key]
     dims = [colims[x].dim for x in range(ambient.n)]
+    # A cover inside one shared colimit maps by proj @ section = 1.
     maps = {
-        (y, x): colims[y].map_into(colims[x], lambda s: Mat.identity(F.dims[s], F.p))
+        (y, x): Mat.identity(dims[x], F.p) if colims[y] is colims[x]
+        else colims[y].map_into(colims[x], lambda s: Mat.identity(F.dims[s], F.p))
         for y, x in ambient.covers
     }
     ext = VectFunctor._trusted(ambient, dims, maps, F.p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ParseError
+from .errors import ParseError, TooLargeError
 from .field import Mat, _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, realize
 from .functors import VectFunctor
@@ -122,6 +122,8 @@ def poset_from_json(block: dict) -> FinPoset:
         rp = realize(base, None if subset is None else _strings(subset, "subset"), coords)
     except KeyError as exc:
         raise ParseError(f"realization subset names unknown element {exc}") from exc
+    except TooLargeError as exc:
+        raise ParseError(f"realization block: {exc}") from exc
     if list(rp.names) != elements:
         raise ParseError("realization block does not reproduce the listed elements")
     listed_set = set(listed)

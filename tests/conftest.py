@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tamechain.field import Mat, kernel
-from tamechain.posets import FinPoset
+from tamechain.posets import FinPoset, Vertex, _counts
 from tamechain.functors import (
     NatMap,
     VectFunctor,
@@ -26,12 +27,26 @@ from tamechain.morphisms import hom_space
 def checked_internal_constructions():
     """The program trusts its internal constructions and builds them with
     `_trusted`, which runs no check.  The suite replaces `_trusted` with
-    the checking constructor on all four classes, so every object the
-    algorithms build is validated here.  Likewise a poset whose dimension
-    is set at construction (a realization) has it compared with the
-    computed one the first time it is asked for."""
+    the checking constructor on all four functor and map classes, so every
+    object the algorithms build is validated here.  Likewise every poset
+    (a realization or a restriction included) has its given covers
+    compared with the transitive reduction by the count product and a
+    given dimension with the computed one at construction, and a poset
+    whose dimension is set has it compared again the first time it is
+    asked for."""
+    trusted = FinPoset._trusted
     dimension = FinPoset.dimension
     agreed = weakref.WeakSet()
+
+    def checked_trusted(poset, names, leq, covers, dim):
+        trusted(poset, names, leq, covers, dim)
+        lt = leq.copy()
+        np.fill_diagonal(lt, False)
+        ys, xs = np.nonzero(lt & ~(_counts(lt, lt) > 0))
+        if covers != tuple(zip(ys.tolist(), xs.tolist())):
+            raise AssertionError(f"given covers {covers} of {poset!r} are not the transitive reduction")
+        if dim is not None and dim is not poset._compute_dimension():
+            raise AssertionError(f"given dimension {dim} of {poset!r} disagrees with the computed one")
 
     def checked_dimension(poset):
         if poset not in agreed:
@@ -43,6 +58,7 @@ def checked_internal_constructions():
     with pytest.MonkeyPatch.context() as mp:
         for cls in (VectFunctor, NatMap, ChainFunctor, ChainMap):
             mp.setattr(cls, "_trusted", classmethod(lambda cls, *fields: cls(*fields)))
+        mp.setattr(FinPoset, "_trusted", checked_trusted)
         mp.setattr(FinPoset, "dimension", checked_dimension)
         yield
 
@@ -85,6 +101,25 @@ def chain3():
 @pytest.fixture
 def point():
     return FinPoset.from_covers(["*"], [])
+
+
+def point_leq(base: FinPoset, z, w) -> bool:
+    """Oracle of the realization order, point by point: z <= w in the
+    realization of `base` when pi0(z) <= pi-1(w) in the base, or both
+    projections agree and T(z) <= T(w)."""
+    if isinstance(z, Vertex):
+        z0 = zm1 = base.index(z.q)
+        zt = Fraction(0)
+    else:
+        z0, zm1, zt = base.index(z.top), base.index(z.bottom), z.t
+    if isinstance(w, Vertex):
+        w0 = wm1 = base.index(w.q)
+        wt = Fraction(0)
+    else:
+        w0, wm1, wt = base.index(w.top), base.index(w.bottom), w.t
+    if base.leq(z0, wm1):
+        return True
+    return z0 == w0 and zm1 == wm1 and zt <= wt
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, p: int) -> Mat:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from tamechain.field import Mat, kernel
-from tamechain.posets import Edge, Vertex, point_leq, realize
+from tamechain.posets import Edge, Vertex, realize
 from tamechain.functors import (
     NatMap,
     colim_over,
@@ -52,6 +52,7 @@ from conftest import (
     boundaries,
     combine,
     conjugate_chain,
+    point_leq,
     random_dim1_poset,
     random_functor_dim1,
     random_matrix,

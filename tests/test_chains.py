@@ -34,6 +34,7 @@ from conftest import (
     boundaries,
     combine,
     conjugate_chain,
+    random_chain,
     random_dim1_poset,
     random_functor_dim1,
     random_matrix,
@@ -292,8 +293,26 @@ def test_factorization_of_identity_collapses(chain3):
 
 def test_factorization_fails_on_dimension_two(diamond):
     atom = ChainFunctor.from_arrays(diamond, [[1], [0], [0], [0]], [[], [], [], []], {}, 2)
-    with pytest.raises(KernelNotProjectiveError):
+    with pytest.raises(KernelNotProjectiveError, match="the poset is not of dimension <= 1"):
         cofibrant_replacement(atom)
+
+
+def test_factorization_failure_on_dimension_one_names_the_domain():
+    # On a poset of dimension 1 the factorization closes for every cofibrant
+    # domain, so a failure names the domain's first non-projective layer.
+    # Seed 44 draws a random map between two top-0 complexes on a
+    # four-element poset whose domain is not projective at e2.
+    from tamechain.morphisms import hom_space
+
+    rng = random.Random(44)
+    P = random_dim1_poset(rng, 4)
+    p = rng.choice([2, 3])
+    X, Y = (random_chain(rng, P, p, rng.randint(0, 1)) for _ in range(2))
+    basis = hom_space(X, Y)
+    f = combine(basis, [rng.randrange(p) for _ in basis])
+    assert P.dimension().at_most_one() and not is_cofibrant(X)
+    with pytest.raises(KernelNotProjectiveError, match="the domain is not cofibrant: its degree-0 layer is not projective at 'e2'"):
+        minimal_cofibrant_factorization(f)
 
 
 def test_structure_decompose_single_sphere(fence):

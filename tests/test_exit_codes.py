@@ -316,6 +316,39 @@ def test_example_degree_above_the_bound_exits_2(name):
     assert degree in proc.stderr and str(tamechain.examples.MAX_EXAMPLE_DEGREE) in proc.stderr
 
 
+# As CAPPED, with the arguments read from the JSON file named by the first
+# one: a 40,000-coordinate --V is longer than one argument may be.
+CAPPED_ARGV_FILE = (
+    "import json, resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from tamechain.cli import run; sys.exit(run(json.load(open(sys.argv[1]))))"
+)
+
+
+@pytest.mark.parametrize("path", ["--V", "realization block"])
+def test_realization_above_the_point_bound_exits_2(path, tmp_path):
+    """40,000 coordinates on one cover imply 40,002 points, above
+    MAX_REALIZATION_POINTS: an input error named by its source, raised
+    before the points are formed."""
+    coords = [f"-{j}/40001" for j in range(1, 40001)]
+    base = {"elements": ["a", "b"], "covers": [["a", "b"]]}
+    if path == "--V":
+        argv, poset = ["realize", "--V=" + ",".join(coords)], base
+    else:
+        real = {"base_elements": ["a", "b"], "base_covers": [["a", "b"]], "coordinates": coords}
+        argv, poset = ["info"], {"elements": [], "covers": [], "realization": real}
+    (tmp_path / "argv.json").write_text(json.dumps(argv))
+    src = str(Path(tamechain.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_ARGV_FILE, str(tmp_path / "argv.json")],
+        input=json.dumps({"field": 2, "posets": {"Q": poset}}),
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert path in proc.stderr and "40,002" in proc.stderr
+    assert f"{tamechain.posets.MAX_REALIZATION_POINTS:,}" in proc.stderr
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_integer_literal_over_the_digit_limit_exits_2(command):
     """`json` refuses integer literals over Python's int-string digit limit

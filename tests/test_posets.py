@@ -22,13 +22,12 @@ from tamechain.posets import (
     Vertex,
     RealizedPoset,
     alpha_v_formula,
-    point_leq,
     point_name,
     realize,
     transfer_point,
 )
 
-from conftest import random_dim1_poset, random_functor_dim1
+from conftest import point_leq, random_dim1_poset, random_functor_dim1
 
 
 def brute_suplim(P: FinPoset, subset):
@@ -195,6 +194,15 @@ def test_realizations_preset_their_dimension_and_the_suite_checks_it(chain3, poi
     rp._dim = PosetDim.TWO_PLUS
     with pytest.raises(AssertionError, match="preset dimension"):
         rp.dimension()
+
+
+def test_the_suite_checks_every_trusted_poset(chain3):
+    # Realizations and restrictions are built by `FinPoset._trusted` from
+    # covers and a dimension known by construction; the suite's conftest
+    # recomputes both, so a wrong cover or a wrong dimension must raise here.
+    for covers, dim in [(((0, 1), (0, 2), (1, 2)), PosetDim.ONE), (((0, 1), (1, 2)), PosetDim.ZERO)]:
+        with pytest.raises(AssertionError, match="given"):
+            FinPoset.__new__(FinPoset)._trusted(chain3.names, chain3.leq_matrix, covers, dim)
 
 
 def test_realize_rejects_bad_inputs(diamond, chain2):
