@@ -46,6 +46,10 @@ class TooLargeError(InputError):
     """An input implies an object above a documented size bound."""
 
 
+class NameCollisionError(InputError):
+    """Two points of a realization would carry the same name."""
+
+
 class ParseError(InputError):
     """An interchange document could not be parsed."""
 

@@ -25,6 +25,7 @@ __all__ = [
     "Rref",
     "rref",
     "kernel",
+    "kernel_basis",
     "cokernel",
     "solve",
     "solve_or_none",
@@ -400,6 +401,21 @@ def rref(M: Mat, transform: bool = True) -> Rref:
     return Rref(Mat._wrap(A[:, :n], p), tuple(pivots), T)
 
 
+def _null_basis(R: np.ndarray, pivots, p: int) -> np.ndarray:
+    """The canonical kernel basis of a matrix, as columns, read off its
+    reduced row-echelon form R: one column per free variable, 1 there, 0
+    at the other free variables and minus R's entries at the pivots."""
+    n = R.shape[1]
+    pivots = list(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    K = np.zeros((n, len(free)), dtype=np.int64)
+    if free:
+        K[free, np.arange(len(free))] = 1
+        K[pivots] = (-R[: len(pivots), free]) % p
+    return K
+
+
 def kernel(M: Mat) -> Mat:
     """Canonical basis of ker M as columns; full column rank cols - rank."""
     p = M.p
@@ -407,14 +423,25 @@ def kernel(M: Mat) -> Mat:
     if not (m and n):
         return Mat.identity(n, p)
     R = M.arr.copy()
-    pivots = _eliminate(R, n, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    K = np.zeros((n, len(free)), dtype=np.int64)
-    if free:
-        K[free, np.arange(len(free))] = 1
-        K[pivots] = (-R[: len(pivots), free]) % p
-    return Mat._wrap(K, p)
+    return Mat._wrap(_null_basis(R, _eliminate(R, n, p), p), p)
+
+
+def kernel_basis(B: Mat) -> Mat:
+    """The basis `kernel` returns for any matrix whose kernel is spanned by
+    the columns of B, which must be linearly independent.
+
+    A canonical kernel column is 1 at its free variable, 0 at the other
+    free variables and nonzero only at pivots left of it.  With the
+    coordinates reversed, the columns are therefore the rows of a reduced
+    row-echelon form, in reverse order; that form is unique for the span,
+    so one `rref` of the reversed basis gives it whatever basis B holds.
+    """
+    p = B.p
+    n, k = B.arr.shape
+    if not (n and k):
+        return Mat.zeros(n, k, p)
+    R = rref(Mat._wrap(B.arr[::-1].T, p), transform=False).R.arr
+    return Mat._wrap(R[::-1, ::-1].T, p)
 
 
 def cokernel(M: Mat) -> tuple[Mat, Mat]:

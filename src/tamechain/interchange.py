@@ -13,13 +13,23 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ParseError, TooLargeError
+from .errors import NameCollisionError, ParseError, TooLargeError
 from .field import Mat, _check_modulus
-from .posets import Edge, FinPoset, RealizedPoset, realize
+from .posets import FinPoset, RealizedPoset, realize
 from .functors import VectFunctor
 from .chains import ChainFunctor
 
-__all__ = ["Document", "parse_document", "dumps_document", "build_document"]
+__all__ = ["Document", "parse_document", "dumps_document", "build_document", "MAX_DECLARED_CELLS"]
+
+# A functor or chain functor whose declared dims imply more matrix cells
+# than this is an input error, raised before any matrix is built.  The
+# implied matrices are the identity at every element and degree, every
+# boundary and every cover map, and each counts at least one cell, so the
+# bound also caps the number of degrees.  At the bound, on 2 CPUs, `cover`
+# on one element of dim 1,000 takes 0.65 s and 64 MB, and `validate` on a
+# point with top 499,999 (a million matrices, all empty) 9.9 s and 336 MB.
+# `disk(100000)` implies 200,001 matrices.
+MAX_DECLARED_CELLS = 1_000_000
 
 
 def _mat_to_json(m: Mat):
@@ -67,17 +77,17 @@ def poset_to_json(P: FinPoset) -> dict:
         "covers": [[P.names[y], P.names[x]] for y, x in P.covers],
     }
     if isinstance(P, RealizedPoset):
-        base = P.base
+        names = P.base.names
+        coords = [_fraction_to_json(v) for v in P.vset]
+        # The edge points, in point order, from their integer ends: a
+        # vertex has the rank len(coords).
+        ends = zip(*P._ends.tolist())
         out["realization"] = {
-            "base_elements": list(base.names),
-            "base_covers": [[base.names[y], base.names[x]] for y, x in base.covers],
-            "subset": [base.names[q] for q in P.d_subset],
-            "coordinates": [_fraction_to_json(v) for v in P.vset],
-            "edges": [
-                [z.top, z.bottom, _fraction_to_json(z.t)]
-                for z in P.points
-                if isinstance(z, Edge)
-            ],
+            "base_elements": list(names),
+            "base_covers": [[names[y], names[x]] for y, x in P.base.covers],
+            "subset": [names[q] for q in P.d_subset],
+            "coordinates": coords,
+            "edges": [[names[t], names[b], coords[r]] for t, b, r in ends if r < len(coords)],
         }
     return out
 
@@ -122,7 +132,7 @@ def poset_from_json(block: dict) -> FinPoset:
         rp = realize(base, None if subset is None else _strings(subset, "subset"), coords)
     except KeyError as exc:
         raise ParseError(f"realization subset names unknown element {exc}") from exc
-    except TooLargeError as exc:
+    except (TooLargeError, NameCollisionError) as exc:
         raise ParseError(f"realization block: {exc}") from exc
     if list(rp.names) != elements:
         raise ParseError("realization block does not reproduce the listed elements")
@@ -205,9 +215,36 @@ def _list(val, length: int, what: str) -> list:
     return val
 
 
+def _check_declared_size(P: FinPoset, dims: list[list[int]], chain: bool) -> None:
+    """TooLargeError when dims[q][n], over the elements q and degrees n,
+    imply more than MAX_DECLARED_CELLS cells; the message names the key
+    whose matrix crosses the bound."""
+    names, total = P.names, 0
+
+    def add(key: str, n: int, what: str, rows: int, cols: int) -> None:
+        nonlocal total
+        total += max(1, rows * cols)
+        if total > MAX_DECLARED_CELLS:
+            at = f" in degree {n}" if chain else ""
+            raise TooLargeError(
+                f"{key}{at} implies a {rows:,} x {cols:,} {what}, which brings the cells implied by "
+                f"the dims to {total:,}, above the bound {MAX_DECLARED_CELLS:,}"
+            )
+
+    for name, row in zip(names, dims):
+        for n, d in enumerate(row):
+            add(f"the dim at {name!r}", n, "identity", d, d)
+            if n:
+                add(f"the dim at {name!r}", n, "boundary", row[n - 1], d)
+    for y, x in P.covers:
+        for n, (dy, dx) in enumerate(zip(dims[y], dims[x])):
+            add(f"the cover '{names[y]}->{names[x]}'", n, "map", dx, dy)
+
+
 def functor_from_json(block: dict, P: FinPoset, p: int) -> VectFunctor:
     given = _per_element(block, "dims", P, required=True)
     dims = [_dim(given.get(name, 0), f"dim at {name!r}") for name in P.names]
+    _check_declared_size(P, [[d] for d in dims], chain=False)
     maps = {}
     for key, val in _table(block, "maps").items():
         y, x = _cover_from_key(P, key)
@@ -234,11 +271,17 @@ def chain_to_json(X: ChainFunctor, poset_name: str) -> dict:
 
 def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
     top = _dim(block.get("top", 0), "`top`")
+    # Each implied matrix counts at least one cell: bound them before
+    # forming a row of dims per element.
+    matrices = P.n * (2 * top + 1) + len(P.covers) * (top + 1)
+    if matrices > MAX_DECLARED_CELLS:
+        raise TooLargeError(f"`top` {top:,} implies {matrices:,} matrices, above the bound {MAX_DECLARED_CELLS:,} on their cells")
     given_dims = _per_element(block, "dims", P, required=True)
     dims = []
     for name in P.names:
         row = _list(given_dims.get(name, [0] * (top + 1)), top + 1, f"dims at {name!r} (degrees 0..{top})")
         dims.append([_dim(d, f"dim at {name!r}", f" in degree {n}") for n, d in enumerate(row)])
+    _check_declared_size(P, dims, chain=True)
     given_bdy = _per_element(block, "boundaries", P)
     bdy = []
     for q, name in enumerate(P.names):
@@ -326,8 +369,8 @@ def parse_document(text: str) -> Document:
                 raise ParseError(f"{kind} {name!r} references unknown poset {pname!r}")
             try:
                 table[name] = (build(block, doc.posets[pname], p), pname)
-            except ParseError as exc:
-                raise ParseError(f"{kind} {name!r}: {exc}") from exc
+            except (ParseError, TooLargeError) as exc:
+                raise type(exc)(f"{kind} {name!r}: {exc}") from exc
     doc.gluing = raw.get("gluing")
     return doc
 

@@ -28,6 +28,7 @@ from .errors import (
     BadCoordinateError,
     CycleDetectedError,
     DimensionTooHighError,
+    NameCollisionError,
     NotClosedError,
     TooLargeError,
     TransferUndefinedError,
@@ -347,8 +348,20 @@ class RealizedPoset(FinPoset):
             covers.append((first + k - 1, self._vertex[x]))
             covers += [(self._vertex[m], first) for m in ([y] if y in self._vertex else self._maximal_below(y))]
         covers.sort()
+        if len(set(point_names)) < len(point_names):
+            self._name_collision(point_names)
         # A realization of a poset of dimension <= 1 has dimension <= 1.
         self._trusted(tuple(point_names), leq, tuple(covers), PosetDim.ONE if covers else PosetDim.ZERO)
+
+    def _name_collision(self, point_names: list[str]) -> None:
+        """Raise for the first point whose name an earlier point holds: a
+        base element named like an edge point, or names that contain `~`."""
+        first: dict[str, int] = {}
+        for i, name in enumerate(point_names):
+            if name in first:
+                a, b = (self._point(*self._ends[:, j].tolist()) for j in (first[name], i))
+                raise NameCollisionError(f"the realization points {a!r} and {b!r} are both named {name!r}")
+            first[name] = i
 
     def _maximal_below(self, y: int) -> list[int]:
         """The maximal elements of D below the base element y."""

@@ -80,6 +80,8 @@ def _documents() -> list[dict]:
 
 
 DOCS = _documents()
+# Point names of the realization, to rename a base element into a collision.
+EDGE_NAMES = [n for n in next(iter(DOCS[-1]["posets"].values()))["elements"] if "~" in n][:2]
 
 
 def _nodes(node, path=()):
@@ -199,7 +201,8 @@ def test_malformed_documents_exit_2(case, command):
     _check(command + ["--machine"], json.dumps(doc), must_fail=True)
 
 
-JSON_VALUES = [None, True, False, 0, 1, 2, -1, 3.5, "", UNKNOWN, "1/2", "x1->x2", [], {}, [[1]], [[1, 0]], {"a": 1}]
+JSON_VALUES = [None, True, False, 0, 1, 2, -1, 3.5, "", UNKNOWN, "1/2", "x1->x2", "a~b~-1/2", "a/b", *EDGE_NAMES]
+JSON_VALUES += [[], {}, [[1]], [[1, 0]], {"a": 1}]
 
 
 @st.composite
@@ -347,6 +350,89 @@ def test_realization_above_the_point_bound_exits_2(path, tmp_path):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert path in proc.stderr and "40,002" in proc.stderr
     assert f"{tamechain.posets.MAX_REALIZATION_POINTS:,}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "elements, covers, named",
+    [
+        # A base element named like the edge point at -1/2 on b < a.
+        (["a", "b", "a~b~-1/2"], [["b", "a"]], ["Vertex(a~b~-1/2)", "Edge(a, b, -1/2)"]),
+        # Two edge points named alike: names may hold `~` themselves.
+        (["a~b", "c", "a", "b~c"], [["c", "a~b"], ["b~c", "a"]], ["Edge(a~b, c, -1/2)", "Edge(a, b~c, -1/2)"]),
+    ],
+)
+@pytest.mark.parametrize("path", ["--V", "realization block"])
+def test_realization_names_that_collide_exit_2(path, elements, covers, named):
+    if path == "--V":
+        argv, poset = ["realize", "--V=-1/2"], {"elements": elements, "covers": covers}
+    else:
+        real = {"base_elements": elements, "base_covers": covers, "coordinates": ["-1/2"]}
+        argv, poset = ["info"], {"elements": [], "covers": [], "realization": real}
+    code, out, err = invoke(argv, json.dumps({"field": 2, "posets": {"Q": poset}}))
+    assert code == 2, err
+    assert "Traceback" not in err and out == ""
+    assert all(name in err for name in named), err
+    assert path != "realization block" or path in err
+
+
+# Every command of a list of argument lists, on one stdin text, in a child
+# process capped as CAPPED is; prints their exit codes.  An escaping
+# exception ends the child with a traceback.
+CAPPED_COMMANDS = (
+    "import io, json, resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from tamechain.cli import run; text = sys.stdin.read(); codes = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO(); codes.append(run(argv))\n"
+    "sys.__stdout__.write(json.dumps(codes))"
+)
+
+
+def _capped(argvs: list, text: str) -> tuple[list, str]:
+    """Exit codes and stderr of the commands run by CAPPED_COMMANDS."""
+    src = str(Path(tamechain.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_COMMANDS, json.dumps(argvs)],
+        input=text, capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    return json.loads(proc.stdout), proc.stderr
+
+
+@pytest.mark.parametrize("dim", [3_000_000_000, 100_000])
+def test_declared_sizes_above_the_bound_exit_2(dim):
+    """Two elements of dim `dim` and a null map between them imply matrices
+    of dim**2 cells: an input error naming the functor, the key and the
+    size, raised before any of them is allocated."""
+    doc = json.loads(PLAIN)
+    doc["functors"] = {"F": {"poset": "Q", "dims": {"a": dim, "b": dim}, "maps": {"a->b": None}}}
+    codes, err = _capped([["info"]], json.dumps(doc))
+    assert codes == [2]
+    for part in ("functor 'F'", "'a'", f"{dim:,} x {dim:,}", f"{tamechain.interchange.MAX_DECLARED_CELLS:,}"):
+        assert part in err
+
+
+def _sizes(doc: dict) -> list[tuple]:
+    """Paths of the dims and top degrees of a document's functors."""
+    return [
+        p for p, v in _nodes(doc)
+        if type(v) is int and p[0] in ("functors", "chain_functors") and ("dims" in p or p[-1] == "top")
+    ]
+
+
+@st.composite
+def oversized_document(draw):
+    """A document with one dim, or the top degree, raised to at most 10**10
+    and far enough that the implied cells pass MAX_DECLARED_CELLS."""
+    doc = copy.deepcopy(draw(st.sampled_from([d for d in DOCS if _sizes(d)])))
+    path = draw(st.sampled_from(_sizes(doc)))
+    _set(doc, path, draw(st.integers(10**6 if path[-1] == "top" else 1001, 10**10)))
+    return doc
+
+
+@settings(max_examples=12, deadline=None)
+@given(oversized_document())
+def test_oversized_documents_exit_2_under_the_cap(doc):
+    assert _capped([c + ["--machine"] for c in COMMANDS], json.dumps(doc))[0] == [2] * len(COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

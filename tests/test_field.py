@@ -13,12 +13,13 @@ from tamechain.field import (
     cokernel,
     inverse,
     kernel,
+    kernel_basis,
     rref,
     solve,
     solve_or_none,
 )
 
-from conftest import random_matrix
+from conftest import random_invertible, random_matrix
 
 
 def test_modulus_must_be_prime():
@@ -110,6 +111,21 @@ def test_rank_nullity(rows, cols, p, seed):
     assert M.rank() + K.cols == cols
     assert (M @ K).is_zero() if K.cols else True
     assert K.rank() == K.cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=0, max_value=3 * _PANEL),
+    st.sampled_from([2, 3, 5, 32749]),
+    st.integers(min_value=0, max_value=2**30),
+)
+def test_kernel_basis_canonicalizes_any_basis_of_a_kernel(rows, cols, p, seed):
+    # Any basis K g of ker M, g invertible, gives back `kernel(M)` itself.
+    rng = random.Random(seed)
+    M = random_matrix(rng, rows, cols, p)
+    K = kernel(M)
+    assert kernel_basis(K @ random_invertible(rng, K.cols, p)) == K
 
 
 @settings(max_examples=60, deadline=None)

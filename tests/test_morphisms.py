@@ -7,10 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from tamechain.errors import BadCoverError, BudgetExceededError, NotIdempotentError, ZeroObjectError
 from tamechain.field import Mat, kernel, rref, solve
-from tamechain.functors import NatMap, free_functor, free_on_generators, kan_extend
-from tamechain.chains import ChainFunctor, ChainMap, chain_coker, direct_sum_chains, standard_complex, zero_chain
+from tamechain.functors import NatMap, VectFunctor, free_functor, free_on_generators, kan_extend
+from tamechain.chains import (
+    ChainFunctor,
+    ChainMap,
+    _block_offsets,
+    chain_coker,
+    direct_sum_chains,
+    standard_complex,
+    zero_chain,
+)
 from tamechain.morphisms import (
+    _YONEDA_MIN_UNKNOWNS,
+    _direct_kernel,
     _hom_kernel,
+    _yoneda_kernel,
     _ideal_is_nilpotent,
     _restriction_kernel,
     _structure_constants,
@@ -315,6 +326,58 @@ def test_end_ring_coordinates_match_chain_map_products(p, top, seed):
     for ideal in spans:
         maps = [ring.element(ideal.arr[:, j]) for j in range(ideal.cols)]
         assert _ideal_is_nilpotent(ideal, ring) == reference_ideal_is_nilpotent(maps, ring)
+
+
+# --- hom by Yoneda against the direct system ---------------------------------------
+
+
+def _poset_of_dimension(rng: random.Random, at_most_one: bool) -> FinPoset:
+    while True:
+        P = random_dim1_poset(rng, 6) if at_most_one else random_poset(rng, 6)
+        if P.dimension().at_most_one() == at_most_one:
+            return P
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.booleans(),
+    st.sampled_from(["same", "other", "zero domain", "zero codomain", "free domain"]),
+    st.integers(0, 2**30),
+)
+def test_yoneda_route_matches_the_direct_system(p, at_most_one, kind, seed):
+    # Whatever the crossover, the route through X's minimal cover gives the
+    # direct system's canonical kernel basis to the bit.  A free X has no
+    # equations; a zero X or Y no unknowns.
+    rng = random.Random(seed)
+    P = _poset_of_dimension(rng, at_most_one)
+    X = random_functor(rng, P, p)
+    Y = random_functor(rng, P, p)
+    zero = VectFunctor(P, [0] * P.n, {}, p)
+    X, Y = {
+        "same": (X, X),
+        "other": (X, Y),
+        "zero domain": (zero, Y),
+        "zero codomain": (X, zero),
+        "free domain": (free_on_generators(P, [(z, rng.randint(0, 2)) for z in range(P.n)], p), Y),
+    }[kind]
+    cX, cY = as_chain(X), as_chain(Y)
+    offs = _block_offsets(cX, cY)
+    nvars = sum(r * c for row in offs for _, r, c in row)
+    K = _direct_kernel(cX, cY, offs, nvars)
+    assert _yoneda_kernel(X, Y, offs, nvars) == K
+    assert _hom_kernel(cX, cY) == K
+
+
+def test_hom_takes_the_yoneda_route_from_the_crossover_on(chain3):
+    # Below the crossover the domain's minimal cover is not formed; from it
+    # on, hom is read off that cover, which the functor then keeps.  The
+    # direct system has 3 d**2 unknowns here: 12 and 75.
+    for d in (2, 5):
+        F = free_functor(chain3, 0, d, 3)
+        G = VectFunctor(chain3, [d, d, d], {}, 3)
+        assert len(hom_space(F, G)) == d * d
+        assert (F._cover is not None) == (3 * d * d >= _YONEDA_MIN_UNKNOWNS)
 
 
 # --- gluing against beta built from the Kan extension's cocones ---------------------

@@ -15,6 +15,7 @@ from tamechain.errors import (
 )
 from tamechain.field import Mat
 from tamechain.functors import kan_extend
+from tamechain.interchange import poset_to_json
 from tamechain.posets import (
     Edge,
     FinPoset,
@@ -217,6 +218,19 @@ def test_realize_rejects_bad_inputs(diamond, chain2):
         realize(fence, ["b1", "b2"], [])
     with pytest.raises(BadCoordinateError):
         realize(chain2, None, [Fraction(1, 2)])
+
+
+def test_document_edges_of_a_realization_match_its_points():
+    # Documents list the edge points from their integer ends; the points
+    # themselves give the same list, in the same order.
+    rng = random.Random(23)
+    for _ in range(30):
+        Q = random_dim1_poset(rng, 6)
+        V = sorted({Fraction(-rng.randint(1, 12), 13) for _ in range(rng.randint(0, 3))})
+        closed = Q.closure([e for e in range(Q.n) if rng.random() < 0.7]) or (0,)
+        rp = realize(Q, [Q.names[e] for e in closed], V)
+        edges = [[z.top, z.bottom, f"{z.t.numerator}/{z.t.denominator}"] for z in rp.points if isinstance(z, Edge)]
+        assert poset_to_json(rp)["realization"]["edges"] == edges
 
 
 def test_realization_dimension_matches_base():
