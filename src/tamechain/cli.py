@@ -31,7 +31,7 @@ from .chains import (
     minimal_projective_cover_ch,
     structure_decompose,
 )
-from .morphisms import end_ring, gluing_check, indecomposable
+from .morphisms import EndRing, end_ring, gluing_check, indecomposable
 from .examples import ChainPair, GluingStage, builtin_example
 from .interchange import (
     Document,
@@ -227,21 +227,41 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _end_ring_json(name: Optional[str], ring: EndRing) -> str:
+    """The `--machine` report of `endring`: the bytes of `json.dumps` with
+    sorted keys and no spaces of {"object", "dim", "basis"}, where each
+    basis vector maps every element name to its components per degree as
+    nested lists.  The vectors are printed through one `%d` template, with
+    the element names JSON-escaped and their `%` doubled, applied to the
+    rows of the basis with its coordinates in printing order."""
+    names = ring.obj.poset.names
+    parts, perm = [], []
+    for q in sorted(range(len(names)), key=names.__getitem__):
+        blocks = []
+        for o, r, c in ring.blocks[q]:
+            blocks.append("[" + ",".join(["[" + ",".join(["%d"] * c) + "]"] * r) + "]")
+            perm.extend(range(o, o + r * c))
+        parts.append(json.dumps(names[q]).replace("%", "%%") + ":[" + ",".join(blocks) + "]")
+    template = "{" + ",".join(parts) + "}"
+    basis = ",".join([template % tuple(v) for v in ring.columns.arr[perm].T.tolist()])
+    return '{"basis":[%s],"dim":%d,"object":%s}' % (basis, ring.dim, json.dumps(name))
+
+
+def _named_hom_error(name: Optional[str], exc: TooLargeError) -> TooLargeError:
+    return TooLargeError(f"Hom({name!r}, {name!r}): {exc}")
+
+
 def cmd_endring(args) -> int:
     doc = _read_doc(args)
     name, obj = _pick_object(doc, args.object)
-    ring = end_ring(obj)
-    report = {"object": name, "dim": ring.dim}
+    try:
+        ring = end_ring(obj)
+    except TooLargeError as exc:
+        raise _named_hom_error(name, exc) from None
     if args.machine:
-        cols = ring.columns.arr
-        report["basis"] = [
-            {
-                name: [cols[o : o + r * c, j].reshape(r, c).tolist() for o, r, c in ring.blocks[q]]
-                for q, name in enumerate(ring.obj.poset.names)
-            }
-            for j in range(ring.dim)
-        ]
-    _emit_report(args, report)
+        sys.stdout.write(_end_ring_json(name, ring) + "\n")
+    else:
+        _emit_report(args, {"object": name, "dim": ring.dim})
     return 0
 
 
@@ -250,7 +270,10 @@ def cmd_indec(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise InputError(f"--budget must be non-negative, got {args.budget}")
     name, obj = _pick_object(doc, args.object)
-    res = indecomposable(obj, strategy=args.strategy, budget=args.budget, seed=args.seed)
+    try:
+        res = indecomposable(obj, strategy=args.strategy, budget=args.budget, seed=args.seed)
+    except TooLargeError as exc:
+        raise _named_hom_error(name, exc) from None
     verdict = "indecomposable" if res.indecomposable else "decomposable"
     certainty = "certain" if res.certain else "probable"
     _emit_report(

@@ -20,6 +20,7 @@ from .errors import (
     BadCoverError,
     BudgetExceededError,
     NotIdempotentError,
+    TooLargeError,
     ZeroObjectError,
 )
 from .field import Mat, _matmul, _null_basis, inverse, kernel, kernel_basis, rref, solve, solve_or_none
@@ -63,11 +64,29 @@ def total_dim(obj: Functorlike) -> int:
 # Hom between vector-space functors goes through the kept minimal cover
 # (`_yoneda_kernel`) from this many unknowns of the direct system on;
 # below it, forming the cover, its kernels and its sections costs more
-# than the whole direct system.  On random cokernel-presented functors
-# (2-7 elements, covers formed anew), the direct route took 0.13 ms and
-# Yoneda 0.39 ms below 16 unknowns, 1.4 and 1.5 ms at 48-63, 2.7 and
-# 1.9 ms at 64-79, and 16 and 5 ms from 160 on.
+# than the whole direct system.  On 400 random cokernel-presented pairs
+# (2-7 elements, covers formed anew, 2 CPUs), the direct route took
+# 0.05 ms and Yoneda 0.23 ms below 16 unknowns, 0.76 and 1.09 ms at 48-63,
+# 1.79 and 1.49 ms at 64-79, and 7.2 and 5.9 ms from 160 on.  Lower, the
+# hom calls of gluing checks (at most 51 unknowns) would change route.
 _YONEDA_MIN_UNKNOWNS = 64
+
+
+# A hom system with more cells than this is an input error, raised before
+# it is allocated: equations x unknowns on the direct route, and (equations
+# + components) x generator values through the cover, which also holds the
+# map back to components.  At the bound, on 2 CPUs, `endring --machine`
+# takes 3.0 s and 420 MB on one element of dim 56 (a (0 + 3,136) x 3,136
+# system, printing 20 MB) and 3.3 s and 474 MB on a point complex with dims
+# 47 and 47 (2,209 x 4,418, direct); twice the bound takes 820 MB.
+MAX_HOM_CELLS = 10_000_000
+
+
+def _too_large(X: Functorlike, Y: Functorlike, shape: str, cells: int) -> TooLargeError:
+    return TooLargeError(
+        f"the hom system between objects of total dimension {total_dim(X):,} and {total_dim(Y):,} "
+        f"has shape {shape} ({cells:,} cells), above the bound {MAX_HOM_CELLS:,}"
+    )
 
 
 def _hom_kernel(X: ChainFunctor, Y: ChainFunctor) -> Mat:
@@ -95,7 +114,10 @@ def _direct_kernel(X: ChainFunctor, Y: ChainFunctor, offs, nvars: int) -> Mat:
         for (y, x) in X.poset.covers
         for n in range(D + 1)
     ]
-    system = np.zeros((sum(left.rows * a[2] for left, a, _, _ in constraints), nvars), dtype=np.int64)
+    eqs = sum(left.rows * a[2] for left, a, _, _ in constraints)
+    if eqs * nvars > MAX_HOM_CELLS:
+        raise _too_large(X, Y, f"{eqs:,} x {nvars:,}", eqs * nvars)
+    system = np.zeros((eqs, nvars), dtype=np.int64)
     at = 0
     for left, (oa, ra, ca), (ob, rb, cb), right in constraints:
         # Row-major vectorization: equation (i, k) of the rb x ca entries
@@ -123,27 +145,34 @@ def _yoneda_kernel(X: VectFunctor, Y: VectFunctor, offs, nvars: int) -> Mat:
     psi_q = sum over z <= q of Y(z <= q) V_z on z's coordinates of P(q).
     It factors as phi s exactly when psi_q ker(s_q) = 0 at every q, since
     every s_q is onto; then phi_q = psi_q sigma_q for any section sigma_q
-    of s_q.  One `rref` of s_q gives both.  Row-major, A V B has the
-    coordinates kron(A, B^T) vec(V).  The basis so found spans the same
-    space as the direct system's kernel, and `kernel_basis` turns it into
-    that kernel's canonical basis.
+    of s_q.  One `rref` of s_q gives both.  A vector P(w <= q) k with k in
+    ker(s_w) is sent to Y(w <= q) psi_w k, which the equations at w already
+    make zero, so at q only the vectors of ker(s_q) outside the images from
+    the lower covers w of q are imposed: the generators of ker s, the
+    relations of X.  Row-major, A V B has the coordinates kron(A, B^T)
+    vec(V).  The basis so found spans the same space as the direct
+    system's kernel, and `kernel_basis` turns it into that kernel's
+    canonical basis.
     """
     p = X.p
     cov = minimal_cover(X)
     gens = cov.generators
     leq = X.poset.leq_matrix
     starts = np.cumsum([0] + [Y.dims[z] * d for z, d in gens]).tolist()
-    # ker(s_q) has dim P(q) - X(q), as s_q is onto.
-    nulls = [P - d for P, d in zip(cov.P.dims, X.dims)]
-    system = np.zeros((sum(r * k for r, k in zip(Y.dims, nulls)), starts[-1]), dtype=np.int64)
+    # ker(s_q) has dim P(q) - X(q), as s_q is onto; its relations are fewer.
+    eqs = sum(r * (P - d) for r, P, d in zip(Y.dims, cov.P.dims, X.dims))
+    if (eqs + nvars) * starts[-1] > MAX_HOM_CELLS:
+        raise _too_large(X, Y, f"({eqs:,} + {nvars:,}) x {starts[-1]:,}", (eqs + nvars) * starts[-1])
+    rrs = [rref(m) for m in cov.s.comps]
+    nulls = [_null_basis(rr.R.arr, rr.pivots, p) for rr in rrs]
+    relations = [_relations_at(cov.P, nulls, q) for q in range(X.poset.n)]
+    system = np.zeros((sum(r * k.shape[1] for r, k in zip(Y.dims, relations)), starts[-1]), dtype=np.int64)
     comps = np.zeros((nvars, starts[-1]), dtype=np.int64)
     at = 0
-    for q in range(X.poset.n):
-        rr = rref(cov.s.comps[q])
-        null = _null_basis(rr.R.arr, rr.pivots, p)
+    for q, (rr, rel) in enumerate(zip(rrs, relations)):
         section = np.zeros((rr.R.cols, rr.R.rows), dtype=np.int64)
         section[list(rr.pivots)] = rr.T.arr
-        eq = slice(at, at + Y.dims[q] * nulls[q])
+        eq = slice(at, at + Y.dims[q] * rel.shape[1])
         o, r, c = offs[q][0]
         a = 0
         for i, (z, d) in enumerate(gens):
@@ -151,12 +180,27 @@ def _yoneda_kernel(X: VectFunctor, Y: VectFunctor, offs, nvars: int) -> Mat:
                 continue
             A = Y.map_leq(z, q).arr
             cols = slice(starts[i], starts[i + 1])
-            system[eq, cols] = _kron(A, null[a : a + d].T) % p
+            system[eq, cols] = _kron(A, rel[a : a + d].T) % p
             comps[o : o + r * c, cols] = _kron(A, section[a : a + d].T) % p
             a += d
         at = eq.stop
     solutions = kernel(Mat._wrap(system, p))
     return kernel_basis(Mat._wrap(_matmul(comps, solutions.arr, p), p))
+
+
+def _relations_at(P: VectFunctor, nulls: list[np.ndarray], q: int) -> np.ndarray:
+    """The columns of nulls[q], a basis of ker(s_q) in P(q), that lie
+    outside the span of the images P(w <= q) nulls[w] from the lower covers
+    w of q (and of the columns before them): the pivots past the images in
+    one `rref` of the images and nulls[q] side by side."""
+    null = nulls[q]
+    images = [P.maps[(w, q)].arr @ nulls[w] for w in P.poset.covered_by(q) if nulls[w].shape[1]]
+    if not (images and null.shape[1]):
+        return null
+    below = np.hstack(images)
+    m = below.shape[1]
+    pivots = rref(Mat._wrap(np.hstack([below, null]), P.p), transform=False).pivots
+    return null[:, [c - m for c in pivots if c >= m]]
 
 
 def hom_space(Xobj: Functorlike, Yobj: Functorlike) -> list[ChainMap]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tamechain.field import Mat, kernel
 from tamechain.posets import FinPoset, Vertex, _counts
@@ -21,6 +22,11 @@ from tamechain.functors import (
 )
 from tamechain.chains import ChainFunctor, ChainMap
 from tamechain.morphisms import hom_space
+
+# `pytest --hypothesis-profile=ci`: a failing example also prints the blob
+# that `@reproduce_failure` replays; example counts and deadlines are as in
+# the default profile and the tests' own settings.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(autouse=True, scope="session")

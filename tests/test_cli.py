@@ -4,14 +4,18 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tamechain.cli import run
+from tamechain.chains import ChainFunctor
+from tamechain.cli import _end_ring_json, run
+from tamechain.field import Mat
 from tamechain.interchange import build_document, dumps_document, parse_document
 from tamechain.examples import builtin_example
 from tamechain.posets import FinPoset, realize
 from tamechain.functors import free_functor
-from tamechain.morphisms import hom_space
+from tamechain.morphisms import EndRing, hom_space
 
 from conftest import random_chain, random_poset
 
@@ -210,6 +214,49 @@ def test_endring_machine_prints_the_hom_space_basis(p):
             for b in hom_space(Xd, Xd)
         ]
         assert json.loads(out)["basis"] == expected
+
+
+def _end_ring_json_oracle(name, ring) -> str:
+    """The `endring --machine` report as lists: one `tolist` per block and
+    one `json.dumps`."""
+    cols = ring.columns.arr
+    basis = [
+        {
+            element: [cols[o : o + r * c, j].reshape(r, c).tolist() for o, r, c in ring.blocks[q]]
+            for q, element in enumerate(ring.obj.poset.names)
+        }
+        for j in range(ring.dim)
+    ]
+    report = {"object": name, "dim": ring.dim, "basis": basis}
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
+# Characters that JSON escapes, that `%` formatting reads, and non-ASCII ones.
+NAMES = st.text(alphabet='ad%"\\\n {}:,é∂\u2028😀', max_size=4)
+
+
+@st.composite
+def rings(draw):
+    """A chain functor with zero maps and boundaries on a chain of names,
+    with top 0 to 2 and dims 0 to 3, and 0 to 4 random columns as its End
+    basis: the report reads only the names, the blocks and the columns."""
+    p = draw(st.sampled_from([2, 32749]))
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    top = draw(st.integers(0, 2))
+    dims = [[draw(st.integers(0, 3)) for _ in range(top + 1)] for _ in names]
+    P = FinPoset.from_covers(names, [(a, b) for a, b in zip(names, names[1:])][: draw(st.integers(0, len(names) - 1))])
+    zeros = [[Mat.zeros(row[n - 1], row[n], p) for n in range(1, top + 1)] for row in dims]
+    X = ChainFunctor.from_arrays(P, dims, zeros, {}, p)
+    k = draw(st.integers(0, 4))
+    rows = sum(d * d for row in dims for d in row)
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * k, max_size=rows * k))
+    return EndRing(X, Mat(np.array(entries, dtype=np.int64).reshape(rows, k), p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.none(), NAMES), rings())
+def test_end_ring_report_template_matches_the_lists(name, ring):
+    assert _end_ring_json(name, ring) == _end_ring_json_oracle(name, ring)
 
 
 def test_indec_on_plain_functor_document():

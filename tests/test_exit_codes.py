@@ -411,6 +411,29 @@ def test_declared_sizes_above_the_bound_exit_2(dim):
         assert part in err
 
 
+@pytest.mark.parametrize(
+    "elements, covers, dims, shape",
+    [
+        (["a"], [], {"a": 1000}, "(0 + 1,000,000) x 1,000,000"),
+        (["a", "b"], [["a", "b"]], {"a": 500, "b": 500}, "(250,000 + 500,000) x 500,000"),
+    ],
+)
+def test_hom_systems_above_the_bound_exit_2(elements, covers, dims, shape):
+    """Documents inside MAX_DECLARED_CELLS whose End needs a hom system too
+    big to allocate (one element of dim 1,000; two of dim 500 joined by a
+    null map): an input error naming the object and the shape, raised
+    before the system is built."""
+    doc = {
+        "field": FIELD,
+        "posets": {"Q": {"elements": elements, "covers": covers}},
+        "functors": {"F": {"poset": "Q", "dims": dims, "maps": {"a->b": None} if covers else {}}},
+    }
+    codes, err = _capped([["endring", "--machine"], ["indec", "--budget", "4096"]], json.dumps(doc))
+    assert codes == [2, 2]
+    for part in ("Hom('F', 'F')", shape, f"{tamechain.morphisms.MAX_HOM_CELLS:,}"):
+        assert err.count(part) == 2, err
+
+
 def _sizes(doc: dict) -> list[tuple]:
     """Paths of the dims and top degrees of a document's functors."""
     return [

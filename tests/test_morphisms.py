@@ -7,7 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from tamechain.errors import BadCoverError, BudgetExceededError, NotIdempotentError, ZeroObjectError
 from tamechain.field import Mat, kernel, rref, solve
-from tamechain.functors import NatMap, VectFunctor, free_functor, free_on_generators, kan_extend
+from tamechain.functors import (
+    NatMap,
+    VectFunctor,
+    assemble_free_map,
+    coker_functor,
+    free_functor,
+    free_on_generators,
+    kan_extend,
+    ker_functor,
+    minimal_cover,
+)
 from tamechain.chains import (
     ChainFunctor,
     ChainMap,
@@ -21,6 +31,7 @@ from tamechain.morphisms import (
     _YONEDA_MIN_UNKNOWNS,
     _direct_kernel,
     _hom_kernel,
+    _relations_at,
     _yoneda_kernel,
     _ideal_is_nilpotent,
     _restriction_kernel,
@@ -36,7 +47,7 @@ from tamechain.morphisms import (
 )
 from tamechain.posets import FinPoset
 
-from conftest import random_chain, random_dim1_poset, random_functor, random_functor_dim1, random_poset
+from conftest import random_chain, random_dim1_poset, random_functor, random_functor_dim1, random_matrix, random_poset
 
 
 def test_hom_contains_identity(fence):
@@ -338,20 +349,54 @@ def _poset_of_dimension(rng: random.Random, at_most_one: bool) -> FinPoset:
             return P
 
 
+# The diamond and the cube (the subsets of {x, y, z}) have dimension >= 2.
+DIAMOND = FinPoset.from_covers(["0", "x", "y", "1"], [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
+CUBE = FinPoset.from_covers(
+    ["0", "x", "y", "z", "xy", "xz", "yz", "xyz"],
+    [("0", "x"), ("0", "y"), ("0", "z"), ("x", "xy"), ("x", "xz"), ("y", "xy"), ("y", "yz"), ("z", "xz"), ("z", "yz")]
+    + [("xy", "xyz"), ("xz", "xyz"), ("yz", "xyz")],
+)
+SHAPES = st.sampled_from(["dimension <= 1", "dimension >= 2", "diamond", "cube"])
+
+
+def _shaped_poset(rng: random.Random, shape: str) -> FinPoset:
+    return {"diamond": DIAMOND, "cube": CUBE}.get(shape) or _poset_of_dimension(rng, shape == "dimension <= 1")
+
+
+def _with_relations(rng: random.Random, P: FinPoset, p: int, max_rel: int) -> VectFunctor:
+    """The cokernel of a map F1 -> F0 between frees, with up to `max_rel`
+    generators of F1 at each element, each sent into the radical of F0 (the
+    coordinates owned by smaller elements).  So F0 is the minimal cover, and
+    the relations that do not depend on others generate ker s."""
+    F0 = free_on_generators(P, [(z, rng.randint(0, 2)) for z in range(P.n)], p)
+    F1 = free_on_generators(P, [(z, rng.randint(0, max_rel)) for z in range(P.n)], p)
+    owner = np.repeat([z for z, _ in F0.generators], [d for _, d in F0.generators]).astype(np.intp)
+    values = []
+    for z, d in F1.generators:
+        V = random_matrix(rng, F0.dims[z], d, p).arr.copy()
+        V[owner[P.leq_matrix[owner, z]] == z] = 0
+        values.append(Mat(V, p))
+    return coker_functor(assemble_free_map(F1, F0, values))[0]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from([2, 3, 5]),
-    st.booleans(),
+    SHAPES,
+    st.sampled_from([0, 1, 2, 3]),
     st.sampled_from(["same", "other", "zero domain", "zero codomain", "free domain"]),
     st.integers(0, 2**30),
 )
-def test_yoneda_route_matches_the_direct_system(p, at_most_one, kind, seed):
+def test_yoneda_route_matches_the_direct_system(p, shape, max_rel, kind, seed):
     # Whatever the crossover, the route through X's minimal cover gives the
     # direct system's canonical kernel basis to the bit.  A free X has no
-    # equations; a zero X or Y no unknowns.
+    # equations; a zero X or Y no unknowns.  With max_rel >= 1, X's
+    # relations lie in the radical, so ker s has generators at several
+    # elements; with 0, X is a random cokernel whose relations may also
+    # remove generators.
     rng = random.Random(seed)
-    P = _poset_of_dimension(rng, at_most_one)
-    X = random_functor(rng, P, p)
+    P = _shaped_poset(rng, shape)
+    X = _with_relations(rng, P, p, max_rel) if max_rel else random_functor(rng, P, p)
     Y = random_functor(rng, P, p)
     zero = VectFunctor(P, [0] * P.n, {}, p)
     X, Y = {
@@ -367,6 +412,19 @@ def test_yoneda_route_matches_the_direct_system(p, at_most_one, kind, seed):
     K = _direct_kernel(cX, cY, offs, nvars)
     assert _yoneda_kernel(X, Y, offs, nvars) == K
     assert _hom_kernel(cX, cY) == K
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), SHAPES, st.integers(1, 3), st.integers(0, 2**30))
+def test_yoneda_relations_are_the_generators_of_ker_s(p, shape, max_rel, seed):
+    # The vectors of ker(s_q) the Yoneda route imposes at q are as many as
+    # the generators at q of the minimal cover of ker s: P1 of X.
+    rng = random.Random(seed)
+    P = _shaped_poset(rng, shape)
+    cov = minimal_cover(_with_relations(rng, P, p, max_rel))
+    nulls = [kernel(m).arr for m in cov.s.comps]
+    relations = dict(minimal_cover(ker_functor(cov.s)[0]).generators)
+    assert [_relations_at(cov.P, nulls, q).shape[1] for q in range(P.n)] == [relations.get(q, 0) for q in range(P.n)]
 
 
 def test_hom_takes_the_yoneda_route_from_the_crossover_on(chain3):
