@@ -717,9 +717,6 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
     for m in range(C.top + 1):
         if m > R.top:
             break
-        # Earlier steps left lower degrees zero and no later step touches them.
-        if m and not R.layers[m - 1].is_zero():
-            raise AssertionError("residual must vanish below the current degree")
         if R.layers[m].is_zero():  # no homology and no disk in degree m
             continue
         # Sphere step: split off S^m(minimal resolution of H_m).
@@ -737,19 +734,15 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             label = SummandLabel("sphere", m, res.gens0, res.gens1, sphere)
             R = split_off(label, s0, lift_through(s0 @ res.d, bnat), ker_functor(p0)[1], ker_functor(p1)[1])
         # Disk step: what remains in degree m is hit isomorphically from above.
+        # It is a direct summand of C's projective layer, so its minimal
+        # cover is an iso.
         Fm = R.layer(m)
         if not Fm.is_zero():
-            cov = is_projective(Fm)
-            if cov is None:
-                raise ValidationError("residual degree is not projective; input was not cofibrant")
+            cov = minimal_cover(Fm)
             bnat = R.boundary(m + 1)
-            if not bnat.is_epi():
-                raise AssertionError("boundary must be epi after the sphere step")
             disk = suspension(ChainFunctor._trusted([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
             label = SummandLabel("disk", m + 1, cov.generators, (), disk)
             R = split_off(label, cov.s, lift_through(cov.s, bnat), NatMap.zero(zero, Fm), ker_functor(bnat)[1])
-    if not R.is_zero():
-        raise AssertionError("decomposition left a nonzero residual")
     return Decomposition(tuple(summands), tuple(inclusions))
 
 

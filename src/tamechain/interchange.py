@@ -150,29 +150,38 @@ def poset_from_json(block: dict) -> FinPoset:
     return rp
 
 
+def _cover_keys(P: FinPoset) -> dict[str, tuple[int, int]]:
+    """The covers of P by their keys "lower->upper", in cover order.  Names
+    may contain `->`, and two covers with one key are a ParseError."""
+    keys: dict[str, tuple[int, int]] = {}
+    for y, x in P.covers:
+        key = f"{P.names[y]}->{P.names[x]}"
+        b, a = keys.setdefault(key, (y, x))
+        if (b, a) != (y, x):
+            pairs = [(P.names[b], P.names[a]), (P.names[y], P.names[x])]
+            raise ParseError(f"covers {pairs[0]} and {pairs[1]} have the same key {key!r}")
+    return keys
+
+
+def _cover_from_key(P: FinPoset, keys: dict[str, tuple[int, int]], key: str) -> tuple[int, int]:
+    """The cover that `key` names in `keys`, the table `_cover_keys(P)`."""
+    if key in keys:
+        return keys[key]
+    splits = [(key[:i], key[i + 2:]) for i in range(len(key)) if key.startswith("->", i)]
+    if not splits:
+        raise ParseError(f"bad cover key {key!r}")
+    if not any(y in P._index and x in P._index for y, x in splits):
+        raise ParseError(f"cover key {key!r} mentions unknown element")
+    raise ParseError(f"{key!r} is not a cover relation")
+
+
 def functor_to_json(F: VectFunctor, poset_name: str) -> dict:
     names = F.poset.names
     return {
         "poset": poset_name,
         "dims": {names[q]: F.dims[q] for q in range(F.poset.n)},
-        "maps": {
-            f"{names[y]}->{names[x]}": _mat_to_json(F.maps[(y, x)])
-            for y, x in F.poset.covers
-        },
+        "maps": {key: _mat_to_json(F.maps[c]) for key, c in _cover_keys(F.poset).items()},
     }
-
-
-def _cover_from_key(P: FinPoset, key: str) -> tuple[int, int]:
-    if "->" not in key:
-        raise ParseError(f"bad cover key {key!r}")
-    y, x = key.split("->", 1)
-    try:
-        pair = (P.index(y), P.index(x))
-    except KeyError as exc:
-        raise ParseError(f"cover key {key!r} mentions unknown element") from exc
-    if pair not in set(P.covers):
-        raise ParseError(f"{key!r} is not a cover relation")
-    return pair
 
 
 def _int(value, what: str, where: str = "") -> int:
@@ -245,9 +254,9 @@ def functor_from_json(block: dict, P: FinPoset, p: int) -> VectFunctor:
     given = _per_element(block, "dims", P, required=True)
     dims = [_dim(given.get(name, 0), f"dim at {name!r}") for name in P.names]
     _check_declared_size(P, [[d] for d in dims], chain=False)
-    maps = {}
+    maps, keys = {}, _cover_keys(P)
     for key, val in _table(block, "maps").items():
-        y, x = _cover_from_key(P, key)
+        y, x = _cover_from_key(P, keys, key)
         maps[(y, x)] = _mat_from_json(val, dims[x], dims[y], p, f"map {key!r}")
     return VectFunctor(P, dims, maps, p)
 
@@ -262,10 +271,7 @@ def chain_to_json(X: ChainFunctor, poset_name: str) -> dict:
             names[q]: [_mat_to_json(b.comps[q]) for b in X.d]
             for q in range(X.poset.n)
         },
-        "maps": {
-            f"{names[y]}->{names[x]}": [_mat_to_json(F.maps[(y, x)]) for F in X.layers]
-            for y, x in X.poset.covers
-        },
+        "maps": {key: [_mat_to_json(F.maps[c]) for F in X.layers] for key, c in _cover_keys(X.poset).items()},
     }
 
 
@@ -292,9 +298,9 @@ def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
                 for k in range(top)
             ]
         )
-    maps = {}
+    maps, keys = {}, _cover_keys(P)
     for key, val in _table(block, "maps").items():
-        y, x = _cover_from_key(P, key)
+        y, x = _cover_from_key(P, keys, key)
         _list(val, top + 1, f"cover maps for {key!r} (degrees 0..{top})")
         maps[(y, x)] = [
             _mat_from_json(val[n], dims[x][n], dims[y][n], p, f"cover map {key!r} degree {n}")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -20,7 +22,9 @@ from tamechain.functors import (
     free_on_generators,
     ker_functor,
 )
-from tamechain.chains import ChainFunctor, ChainMap
+from tamechain import chains
+from tamechain.chains import ChainFunctor, ChainMap, Factorization, classify_morphism
+from tamechain.cli import run
 from tamechain.morphisms import hom_space
 
 # `pytest --hypothesis-profile=ci`: a failing example also prints the blob
@@ -39,7 +43,9 @@ def checked_internal_constructions():
     compared with the transitive reduction by the count product and a
     given dimension with the computed one at construction, and a poset
     whose dimension is set has it compared again the first time it is
-    asked for."""
+    asked for.  Every factorization the staircase returns is classified
+    (see `check_factorization`), wherever the module that calls it
+    imported `minimal_cofibrant_factorization` from."""
     trusted = FinPoset._trusted
     dimension = FinPoset.dimension
     agreed = weakref.WeakSet()
@@ -66,7 +72,31 @@ def checked_internal_constructions():
             mp.setattr(cls, "_trusted", classmethod(lambda cls, *fields: cls(*fields)))
         mp.setattr(FinPoset, "_trusted", checked_trusted)
         mp.setattr(FinPoset, "dimension", checked_dimension)
+        factorization = chains.minimal_cofibrant_factorization
+
+        def classified_factorization(f: ChainMap) -> Factorization:
+            fact = factorization(f)
+            check_factorization(fact)
+            return fact
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "minimal_cofibrant_factorization", None) is factorization:
+                mp.setattr(module, "minimal_cofibrant_factorization", classified_factorization)
         yield
+
+
+def check_factorization(fact: Factorization) -> None:
+    """What a returned staircase guarantees and the program does not
+    re-derive: pi is a weak equivalence and a fibration, and c a
+    cofibration."""
+    pi, c = classify_morphism(fact.pi), classify_morphism(fact.c)
+    for holds, what in (
+        (pi.weak_equivalence, "pi is not a weak equivalence"),
+        (pi.fibration, "pi is not a fibration"),
+        (c.cofibration, "c is not a cofibration"),
+    ):
+        if not holds:
+            raise AssertionError(f"factorization of {fact.c.dom!r} -> {fact.pi.cod!r}: {what}")
 
 
 @pytest.fixture
@@ -107,6 +137,19 @@ def chain3():
 @pytest.fixture
 def point():
     return FinPoset.from_covers(["*"], [])
+
+
+def invoke(argv, stdin_text=""):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    old_in, old_out, old_err = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.StringIO(stdin_text)
+    sys.stdout = io.StringIO()
+    sys.stderr = io.StringIO()
+    try:
+        code = run(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = old_in, old_out, old_err
 
 
 def point_leq(base: FinPoset, z, w) -> bool:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tamechain import chains
 from tamechain.errors import HomologyNotResolvableError, KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat, kernel, solve
 from tamechain.functors import NatMap, VectFunctor, free_on_generators
@@ -38,6 +39,7 @@ from conftest import (
     random_dim1_poset,
     random_functor_dim1,
     random_matrix,
+    random_poset,
 )
 
 
@@ -545,3 +547,36 @@ def test_every_module_export_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def test_replacement_on_dimension_two_is_a_trivial_fibration_when_it_closes():
+    """The staircase raises unless it closes; where it closes, on posets of
+    dimension 2 or more too, pi is a weak equivalence and a fibration."""
+    rng, closed = random.Random(18), 0
+    while closed < 12:
+        P = random_poset(rng, 5)
+        if P.dimension().at_most_one():
+            continue
+        try:
+            fact = cofibrant_replacement(random_chain(rng, P, rng.choice([2, 3, 5]), rng.randint(0, 2)))
+        except KernelNotProjectiveError:
+            continue
+        cls = classify_morphism(fact.pi)
+        assert cls.weak_equivalence and cls.fibration
+        closed += 1
+
+
+def test_suite_classifies_every_factorization(monkeypatch, chain2):
+    """conftest wraps `minimal_cofibrant_factorization`; a factorization
+    whose pi is not a weak equivalence must not get past it."""
+    X = standard_complex(chain2, "sphere", 0, 0, 1, 2)
+    cofibrant_replacement(X)
+
+    def zero_pi(C, c, pi, factorization=chains.Factorization):
+        return factorization(C, c, ChainMap.zero(C, pi.cod))
+
+    monkeypatch.setattr(chains, "Factorization", zero_pi)
+    with pytest.raises(AssertionError, match="pi is not a weak equivalence"):
+        cofibrant_replacement(X)
+    with pytest.raises(AssertionError, match="pi is not a weak equivalence"):
+        minimal_cofibrant_factorization(ChainMap.identity(X))

@@ -1,7 +1,5 @@
-import io
 import json
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamechain.chains import ChainFunctor
-from tamechain.cli import _end_ring_json, run
+from tamechain.cli import _end_ring_json
 from tamechain.field import Mat
 from tamechain.interchange import build_document, dumps_document, parse_document
 from tamechain.examples import builtin_example
@@ -17,19 +15,7 @@ from tamechain.posets import FinPoset, realize
 from tamechain.functors import free_functor
 from tamechain.morphisms import EndRing, hom_space
 
-from conftest import random_chain, random_poset
-
-
-def invoke(argv, stdin_text=""):
-    old_in, old_out, old_err = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin = io.StringIO(stdin_text)
-    sys.stdout = io.StringIO()
-    sys.stderr = io.StringIO()
-    try:
-        code = run(argv)
-        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = old_in, old_out, old_err
+from conftest import invoke, random_chain, random_poset
 
 
 def test_example_pipes_into_indec():
@@ -558,3 +544,41 @@ def test_inputs_found_by_the_exit_code_fuzz_are_input_errors(argv, text, message
     assert out == ""
     assert "Traceback" not in err
     assert message in err
+
+
+def test_cover_keys_with_arrows_in_names_round_trip():
+    # The key of the cover a->b < c is "a->b->c": it splits at two places,
+    # and only one of them names two elements.
+    doc = {
+        "field": 2,
+        "posets": {"P": {"elements": ["a->b", "c"], "covers": [["a->b", "c"]]}},
+        "chain_functors": {
+            "X": {
+                "poset": "P",
+                "top": 1,
+                "dims": {"a->b": [1, 1], "c": [1, 1]},
+                "boundaries": {"a->b": [[[1]]], "c": [[[1]]]},
+                "maps": {"a->b->c": [[[1]], [[1]]]},
+            }
+        },
+    }
+    code, rep, err = invoke(["replace"], json.dumps(doc))
+    assert code == 0, err
+    assert set(json.loads(rep)["chain_functors"]["replacement"]["maps"]) == {"a->b->c"}
+    code, out, err = invoke(["decompose", "--machine"], rep)
+    assert code == 0, err
+    assert json.loads(out)["summands"] == [
+        {"degree": 1, "generators": [{"element": "a->b", "multiplicity": 1}], "kind": "disk"}
+    ]
+
+
+def test_covers_with_one_key_are_an_input_error():
+    # a < ->b and a-> < b both have the key "a->->b".
+    doc = {
+        "field": 2,
+        "posets": {"P": {"elements": ["a", "a->", "b", "->b"], "covers": [["a", "->b"], ["a->", "b"]]}},
+        "chain_functors": {"X": {"poset": "P", "dims": {"a": [1], "a->": [1], "b": [1], "->b": [1]}}},
+    }
+    code, out, err = invoke(["replace"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert "covers ('a', '->b') and ('a->', 'b') have the same key 'a->->b'" in err

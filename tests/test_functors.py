@@ -689,3 +689,23 @@ def test_common_realized_discretization():
         assert G1.dims[union.index(name)] == F1.dims[rp1.index(name)]
     for name in rp2.names:
         assert G2.dims[union.index(name)] == F2.dims[rp2.index(name)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.booleans(), st.integers(min_value=0, max_value=2**30))
+def test_projectivity_test_matches_cover_ranks(p, conjugated_free, seed):
+    """`is_projective` compares dims only, because a minimal cover is onto:
+    on posets of every dimension it must agree with the cover's ranks."""
+    rng = random.Random(seed)
+    P = random_poset(rng, 6)
+    if conjugated_free:
+        D = free_on_generators(P, [(z, rng.randint(0, 2)) for z in range(P.n)], p)
+        U = [random_invertible(rng, d, p) for d in D.dims]
+        F = VectFunctor(P, D.dims, {(y, x): U[x] @ m @ inverse(U[y]) for (y, x), m in D.maps.items()}, p)
+    else:
+        F = random_functor(rng, P, p)
+    s = minimal_cover(F).s
+    assert s.is_epi()
+    assert (is_projective(F) is not None) == s.is_iso()
+    if conjugated_free:
+        assert s.is_iso()
