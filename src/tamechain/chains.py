@@ -5,7 +5,8 @@ with the boundary natural maps d[k]: layers[k+1] -> layers[k]; a chain
 map is one natural map per degree.  The public constructors validate:
 each part checks itself, so a chain functor checks only d . d = 0 and a
 chain map only its chain squares.  Flat per-element data (dims,
-boundaries and cover maps) enters through `ChainFunctor.from_arrays`.
+boundaries and cover maps) enters through the document reader,
+`interchange.chain_from_json`, which builds these parts from it.
 Internal constructions (composites, kernels, cokernels, subcomplexes,
 suspensions, covers, pullbacks, factorizations and splits) are trusted
 and build through the private `_trusted` constructors, which run no
@@ -118,49 +119,6 @@ class ChainFunctor:
         self.d = d
         self.poset = layers[0].poset
         self.p = layers[0].p
-
-    @classmethod
-    def from_arrays(
-        cls,
-        poset: FinPoset,
-        dims: Sequence[Sequence[int]],
-        boundaries: Sequence[Sequence[Mat]],
-        maps: dict[tuple[int, int], Sequence[Mat]],
-        p: int,
-    ) -> "ChainFunctor":
-        """Chain functor from flat per-element data: dims[q][n], the
-        boundary boundaries[q][n-1] from degree n to n-1 at element q, and
-        maps[(y, x)][n] per cover (a missing cover maps by zero)."""
-        names = poset.names
-        if len(dims) != poset.n or len(boundaries) != poset.n:
-            raise ValidationError("chain functor dims and boundaries must list one row per element")
-        tops = {len(row) for row in dims}
-        if len(tops) != 1:
-            raise ValidationError("all elements must carry the same number of degrees")
-        top = tops.pop() - 1
-        if top < 0:
-            raise ValidationError("chain functor needs at least degree 0")
-        for q, row in enumerate(boundaries):
-            if len(row) != top:
-                raise ValidationError(f"element {names[q]} needs {top} boundary maps")
-        extra = set(maps) - set(poset.covers)
-        if extra:
-            raise ValidationError(f"map given for non-cover pair {min(extra)}")
-        for (y, x), comps in maps.items():
-            if len(comps) != top + 1:
-                raise ValidationError(f"cover ({names[y]}, {names[x]}) needs {top + 1} degree maps")
-        layers, d = [], []
-        try:
-            for n in range(top + 1):
-                layers.append(VectFunctor(poset, [row[n] for row in dims], {c: m[n] for c, m in maps.items()}, p))
-        except ValidationError as exc:
-            raise ValidationError(f"degree {n}: {exc}") from None
-        try:
-            for n in range(1, top + 1):
-                d.append(NatMap(layers[n], layers[n - 1], tuple(row[n - 1] for row in boundaries)))
-        except ValidationError as exc:
-            raise ValidationError(f"boundary from degree {n}: {exc}") from None
-        return cls(layers, d)
 
     def _is_layer(self, F: VectFunctor, n: int) -> bool:
         """F is the degree-n functor (above the top: any zero functor)."""

@@ -86,8 +86,8 @@ def _pick_object(doc: Document, name: Optional[str]):
     return doc.only_functor(name)
 
 
-def _validate_one(path: str) -> dict:
-    doc = parse_document(_read_text(path))
+def _validate_one(text: str) -> dict:
+    doc = parse_document(text)
     checks = {"posets": len(doc.posets), "functors": len(doc.functors), "chain_functors": len(doc.chains)}
     for name, (X, _) in doc.chains.items():
         # One d.d = 0 check per element and degree 2..top, one square per cover and degree 1..top.
@@ -98,9 +98,15 @@ def _validate_one(path: str) -> dict:
 def cmd_validate(args) -> int:
     files = [args.file] + list(args.files)
     if len(files) == 1:
-        _emit_report(args, _validate_one(files[0]))
+        _emit_report(args, _validate_one(_read_text(files[0])))
         return 0
-    results = [_validate_one(path) for path in files]
+    results = []
+    for path in files:
+        text = _read_text(path)  # an unreadable file is named by its error
+        try:
+            results.append(_validate_one(text))
+        except InputError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     for path, report in zip(files, results):
         if args.machine:
             sys.stdout.write(

@@ -1,6 +1,7 @@
 """Built-in objects: the 13-element indecomposability counterexample with
 its three gluing stages, the three-chain replacement pair, and spheres
-and disks on a point.
+and disks on a point.  The counterexample and the pair are written as
+document blocks and read by the document reader.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError, UnknownExampleError
-from .field import Mat
 from .posets import FinPoset
 from .chains import ChainFunctor, standard_complex
+from .interchange import chain_from_json
 
 __all__ = ["GluingStage", "ChainPair", "builtin_example", "counterexample_poset", "MAX_EXAMPLE_DEGREE"]
 
@@ -45,25 +46,13 @@ def counterexample_poset() -> FinPoset:
     return FinPoset.from_covers(names, _COUNTEREXAMPLE_COVERS)
 
 
-def _counterexample_chain(p: int) -> ChainFunctor:
-    """Indecomposable parametrized chain complex spanning degrees 0..3.
-
-    Unlabeled arrows of the source diagram are identities; the two rank-1
-    maps out of the 3-dimensional degree-1 spaces are [1 0 0].
-    """
-    poset = counterexample_poset()
-
-    def M(rows):
-        return Mat(rows, p)
-
-    def Z(r, c):
-        return Mat.zeros(r, c, p)
-
-    I1 = Mat.identity(1, p)
-    I3 = Mat.identity(3, p)
-    f = M([[1, 0, 0]])
-
-    dims = {
+# The indecomposable parametrized chain complex of the source diagram, as
+# a `chain_functors` document block spanning degrees 0..3.  Unlabeled
+# arrows are identities; the two rank-1 maps out of the 3-dimensional
+# degree-1 spaces are [1 0 0].  Boundaries not listed are zero.
+_COUNTEREXAMPLE = {
+    "top": 3,
+    "dims": {
         "x1": [1, 1, 0, 0],
         "x2": [1, 0, 0, 0],
         "x3": [1, 3, 1, 0],
@@ -77,49 +66,40 @@ def _counterexample_chain(p: int) -> ChainFunctor:
         "x11": [0, 1, 0, 0],
         "x12": [0, 1, 2, 1],
         "x13": [0, 1, 1, 0],
-    }
-    boundaries = {
-        "x1": [I1, Z(1, 0), Z(0, 0)],
-        "x2": [Z(1, 0), Z(0, 0), Z(0, 0)],
-        "x3": [f, M([[0], [1], [0]]), Z(1, 0)],
-        "x4": [I1, Z(1, 0), Z(0, 0)],
-        "x5": [f, M([[0], [1], [0]]), Z(1, 0)],
-        "x6": [Z(0, 1), Z(1, 0), Z(0, 0)],
-        "x7": [Z(0, 1), Z(1, 0), Z(0, 0)],
-        "x8": [Z(0, 1), Z(1, 0), Z(0, 0)],
-        "x9": [Z(0, 1), Z(1, 0), Z(0, 0)],
-        "x10": [Z(0, 1), I1, Z(1, 0)],
-        "x11": [Z(0, 1), Z(1, 0), Z(0, 0)],
-        "x12": [Z(0, 1), M([[1, 0]]), M([[0], [1]])],
-        "x13": [Z(0, 1), I1, Z(1, 0)],
-    }
-    covmaps = {
-        ("x2", "x1"): [I1, Z(1, 0), Z(0, 0), Z(0, 0)],
-        ("x2", "x4"): [I1, Z(1, 0), Z(0, 0), Z(0, 0)],
-        ("x1", "x3"): [I1, M([[1], [0], [0]]), Z(1, 0), Z(0, 0)],
-        ("x4", "x3"): [I1, M([[1], [1], [1]]), Z(1, 0), Z(0, 0)],
-        ("x6", "x3"): [Z(1, 0), M([[0], [0], [1]]), Z(1, 0), Z(0, 0)],
-        ("x3", "x5"): [I1, I3, I1, Z(0, 0)],
-        ("x6", "x7"): [Z(0, 0), I1, Z(0, 0), Z(0, 0)],
-        ("x7", "x5"): [Z(1, 0), M([[0], [0], [1]]), Z(1, 0), Z(0, 0)],
-        ("x8", "x6"): [Z(0, 0), I1, Z(0, 0), Z(0, 0)],
-        ("x8", "x9"): [Z(0, 0), I1, Z(0, 0), Z(0, 0)],
-        ("x9", "x7"): [Z(0, 0), I1, Z(0, 0), Z(0, 0)],
-        ("x7", "x10"): [Z(0, 0), I1, Z(1, 0), Z(0, 0)],
-        ("x9", "x11"): [Z(0, 0), I1, Z(0, 0), Z(0, 0)],
-        ("x11", "x10"): [Z(0, 0), I1, Z(1, 0), Z(0, 0)],
-        ("x10", "x12"): [Z(0, 0), I1, M([[1], [0]]), Z(1, 0)],
-        ("x11", "x13"): [Z(0, 0), I1, Z(1, 0), Z(0, 0)],
-        ("x13", "x12"): [Z(0, 0), I1, M([[1], [1]]), Z(1, 0)],
-    }
-    idx = poset.index
-    return ChainFunctor.from_arrays(
-        poset,
-        [dims[name] for name in poset.names],
-        [boundaries[name] for name in poset.names],
-        {(idx(y), idx(x)): covmaps[(y, x)] for y, x in _COUNTEREXAMPLE_COVERS},
-        p,
-    )
+    },
+    "boundaries": {
+        "x1": [[[1]], None, None],
+        "x3": [[[1, 0, 0]], [[0], [1], [0]], None],
+        "x4": [[[1]], None, None],
+        "x5": [[[1, 0, 0]], [[0], [1], [0]], None],
+        "x10": [None, [[1]], None],
+        "x12": [None, [[1, 0]], [[0], [1]]],
+        "x13": [None, [[1]], None],
+    },
+    "maps": {
+        "x2->x1": [[[1]], None, None, None],
+        "x2->x4": [[[1]], None, None, None],
+        "x1->x3": [[[1]], [[1], [0], [0]], None, None],
+        "x4->x3": [[[1]], [[1], [1], [1]], None, None],
+        "x6->x3": [None, [[0], [0], [1]], None, None],
+        "x3->x5": [[[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], None],
+        "x6->x7": [None, [[1]], None, None],
+        "x7->x5": [None, [[0], [0], [1]], None, None],
+        "x8->x6": [None, [[1]], None, None],
+        "x8->x9": [None, [[1]], None, None],
+        "x9->x7": [None, [[1]], None, None],
+        "x7->x10": [None, [[1]], None, None],
+        "x9->x11": [None, [[1]], None, None],
+        "x11->x10": [None, [[1]], None, None],
+        "x10->x12": [None, [[1]], [[1], [0]], None],
+        "x11->x13": [None, [[1]], None, None],
+        "x13->x12": [None, [[1]], [[1], [1]], None],
+    },
+}
+
+
+def _counterexample_chain(p: int) -> ChainFunctor:
+    return chain_from_json(_COUNTEREXAMPLE, counterexample_poset(), p)
 
 
 @dataclass(frozen=True)
@@ -156,27 +136,26 @@ class ChainPair:
     right: ChainFunctor
 
 
+# The three-chain pair on 0 < 1 < 2, as `chain_functors` document blocks.
+_TRIPLE_CHAIN_PAIR = (
+    {
+        "top": 1,
+        "dims": {"0": [1, 0], "1": [1, 1], "2": [0, 1]},
+        "boundaries": {"1": [[[1]]]},
+        "maps": {"0->1": [[[1]], None], "1->2": [None, [[1]]]},
+    },
+    {
+        "top": 1,
+        "dims": {"0": [1, 0], "1": [1, 1], "2": [1, 2]},
+        "boundaries": {"1": [[[1]]], "2": [[[1, 0]]]},
+        "maps": {"0->1": [[[1]], None], "1->2": [[[1]], [[1], [0]]]},
+    },
+)
+
+
 def _triple_chain_pair(p: int) -> ChainPair:
     poset = FinPoset.from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
-    I1 = Mat.identity(1, p)
-
-    def Z(r, c):
-        return Mat.zeros(r, c, p)
-
-    left = ChainFunctor.from_arrays(
-        poset,
-        [[1, 0], [1, 1], [0, 1]],
-        [[Z(1, 0)], [I1], [Z(0, 1)]],
-        {(0, 1): [I1, Z(1, 0)], (1, 2): [Z(0, 1), I1]},
-        p,
-    )
-    right = ChainFunctor.from_arrays(
-        poset,
-        [[1, 0], [1, 1], [1, 2]],
-        [[Z(1, 0)], [I1], [Mat([[1, 0]], p)]],
-        {(0, 1): [I1, Z(1, 0)], (1, 2): [I1, Mat([[1], [0]], p)]},
-        p,
-    )
+    left, right = (chain_from_json(block, poset, p) for block in _TRIPLE_CHAIN_PAIR)
     return ChainPair(left, right)
 
 

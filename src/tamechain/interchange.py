@@ -13,13 +13,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NameCollisionError, ParseError, TooLargeError
+from .errors import InputError, NameCollisionError, ParseError, TooLargeError, ValidationError
 from .field import Mat, _check_modulus
 from .posets import FinPoset, RealizedPoset, realize
-from .functors import VectFunctor
+from .functors import NatMap, VectFunctor
 from .chains import ChainFunctor
 
-__all__ = ["Document", "parse_document", "dumps_document", "build_document", "MAX_DECLARED_CELLS"]
+__all__ = ["Document", "parse_document", "dumps_document", "build_document", "chain_from_json", "MAX_DECLARED_CELLS"]
 
 # A functor or chain functor whose declared dims imply more matrix cells
 # than this is an input error, raised before any matrix is built.  The
@@ -276,6 +276,10 @@ def chain_to_json(X: ChainFunctor, poset_name: str) -> dict:
 
 
 def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
+    """The chain functor on P that a `chain_functors` block describes:
+    one functor per degree and one boundary per degree 1..top, built by
+    the checking constructors from the checked rows.  Their errors name
+    the degree, and the element or cover."""
     top = _dim(block.get("top", 0), "`top`")
     # Each implied matrix counts at least one cell: bound them before
     # forming a row of dims per element.
@@ -298,15 +302,25 @@ def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
                 for k in range(top)
             ]
         )
-    maps, keys = {}, _cover_keys(P)
+    maps: list[dict[tuple[int, int], Mat]] = [{} for _ in range(top + 1)]
+    keys = _cover_keys(P)
     for key, val in _table(block, "maps").items():
         y, x = _cover_from_key(P, keys, key)
         _list(val, top + 1, f"cover maps for {key!r} (degrees 0..{top})")
-        maps[(y, x)] = [
-            _mat_from_json(val[n], dims[x][n], dims[y][n], p, f"cover map {key!r} degree {n}")
-            for n in range(top + 1)
-        ]
-    return ChainFunctor.from_arrays(P, dims, bdy, maps, p)
+        for n in range(top + 1):
+            maps[n][(y, x)] = _mat_from_json(val[n], dims[x][n], dims[y][n], p, f"cover map {key!r} degree {n}")
+    layers, d = [], []
+    try:
+        for n in range(top + 1):
+            layers.append(VectFunctor(P, [row[n] for row in dims], maps[n], p))
+    except ValidationError as exc:
+        raise ValidationError(f"degree {n}: {exc}") from None
+    try:
+        for n in range(1, top + 1):
+            d.append(NatMap(layers[n], layers[n - 1], tuple(row[n - 1] for row in bdy)))
+    except ValidationError as exc:
+        raise ValidationError(f"boundary from degree {n}: {exc}") from None
+    return ChainFunctor(layers, d)
 
 
 @dataclass
@@ -375,7 +389,7 @@ def parse_document(text: str) -> Document:
                 raise ParseError(f"{kind} {name!r} references unknown poset {pname!r}")
             try:
                 table[name] = (build(block, doc.posets[pname], p), pname)
-            except (ParseError, TooLargeError) as exc:
+            except InputError as exc:
                 raise type(exc)(f"{kind} {name!r}: {exc}") from exc
     doc.gluing = raw.get("gluing")
     return doc

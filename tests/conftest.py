@@ -286,16 +286,20 @@ def conjugate_chain(rng: random.Random, X: ChainFunctor) -> ChainFunctor:
     from tamechain.field import inverse
 
     Uinv = [[inverse(m) for m in row] for row in U]
-    dims = [list(row) for row in X.dims]
-    bdy = [
-        [U[q][n] @ X.boundary_at(q, n + 1) @ Uinv[q][n + 1] for n in range(X.top)]
-        for q in range(X.poset.n)
+    layers = [
+        VectFunctor(
+            X.poset,
+            F.dims,
+            {(y, x): U[x][n] @ F.maps[(y, x)] @ Uinv[y][n] for y, x in X.poset.covers},
+            p,
+        )
+        for n, F in enumerate(X.layers)
     ]
-    maps = {
-        (y, x): [U[x][n] @ X.map_at((y, x), n) @ Uinv[y][n] for n in range(X.top + 1)]
-        for y, x in X.poset.covers
-    }
-    return ChainFunctor.from_arrays(X.poset, dims, bdy, maps, p)
+    d = [
+        NatMap(layers[n + 1], layers[n], tuple(U[q][n] @ b.comps[q] @ Uinv[q][n + 1] for q in range(X.poset.n)))
+        for n, b in enumerate(X.d)
+    ]
+    return ChainFunctor(layers, d)
 
 
 def boundaries(X: ChainFunctor) -> tuple:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tamechain import chains
-from tamechain.errors import HomologyNotResolvableError, KernelNotProjectiveError, ValidationError
+from tamechain.errors import HomologyNotResolvableError, InputError, KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat, kernel, solve
 from tamechain.functors import NatMap, VectFunctor, free_on_generators
 from tamechain.posets import FinPoset
@@ -29,6 +29,7 @@ from tamechain.chains import (
     zero_chain,
 )
 from tamechain.examples import builtin_example
+from tamechain.interchange import chain_from_json
 
 from conftest import (
     add_chain_maps,
@@ -44,29 +45,34 @@ from conftest import (
 
 
 def test_boundary_square_validation(point):
-    with pytest.raises(ValidationError):
-        ChainFunctor.from_arrays(
-            point,
-            [[1, 1, 1]],
-            [[Mat([[1]], 2), Mat([[1]], 2)]],  # d . d = 1 != 0
-            {},
-            2,
-        )
+    block = {"top": 2, "dims": {"*": [1, 1, 1]}, "boundaries": {"*": [[[1]], [[1]]]}}  # d . d = 1 != 0
+    with pytest.raises(ValidationError, match=r"boundary square is nonzero at element \*, degree 2"):
+        chain_from_json(block, point, 2)
 
 
-def test_from_arrays_errors_name_place_and_degree(chain2):
-    I, Z = Mat.identity(1, 2), Mat.zeros(1, 1, 2)
+def test_chain_document_errors_name_place_and_degree(chain2, diamond):
     cases = [
         # cover map of the wrong shape in degree 1
-        ([[Z], [Z]], {(0, 1): [I, Mat.zeros(1, 2, 2)]}, r"degree 1: .*\(a, b\)"),
+        (chain2, {"maps": {"a->b": [[[1]], [[0, 0]]]}}, r"cover map 'a->b' degree 1 has shape"),
         # boundary of the wrong shape at b
-        ([[Z], [Mat.zeros(2, 1, 2)]], {}, r"boundary from degree 1: .*at b"),
+        (chain2, {"boundaries": {"b": [[[0], [0]]]}}, r"boundary at 'b' degree 1 has shape"),
         # boundary not natural on the cover
-        ([[I], [I]], {(0, 1): [I, Z]}, r"boundary from degree 1: .*\(a, b\)"),
+        (
+            chain2,
+            {"boundaries": {"a": [[[1]]], "b": [[[1]]]}, "maps": {"a->b": [[[1]], None]}},
+            r"boundary from degree 1: .*\(a, b\)",
+        ),
+        # degree 1 not a functor: the two paths from c1 to c4 differ
+        (
+            diamond,
+            {"maps": {"c1->c2": [None, [[1]]], "c1->c3": [None, [[1]]], "c2->c4": [None, [[1]]]}},
+            r"degree 1: functoriality fails between c1 and c4",
+        ),
     ]
-    for bdy, maps, message in cases:
-        with pytest.raises(ValidationError, match=message):
-            ChainFunctor.from_arrays(chain2, [[1, 1], [1, 1]], bdy, maps, 2)
+    for poset, block, message in cases:
+        dims = {name: [1, 1] for name in poset.names}
+        with pytest.raises(InputError, match=message):
+            chain_from_json({"top": 1, "dims": dims, **block}, poset, 2)
 
 
 def test_chain_constructors_check_degrees_and_squares(point):
@@ -192,11 +198,9 @@ def test_homology_of_spheres_and_disks(point):
 
 def test_homology_functor_on_cover_maps(chain2):
     # Two-term complex with identity boundary at b only; H_0 survives at a.
-    X = ChainFunctor.from_arrays(
+    X = chain_from_json(
+        {"top": 1, "dims": {"a": [1, 0], "b": [1, 1]}, "boundaries": {"b": [[[1]]]}, "maps": {"a->b": [[[1]], None]}},
         chain2,
-        [[1, 0], [1, 1]],
-        [[Mat.zeros(1, 0, 2)], [Mat.identity(1, 2)]],
-        {(0, 1): [Mat.identity(1, 2), Mat.zeros(1, 0, 2)]},
         2,
     )
     H0 = homology_functor(X, 0)
@@ -219,7 +223,7 @@ def test_classify_identity_and_inclusion(point):
 
 def test_classify_zero_into_non_cofibrant(chain2):
     # The atom at the bottom is not projective, so 0 -> atom is no cofibration.
-    atom = ChainFunctor.from_arrays(chain2, [[1], [0]], [[], []], {(0, 1): [Mat.zeros(0, 1, 2)]}, 2)
+    atom = chain_from_json({"dims": {"a": [1]}}, chain2, 2)
     cls = classify_morphism(ChainMap.zero(zero_chain(chain2, 2), atom))
     assert not cls.cofibration
 
@@ -294,7 +298,7 @@ def test_factorization_of_identity_collapses(chain3):
 
 
 def test_factorization_fails_on_dimension_two(diamond):
-    atom = ChainFunctor.from_arrays(diamond, [[1], [0], [0], [0]], [[], [], [], []], {}, 2)
+    atom = chain_from_json({"dims": {"c1": [1]}}, diamond, 2)
     with pytest.raises(KernelNotProjectiveError, match="the poset is not of dimension <= 1"):
         cofibrant_replacement(atom)
 
@@ -338,7 +342,7 @@ def test_structure_decompose_requires_dim1(diamond):
 
 
 def test_structure_decompose_rejects_non_cofibrant(chain2):
-    atom = ChainFunctor.from_arrays(chain2, [[1], [0]], [[], []], {(0, 1): [Mat.zeros(0, 1, 2)]}, 2)
+    atom = chain_from_json({"dims": {"a": [1]}}, chain2, 2)
     with pytest.raises(ValidationError):
         structure_decompose(atom)
 

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamechain.chains import ChainFunctor
 from tamechain.cli import _end_ring_json
 from tamechain.field import Mat
-from tamechain.interchange import build_document, dumps_document, parse_document
-from tamechain.examples import builtin_example
+from tamechain.interchange import build_document, chain_from_json, dumps_document, parse_document
+from tamechain.examples import ChainPair, GluingStage, builtin_example
 from tamechain.posets import FinPoset, realize
 from tamechain.functors import free_functor
 from tamechain.morphisms import EndRing, hom_space
@@ -175,15 +174,61 @@ def test_interchange_round_trip_realized():
     assert dumps_document(build_document(5, {"R": P2}, functors={"F": (F2, "R")})) == text
 
 
-def test_interchange_round_trip_chain():
-    X = builtin_example("fig2", 2)
-    doc = build_document(2, {"P": X.poset}, chains={"X": (X, "P")})
-    text = dumps_document(doc)
-    back = parse_document(text)
-    X2 = back.chains["X"][0]
+def _assert_round_trip(X) -> None:
+    """`chain_to_json` then `chain_from_json` give X's poset, dims,
+    boundary components and cover maps."""
+    text = dumps_document(build_document(X.p, {"P": X.poset}, chains={"X": (X, "P")}))
+    X2 = parse_document(text).chains["X"][0]
+    assert (X2.poset.names, X2.poset.covers) == (X.poset.names, X.poset.covers)
     assert X2.dims == X.dims
     assert [b.comps for b in X2.d] == [b.comps for b in X.d]
     assert [F.maps for F in X2.layers] == [F.maps for F in X.layers]
+
+
+BUILTIN_NAMES = [
+    "fig2",
+    "fig3_a",
+    "fig3_b",
+    "fig3_c",
+    "triple_chain_pair",
+    "triple_chain_pair.left",
+    "triple_chain_pair.right",
+    "sphere(0)",
+    "sphere(3)",
+    "disk(0)",
+    "disk(3)",
+]
+
+
+def test_interchange_round_trip_chain():
+    for p in (2, 3, 5):
+        for name in BUILTIN_NAMES:
+            obj = builtin_example(name, p)
+            if isinstance(obj, GluingStage):
+                _assert_round_trip(obj.functor)
+            elif isinstance(obj, ChainPair):
+                _assert_round_trip(obj.left)
+                _assert_round_trip(obj.right)
+            else:
+                _assert_round_trip(obj)
+
+
+@st.composite
+def arrow_named_chains(draw):
+    """`random_chain` with top 0 to 2 on a random poset of any dimension,
+    its elements renamed to names that contain `->`."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    P = random_poset(rng, 5)
+    forms = draw(st.lists(st.sampled_from(["e{}->", "->e{}", "e{}->x"]), min_size=P.n, max_size=P.n))
+    names = [form.format(i) for i, form in enumerate(forms)]
+    P = FinPoset.from_covers(names, [(names[y], names[x]) for y, x in P.covers])
+    return random_chain(rng, P, draw(st.sampled_from([2, 3, 5, 32749])), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrow_named_chains())
+def test_interchange_round_trip_random_chain(X):
+    _assert_round_trip(X)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32749, 2147483629])
@@ -231,8 +276,7 @@ def rings(draw):
     top = draw(st.integers(0, 2))
     dims = [[draw(st.integers(0, 3)) for _ in range(top + 1)] for _ in names]
     P = FinPoset.from_covers(names, [(a, b) for a, b in zip(names, names[1:])][: draw(st.integers(0, len(names) - 1))])
-    zeros = [[Mat.zeros(row[n - 1], row[n], p) for n in range(1, top + 1)] for row in dims]
-    X = ChainFunctor.from_arrays(P, dims, zeros, {}, p)
+    X = chain_from_json({"top": top, "dims": dict(zip(names, dims))}, P, p)
     k = draw(st.integers(0, 4))
     rows = sum(d * d for row in dims for d in row)
     entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * k, max_size=rows * k))
@@ -438,6 +482,46 @@ def test_validate_missing_file_is_input_error(tmp_path):
         assert code == 2
         assert out == ""
         assert repr(missing) in err
+
+
+def test_batch_validate_names_the_failing_file(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(PLAIN)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": 4}))
+    for files in ([bad, good], [good, bad], [good, good, bad]):
+        code, out, err = invoke(["validate"] + [str(f) for f in files])
+        assert code == 2
+        assert out == ""
+        assert f"input error (ParseError): {bad}: bad field 4: field modulus 4 is not prime" in err
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (
+            {"top": 2, "dims": {"a": [1, 1, 1]}, "boundaries": {"a": [[[1]], [[1]]]}},
+            "boundary square is nonzero at element a, degree 2",
+        ),
+        (
+            {"top": 1, "dims": {"a": [1, 1], "b": [1, 1]}, "boundaries": {"a": [[[1]]], "b": [[[1]]]},
+             "maps": {"a->b": [[[1]], None]}},
+            "boundary from degree 1: naturality fails on cover (a, b)",
+        ),
+    ],
+    ids=["square", "naturality"],
+)
+def test_constructor_errors_in_a_document_name_the_object(broken, message):
+    # X is well formed; only Y, the second chain functor, is broken.
+    good = {"top": 1, "dims": {"a": [1, 1], "b": [1, 1]}, "boundaries": {"a": [[[1]]], "b": [[[1]]]},
+            "maps": {"a->b": [[[1]], [[1]]]}}
+    doc = json.loads(PLAIN)
+    doc["chain_functors"] = {"X": {"poset": "Q", **good}, "Y": {"poset": "Q", **broken}}
+    code, out, err = invoke(["info"], json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"input error (ValidationError): chain functor 'Y': {message}" in err
 
 
 def _fig2_document(edit) -> str:
