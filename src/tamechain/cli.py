@@ -54,8 +54,15 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _read_doc(args) -> Document:
-    return parse_document(_read_text(args.file))
+def _read_doc(path: str) -> Document:
+    """The document in `path`; its input errors name the file (not stdin)."""
+    text = _read_text(path)  # an unreadable file is named by its error
+    try:
+        return parse_document(text)
+    except InputError as exc:
+        if path == "-":
+            raise
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _element(P: FinPoset, name: str, flag: str) -> int:
@@ -86,8 +93,7 @@ def _pick_object(doc: Document, name: Optional[str]):
     return doc.only_functor(name)
 
 
-def _validate_one(text: str) -> dict:
-    doc = parse_document(text)
+def _validate_one(doc: Document) -> dict:
     checks = {"posets": len(doc.posets), "functors": len(doc.functors), "chain_functors": len(doc.chains)}
     for name, (X, _) in doc.chains.items():
         # One d.d = 0 check per element and degree 2..top, one square per cover and degree 1..top.
@@ -97,16 +103,10 @@ def _validate_one(text: str) -> dict:
 
 def cmd_validate(args) -> int:
     files = [args.file] + list(args.files)
+    results = [_validate_one(_read_doc(path)) for path in files]
     if len(files) == 1:
-        _emit_report(args, _validate_one(_read_text(files[0])))
+        _emit_report(args, results[0])
         return 0
-    results = []
-    for path in files:
-        text = _read_text(path)  # an unreadable file is named by its error
-        try:
-            results.append(_validate_one(text))
-        except InputError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
     for path, report in zip(files, results):
         if args.machine:
             sys.stdout.write(
@@ -118,7 +118,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     report: dict = {"field": doc.field}
     for name, P in doc.posets.items():
         report[f"poset[{name}].elements"] = len(P.names)
@@ -136,7 +136,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    name, obj = _pick_object(_read_doc(args), args.object)
+    name, obj = _pick_object(_read_doc(args.file), args.object)
     if isinstance(obj, ChainFunctor):
         cov = minimal_projective_cover_ch(obj)
         report = {
@@ -160,7 +160,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    name, obj = _pick_object(_read_doc(args), args.object)
+    name, obj = _pick_object(_read_doc(args.file), args.object)
     if isinstance(obj, ChainFunctor):
         layers, pd = chain_projective_resolution(obj)
         report = {
@@ -194,7 +194,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_replace(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     name, X = doc.only_chain(args.object)
     fact = cofibrant_replacement(X)
     pname = doc.chains[name][1]
@@ -207,7 +207,7 @@ def cmd_replace(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     name, X = doc.only_chain(args.object)
     dec = structure_decompose(X)
     summands = []
@@ -254,7 +254,7 @@ def _named_hom_error(name: Optional[str], exc: TooLargeError) -> TooLargeError:
 
 
 def cmd_endring(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     name, obj = _pick_object(doc, args.object)
     try:
         ring = end_ring(obj)
@@ -268,7 +268,7 @@ def cmd_endring(args) -> int:
 
 
 def cmd_indec(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     if args.budget is not None and args.budget < 0:
         raise InputError(f"--budget must be non-negative, got {args.budget}")
     name, obj = _pick_object(doc, args.object)
@@ -292,7 +292,7 @@ def cmd_indec(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     block = doc.gluing if isinstance(doc.gluing, dict) else {}
     sides = []
     for key, arg in (("A", args.A), ("B", args.B)):
@@ -323,7 +323,7 @@ def cmd_glue(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     name, P = doc.only_poset(args.poset)
     if isinstance(P, RealizedPoset):
         raise ParseError("poset is already a realization")
@@ -354,7 +354,7 @@ def _parse_point(text: str, base: FinPoset):
 
 
 def cmd_transfer(args) -> int:
-    doc = _read_doc(args)
+    doc = _read_doc(args.file)
     name, P = doc.only_poset(args.poset)
     if isinstance(P, RealizedPoset):
         point = _parse_point(args.point, P.base)

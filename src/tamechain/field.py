@@ -5,9 +5,17 @@ every operation is deterministic: pivots are chosen leftmost-first and
 free variables are set to zero, so identical inputs give bit-identical
 outputs.  Zero-dimensional shapes (0 x n, n x 0) are first-class: an
 operation with a zero-size operand returns its exact result at once,
-without elimination or product.  `Mat.zeros` and `Mat.identity` return
-shared matrices, cached per (shape, p); sharing is safe because every
-`Mat` is immutable (its array is read-only).
+without elimination or product.
+
+Elimination finds each pivot in one Gauss-Jordan pass.  Wide matrices
+are taken in column panels; each panel is eliminated once with a
+coefficient block that collects its inverse, and its row operations
+reach the rest of the matrix as one product, subtracted unreduced and
+reduced once.
+
+`Mat.zeros` and `Mat.identity` return shared matrices, cached per
+(shape, p); sharing is safe because every `Mat` is immutable (its array
+is read-only).
 """
 
 from __future__ import annotations
@@ -205,8 +213,17 @@ class Mat:
 _BLAS_MIN_MADDS = 32**3
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for canonical residues.
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place, by floor division: numpy's `%` divides once per
+    entry, while `//` by a scalar multiplies by a precomputed reciprocal."""
+    x -= (x // p) * p
+    return x
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """An int64 array congruent to a @ b mod p, for canonical residues,
+    with entries in [0, 2**62]: the exact product, or one reduced mod p
+    where the exact product would not fit.
 
     The float64 route is exact when inner * (p - 1)**2 < 2**53: every
     product and every partial sum is then an integer below 2**53, so no
@@ -219,11 +236,15 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if inner == 0:
         return np.zeros((m, n), dtype=np.int64)
     if m * inner * n >= _BLAS_MIN_MADDS and inner * (p - 1) ** 2 < 2**53:
-        # Reduce in int64: np.fmod on float64 is several times slower.
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     if inner * (p - 1) ** 2 <= 2**62:
-        return (a @ b) % p
+        return a @ b
     return _matmul_halves(a, b, p)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for canonical residues."""
+    return _product(a, b, p) % p
 
 
 # Inner length up to which the float64 products of 16-bit halves are exact.
@@ -231,8 +252,10 @@ _HALVES_INNER = 2**20
 
 
 def _matmul_halves(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for any p < 2**31, by delayed reduction (Dumas, Giorgi
-    and Pernet, ACM TOMS 35(3), 2008).
+    """An int64 array congruent to a @ b mod p, not reduced, for any
+    p < 2**31, by delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS
+    35(3), 2008): residues summed over the chunks of the inner dimension,
+    below p * ceil(inner / 2**20).
 
     With a = 2**16 a1 + a0 and b = 2**16 b1 + b0, all halves below 2**16,
     one float64 product of [a1; a0] and [b1 b0] gives the four partial
@@ -252,7 +275,7 @@ def _matmul_halves(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         high = P[:m, :n].astype(np.int64) % p
         middle = (P[:m, n:] + P[m:, :n]).astype(np.int64) % p
         out += (high * pow(2, 32, p) + middle * 2**16 + P[m:, n:].astype(np.int64)) % p
-    return out % p
+    return out
 
 
 @dataclass(frozen=True)
@@ -273,14 +296,20 @@ class Rref:
 
 # Column panel width of the blocked elimination.  A matrix no wider than
 # one panel is eliminated unblocked, with no copies and no products.
-_PANEL = 48
+_PANEL = 64
 
 
-def _gauss_jordan(A: np.ndarray, ncols: int, p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Unblocked Gauss-Jordan elimination of A in place, pivoting only in
-    its first `ncols` columns: the pivot of column c is the first nonzero
-    at or below the current row.  Returns the pivot columns and the row
-    swaps made, in order.
+def _gauss_jordan(A: np.ndarray, ncols: int, p: int, coef: int = 0) -> tuple[list[int], list[tuple[int, int]]]:
+    """Gauss-Jordan elimination of A in place, pivoting only in its first
+    `ncols` columns: the pivot of column c is the first nonzero at or below
+    the current row.  Returns the pivot columns and the row swaps made, in
+    order.
+
+    With coef > 0, A's columns from `coef` on are a zero coefficient
+    block, and the row that becomes pivot j gets coefficient 1 at coef + j.
+    Pivot rows only take multiples of pivot rows, so the block's first
+    rows end up holding G^-1, G being the pivot rows' original block in
+    the pivot columns.
     """
     m = A.shape[0]
     pivots: list[int] = []
@@ -296,8 +325,13 @@ def _gauss_jordan(A: np.ndarray, ncols: int, p: int) -> tuple[list[int], list[tu
         if i != r:
             A[[r, i]] = A[[i, r]]
             swaps.append((r, i))
-        # Row r is zero left of c, so every update starts at column c.
-        row = A[r, c:]
+        # Row r is zero left of c, so every update starts at column c; it
+        # ends at the coefficient of pivot r, the last one set.
+        end = None
+        if coef:
+            end = coef + r + 1
+            A[r, end - 1] = 1
+        row = A[r, c:end]
         piv = int(row[0])
         if piv != 1:
             row *= pow(piv, p - 2, p)
@@ -306,7 +340,7 @@ def _gauss_jordan(A: np.ndarray, ncols: int, p: int) -> tuple[list[int], list[tu
         factors[r] = 0
         hit = factors.nonzero()[0]
         if hit.size:
-            A[hit, c:] = (A[hit, c:] - factors[hit, None] * row) % p
+            A[hit, c:end] = (A[hit, c:end] - factors[hit, None] * row) % p
         pivots.append(c)
         r += 1
     return pivots, swaps
@@ -316,15 +350,18 @@ def _eliminate(A: np.ndarray, ncols: int, p: int) -> list[int]:
     """Gauss-Jordan elimination of A in place, pivoting only in its first
     `ncols` columns; returns the pivot columns.
 
-    Columns are taken in panels of _PANEL.  Each panel is eliminated
-    unblocked on a copy of its rows at or below the current row r, which
-    fixes the panel's pivots and row swaps.  The panel's row operations
-    are then applied to every column from the panel on in one product:
-    with the rows permuted, the k pivot rows become X = G^-1 A[r:r+k],
-    where G is their pre-elimination block in the pivot columns, and
-    every other row loses C X, where C is its pre-elimination block in
-    the pivot columns.  These are the elementary operations of the
-    unblocked loop, grouped, so the result is the same to the bit.
+    A matrix no wider than one panel goes through `_gauss_jordan` once.
+    Wider ones are taken in column panels of _PANEL.  The rows at or
+    below the current row r of a panel are eliminated by `_gauss_jordan`
+    on a copy with a coefficient block, which fixes the panel's k pivots
+    and row order and gives G^-1, G being the pivot rows' original block
+    in the pivot columns.  The row order is applied to A once, and the
+    panel's row operations reach every column from the panel on in one
+    product: the pivot rows become X = G^-1 A[r:r+k], and every other row
+    loses C X, where C is its original block in the pivot columns,
+    subtracted unreduced where that is exact and reduced once.  These are
+    the elementary operations of the unblocked loop, grouped, so the
+    result is the same to the bit.
     """
     if ncols <= _PANEL:
         return _gauss_jordan(A, ncols, p)[0]
@@ -335,23 +372,26 @@ def _eliminate(A: np.ndarray, ncols: int, p: int) -> list[int]:
         if r == m:
             break
         c1 = min(c0 + _PANEL, ncols)
-        piv, swaps = _gauss_jordan(A[r:, c0:c1].copy(), c1 - c0, p)
+        w = c1 - c0
+        panel = np.zeros((m - r, w + min(w, m - r)), dtype=np.int64)
+        panel[:, :w] = A[r:, c0:c1]
+        piv, swaps = _gauss_jordan(panel, w, p, coef=w)
         if not piv:
             continue
-        for i, j in swaps:
-            A[[r + i, r + j]] = A[[r + j, r + i]]
         k = len(piv)
+        if swaps:
+            order = list(range(r, m))
+            for i, j in swaps:
+                order[i], order[j] = order[j], order[i]
+            A[r:, c0:] = A[order, c0:]
         pc = [c0 + j for j in piv]
-        G = np.eye(k, 2 * k, k, dtype=np.int64)
-        G[:, :k] = A[r : r + k, pc]
-        _gauss_jordan(G, k, p)
-        X = _matmul(G[:, k:], A[r : r + k, c0:], p)
+        X = _matmul(panel[:k, w : w + k], A[r : r + k, c0:], p)
         for rows in (slice(0, r), slice(r + k, m)):
             C = A[rows, pc]
             if C.any():
                 block = A[rows, c0:]
-                block -= _matmul(C, X, p)
-                block %= p
+                block -= _product(C, X, p)
+                _reduce(block, p)
         A[r : r + k, c0:] = X
         pivots += pc
         r += k

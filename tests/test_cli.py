@@ -496,6 +496,19 @@ def test_batch_validate_names_the_failing_file(tmp_path):
         assert f"input error (ParseError): {bad}: bad field 4: field modulus 4 is not prime" in err
 
 
+@pytest.mark.parametrize("command", [["info"], ["endring"], ["validate"]])
+def test_document_errors_name_the_file(tmp_path, command):
+    # A document read from a file is named in its parse error; the same
+    # document on stdin is not, since it has no name.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": 4}))
+    message = "input error (ParseError): {}bad field 4: field modulus 4 is not prime\n"
+    code, out, err = invoke(command + [str(bad)])
+    assert (code, out, err) == (2, "", message.format(f"{bad}: "))
+    code, out, err = invoke(command + ["-"], bad.read_text())
+    assert (code, out, err) == (2, "", message.format(""))
+
+
 @pytest.mark.parametrize(
     "broken, message",
     [

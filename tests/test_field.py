@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tamechain.errors import FieldMismatchError, NoSolutionError
 from tamechain.field import (
@@ -232,13 +232,20 @@ def _low_rank(rng, rows, cols, p):
     return M
 
 
+# 700000001 and 1500000001 keep a panel's unreduced trailing product on
+# int64 only for up to 9 and 2 pivots (2**62 // (p - 1)**2), and past
+# that on 16-bit halves; up to 5 * _PANEL columns, a matrix spans up to
+# five panels.
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=3 * _PANEL),
-    st.integers(min_value=0, max_value=3 * _PANEL),
-    st.sampled_from([2, 3, 5, 32749, 2147483629]),
+    st.integers(min_value=0, max_value=5 * _PANEL),
+    st.sampled_from([2, 3, 5, 32749, 700000001, 1500000001, 2147483629]),
     st.integers(min_value=0, max_value=2**30),
 )
+# Full rank over more than three panels, at those primes.
+@example(150, 5 * _PANEL, 700000001, 2)
+@example(3 * _PANEL, 4 * _PANEL + 7, 1500000001, 1)
 def test_kernels_match_unblocked_oracle(rows, cols, p, seed):
     rng = np.random.default_rng(seed)
     arr = _low_rank(rng, rows, cols, p)
