@@ -170,9 +170,6 @@ class Mat:
     def is_zero(self) -> bool:
         return not self.arr.any()
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and bool(np.array_equal(self.arr, np.eye(self.rows, dtype=np.int64)))
-
     def rank(self) -> int:
         return len(rref(self, transform=False).pivots)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import KernelNotProjectiveError, ValidationError
 from .field import Mat, kernel, cokernel, rref, solve, inverse
-from .posets import FinPoset, _greatest_below
+from .posets import FinPoset, RealizedPoset, _greatest_below, realize
 
 __all__ = [
     "VectFunctor",
@@ -132,9 +132,6 @@ class VectFunctor:
                         raise ValidationError(
                             f"functoriality fails between {self.poset.names[src]} and {self.poset.names[x]}"
                         )
-
-    def at(self, x: int) -> int:
-        return self.dims[x]
 
     def map_leq(self, y: int, x: int) -> Mat:
         """F(y <= x), composed down from x along covers toward y.  The walk
@@ -619,8 +616,6 @@ def common_realized_discretization(base: FinPoset, items: Sequence[VectFunctor])
     subsets of one base poset: realize the closure of the union of the
     subsets with the union of the coordinate sets, then Kan-extend each
     functor along the point-name embedding."""
-    from .posets import RealizedPoset, realize as _realize
-
     subsets: set[int] = set()
     coords = set()
     for F in items:
@@ -631,7 +626,7 @@ def common_realized_discretization(base: FinPoset, items: Sequence[VectFunctor])
             raise ValueError("all realizations must share the base poset")
         subsets.update(rp.d_subset)
         coords.update(rp.vset)
-    union = _realize(base, [base.names[e] for e in base.closure(subsets)], sorted(coords))
+    union = realize(base, [base.names[e] for e in base.closure(subsets)], sorted(coords))
     out = []
     for F in items:
         embed = [union.index(name) for name in F.poset.names]

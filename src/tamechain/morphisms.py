@@ -23,7 +23,7 @@ from .errors import (
     TooLargeError,
     ZeroObjectError,
 )
-from .field import Mat, _matmul, _null_basis, inverse, kernel, kernel_basis, rref, solve, solve_or_none
+from .field import Mat, _matmul, _null_basis, inverse, kernel, kernel_basis, rref, solve
 from .functors import (
     NatMap,
     VectFunctor,
@@ -255,14 +255,6 @@ class EndRing:
         """The endomorphism with the given coordinates in the basis."""
         column = Mat(np.asarray(coeffs, dtype=np.int64).reshape(-1, 1), self.obj.p)
         return ChainMap.from_vec(self.obj, self.obj, (self.columns @ column).arr[:, 0])
-
-    def coordinates_of(self, phi: ChainMap) -> Optional[Mat]:
-        if not self.dim:
-            return None
-        return solve_or_none(self.columns, Mat(phi.to_vec().reshape(-1, 1), self.obj.p))
-
-    def contains(self, phi: ChainMap) -> bool:
-        return self.coordinates_of(phi) is not None
 
 
 def end_ring(obj: Functorlike) -> EndRing:

@@ -115,21 +115,9 @@ class FinPoset:
     def leq(self, a: int, b: int) -> bool:
         return bool(self.leq_matrix[a, b])
 
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
-
-    def comparable(self, a: int, b: int) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
     def covered_by(self, x: int) -> tuple[int, ...]:
         """P(x): the elements covered by x."""
         return self._covered_by.get(x, ())
-
-    def down_set(self, x: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.leq_matrix[:, x]).tolist())
-
-    def up_set(self, x: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.leq_matrix[x, :]).tolist())
 
     def linear_extension(self) -> tuple[int, ...]:
         """Elements by size of their down-set, ties by index."""
@@ -385,12 +373,6 @@ class RealizedPoset(FinPoset):
             q = self.base.index(z.q)
             return q, q, len(self.vset)
         return self.base.index(z.top), self.base.index(z.bottom), bisect.bisect_right(self.vset, z.t) - 1
-
-    def point_index(self, z: Point) -> Optional[int]:
-        try:
-            return self.index(point_name(z))
-        except KeyError:
-            return None
 
     def transfer(self, z: Point) -> Optional[Point]:
         """Transfer of the inclusion into the ambient realization: the greatest

@@ -1,0 +1,92 @@
+"""The library surface has no member that only tests call.
+
+Every public method or property of a class in `src/tamechain`, and every
+public module-level function, is referenced somewhere in `src/` outside
+its own definition (`.name` for a member; the bare name or `.name` for a
+function), or is exported by `tamechain/__init__.py`, or is on the keep
+list below with its reason.  A reference from inside a member that is
+itself unused does not count.  The check goes by name, so a member passes
+when a used member of another class shares its name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import tamechain
+
+SRC = Path(tamechain.__file__).parent
+
+KEEP = {
+    "field.Mat.scale": "perfbench/spans.py wraps it by name in the traced run",
+    "field.Mat.rank": "perfbench/spans.py wraps it by name in the traced run",
+    "field.Mat.transpose": "perfbench/spans.py wraps it by name in the traced run",
+    "field.Mat.take_rows": "perfbench/spans.py wraps it by name in the traced run",
+    "field.Mat.take_cols": "perfbench/spans.py wraps it by name in the traced run",
+    "posets.FinPoset.suplim": "the paper's suplim (minimal upper bounds of a subset), checked by the poset tests",
+    "posets.RealizedPoset.points": "the symbolic points of S(Q, D, V), which the realization oracles read",
+    "chains.SummandLabel.key": "the sortable form of a summand label, which the decomposition tests compare",
+    "chains.Decomposition.splits": "each summand's inclusion and retraction, the witnesses the decomposition tests check",
+    "chains.chain_coker": "the cokernel of a chain map, which the brute-force gluing oracle builds coker beta with",
+    "functors.common_realized_discretization": "perfbench's realize-kan workload calls it",
+}
+
+
+def _surface():
+    """The public definitions by qualified name, each as (name, file, first
+    line, last line, is a function), the references by name as (file, line),
+    and the names `tamechain/__init__.py` exports."""
+    defs: dict[str, tuple[str, str, int, int, bool]] = {}
+    attrs: dict[str, list[tuple[str, int]]] = {}
+    names: dict[str, list[tuple[str, int]]] = {}
+    exported: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "__init__.py":
+            exported |= {a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members = [(f"{node.name}.{f.name}", f, False) for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                members = [(node.name, node, True)] if isinstance(node, ast.FunctionDef) else []
+            for qual, f, is_function in members:
+                if not f.name.startswith("_"):
+                    defs[f"{path.stem}.{qual}"] = (f.name, path.name, f.lineno, f.end_lineno, is_function)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, []).append((path.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                names.setdefault(node.id, []).append((path.name, node.lineno))
+    return defs, attrs, names, exported
+
+
+def _unused() -> set[str]:
+    defs, attrs, names, exported = _surface()
+
+    def within(ref, qual):
+        _, file, first, last, _ = defs[qual]
+        return ref[0] == file and first <= ref[1] <= last
+
+    unused: set[str] = set()
+    while True:
+        found = set()
+        for qual, (name, _, _, _, is_function) in defs.items():
+            if qual in unused or qual in KEEP or name in exported:
+                continue
+            refs = attrs.get(name, []) + (names.get(name, []) if is_function else [])
+            if not any(not within(ref, qual) and not any(within(ref, u) for u in unused) for ref in refs):
+                found.add(qual)
+        if not found:
+            return unused
+        unused |= found
+
+
+def test_every_public_member_has_a_caller():
+    unused = sorted(_unused())
+    assert not unused, "no caller in src/ and not exported: " + ", ".join(unused)
+
+
+def test_keep_list_names_existing_members():
+    defs = _surface()[0]
+    assert sorted(set(KEEP) - set(defs)) == []

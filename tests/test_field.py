@@ -34,13 +34,13 @@ def test_rref_zero_matrix():
     rr = rref(Mat.zeros(3, 2, 5))
     assert rr.pivots == ()
     assert rr.R.is_zero()
-    assert rr.T.is_identity()
+    assert rr.T == Mat.identity(3, 5)
 
 
 def test_rref_identity():
     rr = rref(Mat.identity(4, 3))
     assert rr.pivots == (0, 1, 2, 3)
-    assert rr.R.is_identity()
+    assert rr.R == Mat.identity(4, 3)
 
 
 def test_rref_rank_one_over_f2():
@@ -316,7 +316,7 @@ def test_zeros_and_identities_are_shared_and_read_only():
     for p in (2, 5):
         Z, I = Mat.zeros(2, 3, p), Mat.identity(3, p)
         assert Z is Mat.zeros(2, 3, p) and I is Mat.identity(3, p)
-        assert Z.is_zero() and Z.shape == (2, 3) and I.is_identity() and I.p == p
+        assert Z.is_zero() and Z.shape == (2, 3) and np.array_equal(I.arr, np.eye(3, dtype=np.int64)) and I.p == p
         for shared in (Z, I, Mat.zeros(0, 4, p)):
             with pytest.raises(ValueError):
                 shared.arr[:, :1] = 1

@@ -1,11 +1,13 @@
-"""Presentation invariance of the `replace | decompose` pipeline.
+"""Presentation invariance of the CLI reports.
 
 A document can list its elements and covers in any order, and its JSON
 objects can hold their keys in any order.  None of this may change what
-the pipeline reports: the `replace` report, and the multiset of
+the commands report: the `replace` report and the multiset of
 `decompose --machine` labels (kind, degree, generator names and
-multiplicities, relation generators).  Element names may contain `->`,
-the separator of cover keys.
+multiplicities, relation generators); the `endring` dimension; the
+`indec --strategy exhaustive` verdict and End dimension; and the `glue`
+criteria with the dimension of Hom(coker beta, X_B).  Element names may
+contain `->`, the separator of cover keys.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamechain.interchange import build_document, dumps_document
 from tamechain.posets import FinPoset
 
-from conftest import invoke, random_chain, random_dim1_poset
+from conftest import invoke, random_chain, random_dim1_poset, random_poset
 
 # Each name holds its element's index as its only digits, so no two
 # covers share a key however the decorations meet the separator.
@@ -41,6 +44,8 @@ def _permuted(doc: dict, rng: random.Random) -> str:
     for poset in out["posets"].values():
         rng.shuffle(poset["elements"])
         rng.shuffle(poset["covers"])
+    for side in out.get("gluing", {}).values():
+        rng.shuffle(side)
     return json.dumps(out)
 
 
@@ -73,3 +78,72 @@ def test_replace_decompose_ignores_the_presentation(p, seed, decorations):
     expected = _pipeline(json.dumps(doc))
     for _ in range(3):
         assert _pipeline(_permuted(doc, rng)) == expected
+
+
+def _glued_document(rng: random.Random, p: int, make_poset) -> dict:
+    """A random chain functor X of top 0 or 1 with a legal gluing block.
+    A is the down-closure of a nonempty set of elements that leaves out a
+    maximal one; B is the rest of the poset with the members of A below
+    it, so no relation crosses between A - B and B - A."""
+    P = make_poset(rng, 5)
+    while P.n < 2:
+        P = make_poset(rng, 5)
+    leq = P.leq_matrix
+    maximal = rng.choice([x for x in range(P.n) if leq[x].sum() == 1])
+    rest = [x for x in range(P.n) if x != maximal]
+    seeds = rng.sample(rest, rng.randint(1, len(rest)))
+    in_a = leq[:, seeds].any(axis=1)
+    in_b = ~in_a | (leq[:, ~in_a].any(axis=1))
+    X = random_chain(rng, P, p, rng.randint(0, 1))
+    gluing = {side: [P.names[x] for x in range(P.n) if mask[x]] for side, mask in (("A", in_a), ("B", in_b))}
+    return json.loads(dumps_document(build_document(p, {"P": P}, chains={"X": (X, "P")}, gluing=gluing)))
+
+
+def _report(argv: list[str], text: str, keys: tuple[str, ...]):
+    """The named entries of a `--machine` report, or the exit code and
+    message of a failure."""
+    code, out, err = invoke(argv + ["--machine"], text)
+    if code:
+        return code, err
+    rep = json.loads(out)
+    return tuple(rep[k] for k in keys)
+
+
+POSETS = pytest.mark.parametrize("make_poset", [random_dim1_poset, random_poset], ids=["dim1", "general"])
+FIELDS_AND_SEEDS = given(st.sampled_from([2, 3, 5]), st.integers(0, 2**30))
+
+
+def _check_invariance(argv, keys, make_poset, p, seed):
+    rng = random.Random(seed)
+    doc = _glued_document(rng, p, make_poset)
+    expected = _report(argv, json.dumps(doc), keys)
+    for _ in range(3):
+        assert _report(argv, _permuted(doc, rng), keys) == expected
+
+
+@POSETS
+@settings(max_examples=25, deadline=None)
+@FIELDS_AND_SEEDS
+def test_endring_ignores_the_presentation(make_poset, p, seed):
+    _check_invariance(["endring"], ("dim",), make_poset, p, seed)
+
+
+# The verdict survives most faults that reorder End: a random functor
+# has many idempotents, and a search that misses one still finds another.
+# So this test takes more examples than its neighbours.
+@POSETS
+@settings(max_examples=100, deadline=None)
+@FIELDS_AND_SEEDS
+def test_indec_ignores_the_presentation(make_poset, p, seed):
+    # The budget bounds the enumeration; a larger End is a budget error,
+    # which must not depend on the presentation either.
+    argv = ["indec", "--strategy", "exhaustive", "--budget", "4096"]
+    _check_invariance(argv, ("verdict", "certainty", "end_dim"), make_poset, p, seed)
+
+
+@POSETS
+@settings(max_examples=25, deadline=None)
+@FIELDS_AND_SEEDS
+def test_glue_ignores_the_presentation(make_poset, p, seed):
+    keys = ("crit_hom_zero", "crit_rad_iso", "crit_kernel_nilpotent", "crit_restriction_injective", "hom_coker_dim")
+    _check_invariance(["glue"], keys, make_poset, p, seed)

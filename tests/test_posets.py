@@ -174,7 +174,8 @@ def test_realize_v_poset_subdivision():
     ]
     for a, b in itertools.combinations(chain_p, 2):
         assert rp.leq(a, b)
-    assert not rp.comparable(rp.index("r~p~-1/4"), rp.index("r~q~-1/4"))
+    a, b = rp.index("r~p~-1/4"), rp.index("r~q~-1/4")
+    assert not rp.leq(a, b) and not rp.leq(b, a)
     assert rp.dimension() is PosetDim.ONE
 
 
