@@ -38,6 +38,7 @@ from .functors import (
     NatMap,
     VectFunctor,
     _quotient,
+    _same_poset,
     _subfunctor_from_bases,
     coker_functor,
     direct_sum_functors,
@@ -71,10 +72,6 @@ __all__ = [
     "structure_decompose",
     "reassemble",
 ]
-
-
-def _same_poset(P: FinPoset, Q: FinPoset) -> bool:
-    return P is Q or (P.names == Q.names and P.covers == Q.covers)
 
 
 def _zero_functor(poset: FinPoset, p: int) -> VectFunctor:
@@ -255,12 +252,11 @@ class ChainMap:
         D = max(other.dom.top, self.cod.top)
         return ChainMap._trusted(other.dom, self.cod, tuple(self._nat(n) @ other._nat(n) for n in range(D + 1)))
 
-    def to_vec(self, elements: Optional[Sequence[int]] = None) -> np.ndarray:
-        """The components at the given elements (default: all), flattened
-        row-major in (element, degree) order: the coordinates of
-        `morphisms.hom_space` and of every span of chain maps."""
-        qs = range(self.dom.poset.n) if elements is None else elements
-        flat = [nat.comps[q].arr.reshape(-1) for q in qs for nat in self.nats]
+    def to_vec(self) -> np.ndarray:
+        """The components flattened row-major in (element, degree) order:
+        the coordinates of `morphisms.hom_space` and of every span of chain
+        maps."""
+        flat = [nat.comps[q].arr.reshape(-1) for q in range(self.dom.poset.n) for nat in self.nats]
         return np.concatenate(flat + [np.zeros(0, dtype=np.int64)])
 
     @staticmethod
@@ -309,9 +305,8 @@ def _subcomplex(X: ChainFunctor, incls: Sequence[NatMap]) -> tuple[ChainFunctor,
 # --- constructions ----------------------------------------------------------
 
 
-def zero_chain(poset: FinPoset, p: int, top: int = 0) -> ChainFunctor:
-    Z = _zero_functor(poset, p)
-    return ChainFunctor._trusted([Z] * (top + 1), [NatMap.zero(Z, Z)] * top)
+def zero_chain(poset: FinPoset, p: int) -> ChainFunctor:
+    return ChainFunctor._trusted([_zero_functor(poset, p)], [])
 
 
 def standard_complex(poset: FinPoset, kind: str, n: int, z: int, mult: int, p: int) -> ChainFunctor:
@@ -609,19 +604,20 @@ class SummandLabel:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Summands with their inclusions into the decomposed object X.  The
-    retractions of a direct-sum decomposition are its unique dual system,
-    so `splits` forms them on request: at each element and degree, the row
-    blocks of the inverse of the inclusions side by side."""
+    """Summands of the decomposed object `obj` with their inclusions into
+    it.  The retractions of a direct-sum decomposition are its unique dual
+    system, so `splits` forms them on request: at each element and degree,
+    the row blocks of the inverse of the inclusions side by side."""
 
+    obj: ChainFunctor
     summands: tuple[SummandLabel, ...]
     inclusions: tuple[ChainMap, ...]
 
     @functools.cached_property
-    def splits(self) -> tuple[tuple[ChainMap, ChainMap], ...]:  # (iota into X, rho out of X)
+    def splits(self) -> tuple[tuple[ChainMap, ChainMap], ...]:  # (iota into obj, rho out of obj)
         if not self.summands:
             return ()
-        X = self.inclusions[0].cod
+        X = self.obj
         total, _, projs = direct_sum_chains([s.complex for s in self.summands])
         inv = tuple(
             NatMap._trusted(F, total.layer(n), tuple(
@@ -701,15 +697,13 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             disk = suspension(ChainFunctor._trusted([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
             label = SummandLabel("disk", m + 1, cov.generators, (), disk)
             R = split_off(label, cov.s, lift_through(cov.s, bnat), NatMap.zero(zero, Fm), ker_functor(bnat)[1])
-    return Decomposition(tuple(summands), tuple(inclusions))
+    return Decomposition(C, tuple(summands), tuple(inclusions))
 
 
-def reassemble(dec: Decomposition, poset: Optional[FinPoset] = None, p: Optional[int] = None) -> ChainFunctor:
+def reassemble(dec: Decomposition) -> ChainFunctor:
     """Direct sum of the realized summand labels, in decomposition order."""
     if not dec.summands:
-        if poset is None or p is None:
-            raise ValueError("reassembling an empty decomposition needs a poset and modulus")
-        return zero_chain(poset, p)
+        return zero_chain(dec.obj.poset, dec.obj.p)
     total, _, _ = direct_sum_chains([s.complex for s in dec.summands])
     return total
 

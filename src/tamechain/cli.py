@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import InputError, MathError, ParseError, TamechainError, TooLargeError
+from .errors import InputError, MathError, ParseError, TooLargeError
 from .field import _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, Vertex, point_name, realize, transfer_point
 from .functors import is_projective, minimal_cover, minimal_resolution
@@ -471,9 +471,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except MathError as exc:
         sys.stderr.write(f"mathematical error ({type(exc).__name__}): {exc}\n")
         return 1
-    except TamechainError as exc:
-        sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")
-        return 2
 
 
 def main() -> None:

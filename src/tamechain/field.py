@@ -193,6 +193,9 @@ class Mat:
 
     @staticmethod
     def block_diag(mats: list["Mat"], p: int) -> "Mat":
+        for m in mats:
+            if m.p != p:
+                raise FieldMismatchError(f"field mismatch: {m.p} vs {p}")
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
         out = np.zeros((rows, cols), dtype=np.int64)
@@ -230,8 +233,6 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     m, inner = a.shape
     n = b.shape[1]
-    if inner == 0:
-        return np.zeros((m, n), dtype=np.int64)
     if m * inner * n >= _BLAS_MIN_MADDS and inner * (p - 1) ** 2 < 2**53:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     if inner * (p - 1) ** 2 <= 2**62:
@@ -474,9 +475,6 @@ def kernel_basis(B: Mat) -> Mat:
     so one `rref` of the reversed basis gives it whatever basis B holds.
     """
     p = B.p
-    n, k = B.arr.shape
-    if not (n and k):
-        return Mat.zeros(n, k, p)
     R = rref(Mat._wrap(B.arr[::-1].T, p), transform=False).R.arr
     return Mat._wrap(R[::-1, ::-1].T, p)
 
@@ -525,8 +523,6 @@ def solve_or_none(A: Mat, B: Mat) -> Optional[Mat]:
 def inverse(M: Mat) -> Mat:
     if M.rows != M.cols:
         raise ValueError(f"cannot invert non-square matrix of shape {M.shape}")
-    if not M.rows:
-        return M
     rr = rref(M)
     if rr.rank != M.rows:
         raise NoSolutionError(f"matrix of shape {M.shape} is singular (rank {rr.rank})")

@@ -181,6 +181,10 @@ class VectFunctor:
         return f"VectFunctor(dims={self.dims}, p={self.p})"
 
 
+def _same_poset(P: FinPoset, Q: FinPoset) -> bool:
+    return P is Q or (P.names == Q.names and P.covers == Q.covers)
+
+
 @dataclass(frozen=True)
 class NatMap:
     """Natural transformation between functors on the same poset."""
@@ -190,13 +194,15 @@ class NatMap:
     comps: tuple[Mat, ...]
 
     def __post_init__(self):
-        if self.dom.poset is not self.cod.poset and self.dom.poset.names != self.cod.poset.names:
-            raise ValidationError("natural map requires a common poset")
+        if self.dom.p != self.cod.p or not _same_poset(self.dom.poset, self.cod.poset):
+            raise ValidationError("natural map requires a common poset and modulus")
         if len(self.comps) != self.dom.poset.n:
             raise ValidationError("one component per element required")
         for x, m in enumerate(self.comps):
             if m.shape != (self.cod.dims[x], self.dom.dims[x]):
                 raise ValidationError(f"component at {self.dom.poset.names[x]} has shape {m.shape}")
+            if m.p != self.dom.p:
+                raise ValidationError(f"component at {self.dom.poset.names[x]} uses modulus {m.p}, expected {self.dom.p}")
         for y, x in self.dom.poset.covers:
             if self.cod.maps[(y, x)] @ self.comps[y] != self.comps[x] @ self.dom.maps[(y, x)]:
                 raise ValidationError(
@@ -622,7 +628,7 @@ def common_realized_discretization(base: FinPoset, items: Sequence[VectFunctor])
         rp = F.poset
         if not isinstance(rp, RealizedPoset):
             raise ValueError("functors must be carried by realized posets")
-        if rp.base.names != base.names:
+        if not _same_poset(rp.base, base):
             raise ValueError("all realizations must share the base poset")
         subsets.update(rp.d_subset)
         coords.update(rp.vset)

@@ -46,19 +46,13 @@ __all__ = [
     "fitting_idempotent",
     "GluingReport",
     "gluing_check",
-    "total_dim",
 ]
 
 Functorlike = Union[VectFunctor, ChainFunctor]
-Maplike = Union[NatMap, ChainMap]
 
 
 def as_chain(obj: Functorlike) -> ChainFunctor:
     return obj if isinstance(obj, ChainFunctor) else ChainFunctor((obj,), ())
-
-
-def total_dim(obj: Functorlike) -> int:
-    return as_chain(obj).total_dim()
 
 
 # Hom between vector-space functors goes through the kept minimal cover
@@ -84,7 +78,7 @@ MAX_HOM_CELLS = 10_000_000
 
 def _too_large(X: Functorlike, Y: Functorlike, shape: str, cells: int) -> TooLargeError:
     return TooLargeError(
-        f"the hom system between objects of total dimension {total_dim(X):,} and {total_dim(Y):,} "
+        f"the hom system between objects of total dimension {X.total_dim():,} and {Y.total_dim():,} "
         f"has shape {shape} ({cells:,} cells), above the bound {MAX_HOM_CELLS:,}"
     )
 
@@ -294,9 +288,6 @@ def _idempotents(ring: EndRing, budget: int) -> Iterator[tuple[int, tuple[int, .
         raise BudgetExceededError(
             f"enumerating {p}**{ring.dim} endomorphisms exceeds the budget {budget}"
         )
-    if ring.dim == 0:
-        yield 0, ()
-        return
     C = _structure_constants(ring)
     for i, coeffs in enumerate(itertools.product(range(p), repeat=ring.dim)):
         a = np.array(coeffs, dtype=np.int64)

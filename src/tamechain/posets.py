@@ -71,15 +71,14 @@ class FinPoset:
         names = tuple(str(n) for n in names)
         self._init_order(names, _closure_of_covers(len(names), covers))
 
-    def _init_order(self, names: tuple[str, ...], leq: np.ndarray, low: bool = False) -> None:
+    def _init_order(self, names: tuple[str, ...], leq: np.ndarray) -> None:
         """The checking constructor body: `leq` must be a reflexive, transitive
         and antisymmetric boolean matrix indexed like `names`.  One count
-        product finds the covers; `low` says the order has dimension <= 1."""
+        product finds the covers."""
         lt = leq.copy()
         np.fill_diagonal(lt, False)
         ys, xs = np.nonzero(lt & ~(_counts(lt, lt) > 0))
-        covers = tuple(zip(ys.tolist(), xs.tolist()))
-        self._trusted(names, leq, covers, (PosetDim.ONE if covers else PosetDim.ZERO) if low else None)
+        self._trusted(names, leq, tuple(zip(ys.tolist(), xs.tolist())), None)
 
     def _trusted(self, names: tuple[str, ...], leq: np.ndarray, covers: tuple, dim: Optional[PosetDim]) -> None:
         """The shared constructor body, which trusts `covers` to be the sorted
@@ -189,14 +188,11 @@ class FinPoset:
         return set(self.closure(sub)) == sub
 
     def restrict(self, subset: Sequence[int]) -> "FinPoset":
-        """Full subposet on the given elements (induced order, reduced covers).
-        A subposet of a dimension-<=1 poset has dimension <= 1: a witness
-        pair in the subposet is one in the poset."""
+        """Full subposet on the given elements (induced order, reduced covers)."""
         subset = sorted(set(subset))
         idx = np.array(subset, dtype=np.intp)
         sub = FinPoset.__new__(FinPoset)
-        low = self._dim is not None and self._dim.at_most_one()
-        sub._init_order(tuple(self.names[e] for e in subset), self.leq_matrix[idx[:, None], idx], low)
+        sub._init_order(tuple(self.names[e] for e in subset), self.leq_matrix[idx[:, None], idx])
         return sub
 
     def __repr__(self) -> str:

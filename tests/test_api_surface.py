@@ -7,6 +7,10 @@ function), or is exported by `tamechain/__init__.py`, or is on the keep
 list below with its reason.  A reference from inside a member that is
 itself unused does not count.  The check goes by name, so a member passes
 when a used member of another class shares its name.
+
+Likewise every name a module binds by assignment (a constant, a cache, a
+type alias; dunder names aside) is referenced in `src/` outside its own
+assignment, or is exported.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ KEEP = {
 def _surface():
     """The public definitions by qualified name, each as (name, file, first
     line, last line, is a function), the references by name as (file, line),
-    and the names `tamechain/__init__.py` exports."""
+    the names `tamechain/__init__.py` exports, and the module-level names
+    bound by assignment, each as (name, file, first line, last line)."""
     defs: dict[str, tuple[str, str, int, int, bool]] = {}
+    assigned: dict[str, tuple[str, str, int, int]] = {}
     attrs: dict[str, list[tuple[str, int]]] = {}
     names: dict[str, list[tuple[str, int]]] = {}
     exported: set[str] = set()
@@ -53,16 +59,22 @@ def _surface():
             for qual, f, is_function in members:
                 if not f.name.startswith("_"):
                     defs[f"{path.stem}.{qual}"] = (f.name, path.name, f.lineno, f.end_lineno, is_function)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name) and not n.id.startswith("__"):
+                            assigned[f"{path.stem}.{n.id}"] = (n.id, path.name, node.lineno, node.end_lineno)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 attrs.setdefault(node.attr, []).append((path.name, node.lineno))
             elif isinstance(node, ast.Name):
                 names.setdefault(node.id, []).append((path.name, node.lineno))
-    return defs, attrs, names, exported
+    return defs, attrs, names, exported, assigned
 
 
 def _unused() -> set[str]:
-    defs, attrs, names, exported = _surface()
+    defs, attrs, names, exported, _ = _surface()
 
     def within(ref, qual):
         _, file, first, last, _ = defs[qual]
@@ -90,3 +102,14 @@ def test_every_public_member_has_a_caller():
 def test_keep_list_names_existing_members():
     defs = _surface()[0]
     assert sorted(set(KEEP) - set(defs)) == []
+
+
+def test_every_module_level_name_has_a_reader():
+    _, attrs, names, exported, assigned = _surface()
+    unread = sorted(
+        qual
+        for qual, (name, file, first, last) in assigned.items()
+        if name not in exported
+        and all(ref[0] == file and first <= ref[1] <= last for ref in names.get(name, []) + attrs.get(name, []))
+    )
+    assert not unread, "bound by assignment, never referenced in src/ and not exported: " + ", ".join(unread)

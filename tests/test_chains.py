@@ -350,8 +350,8 @@ def test_structure_decompose_rejects_non_cofibrant(chain2):
 def test_reassemble_empty_and_small(point):
     dec = structure_decompose(zero_chain(point, 2))
     assert dec.summands == ()
-    assert dec.splits == () and structure_decompose(zero_chain(point, 5, top=2)).splits == ()
-    assert reassemble(dec, point, 2).is_zero()
+    assert dec.splits == () and structure_decompose(suspension(zero_chain(point, 5), 2)).splits == ()
+    assert reassemble(dec).is_zero()
     s0 = standard_complex(point, "sphere", 0, 0, 1, 2)
     d1 = standard_complex(point, "disk", 1, 0, 1, 2)
     X, _, _ = direct_sum_chains([s0, d1])

@@ -679,3 +679,51 @@ def test_covers_with_one_key_are_an_input_error():
     code, out, err = invoke(["replace"], json.dumps(doc))
     assert (code, out) == (2, "")
     assert "covers ('a', '->b') and ('a->', 'b') have the same key 'a->->b'" in err
+
+
+# A document with two posets, a functor and a chain functor, and a gluing
+# block whose `A` is a string.
+MIXED = {
+    "field": 2,
+    "posets": {"P": {"elements": ["a", "b"], "covers": [["a", "b"]]}, "Q": {"elements": ["x"], "covers": []}},
+    "functors": {"F": {"poset": "P", "dims": {"a": 1, "b": 1}, "maps": {"a->b": [[1]]}}},
+    "chain_functors": {"X": {"poset": "P", "top": 0, "dims": {"a": [0], "b": [1]}, "maps": {}}},
+    "gluing": {"A": "a", "B": ["a", "b"]},
+}
+
+
+def test_batch_validate_reports_every_file(tmp_path):
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    one.write_text(PLAIN)
+    two.write_text(json.dumps(MIXED))
+    code, out, err = invoke(["validate", str(one), str(two)])
+    assert (code, err) == (0, "")
+    assert out == f"{one}: valid (0 chain functors)\n{two}: valid (1 chain functors)\n"
+    code, out, err = invoke(["validate", "--machine", str(one), str(two)])
+    assert (code, err) == (0, "")
+    assert out == (
+        f'{{"chain_functors":0,"file":"{one}","functors":0,"posets":1,"valid":true}}\n'
+        f'{{"chain_functors":1,"checks[X]":0,"file":"{two}","functors":1,"posets":2,"valid":true}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["endring", "--object", "F"], 0, "object: F\ndim: 1\n", ""),
+        (["endring", "--object", "X"], 0, "object: X\ndim: 1\n", ""),
+        (["replace", "--object", "zz"], 2, "", "input error (ParseError): no chain functor named 'zz' in the document\n"),
+        (
+            ["realize", "--poset", "Q"],
+            0,
+            '{"field":2,"posets":{"Q_realized":{"covers":[],"elements":["x"],"realization":'
+            '{"base_covers":[],"base_elements":["x"],"coordinates":[],"edges":[],"subset":["x"]}}}}\n',
+            "",
+        ),
+        (["realize"], 2, "", "input error (ParseError): document holds several posets; use --poset\n"),
+        (["glue"], 2, "", "input error (ParseError): gluing block `A` must list element names, got 'a'\n"),
+    ],
+    ids=["functor-by-name", "chain-by-name", "unknown-object", "poset-by-name", "several-posets", "string-side"],
+)
+def test_object_poset_and_gluing_selection(argv, code, out, err):
+    assert invoke(argv, json.dumps(MIXED)) == (code, out, err)

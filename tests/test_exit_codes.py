@@ -466,3 +466,20 @@ def test_integer_literal_over_the_digit_limit_exits_2(command):
     doc["functors"] = {"F": {"poset": "Q", "dims": {"a": 1}}}
     text = json.dumps(doc).replace('"a": 1', '"a": ' + "9" * 5000)
     _check(command + ["--machine"], text, must_fail=True)
+
+
+def test_every_error_is_an_input_or_a_math_error():
+    """`cli.run` turns InputError into exit 2 and MathError into exit 1
+    and catches no other error, so every error class derives from exactly
+    one of the two, and no code raises their common base."""
+    from tamechain import errors
+
+    bases = (errors.TamechainError, errors.InputError, errors.MathError)
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert set(bases) <= set(classes)
+    for cls in classes:
+        if cls not in bases:
+            assert issubclass(cls, errors.InputError) != issubclass(cls, errors.MathError), cls.__name__
+    src = Path(tamechain.__file__).parent
+    for path in src.glob("*.py"):
+        assert "raise TamechainError" not in path.read_text(encoding="utf-8"), path.name

@@ -329,6 +329,11 @@ def test_field_mismatch_error():
         Mat([[1]], 2) + Mat([[1]], 3)
 
 
+def test_block_diag_checks_the_field_of_its_blocks():
+    with pytest.raises(FieldMismatchError):
+        Mat.block_diag([Mat([[1]], 2), Mat([[2]], 3)], 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.sampled_from([2, 32749, 1073741789, 1500000001, 2147483629]),

@@ -709,3 +709,40 @@ def test_projectivity_test_matches_cover_ranks(p, conjugated_free, seed):
     assert (is_projective(F) is not None) == s.is_iso()
     if conjugated_free:
         assert s.is_iso()
+
+
+def _ones(poset: FinPoset, p: int) -> VectFunctor:
+    """The functor with F_p at every element and identity cover maps."""
+    return VectFunctor(poset, [1] * poset.n, {cover: Mat([[1]], p) for cover in poset.covers}, p)
+
+
+# Two posets with the same names and different covers, and two fields.
+DISCRETE = FinPoset.from_covers(["a", "b"], [])
+CHAIN = FinPoset.from_covers(["a", "b"], [("a", "b")])
+POINT = FinPoset.from_covers(["*"], [])
+
+
+@pytest.mark.parametrize(
+    "dom, cod, comps",
+    [
+        (_ones(DISCRETE, 2), _ones(CHAIN, 2), (Mat([[1]], 2), Mat([[1]], 2))),
+        (_ones(CHAIN, 2), _ones(DISCRETE, 2), (Mat([[1]], 2), Mat([[1]], 2))),
+        (_ones(POINT, 2), _ones(POINT, 2), (Mat([[1]], 3),)),
+        (_ones(POINT, 2), _ones(POINT, 3), (Mat([[1]], 2),)),
+    ],
+    ids=["discrete-to-chain", "chain-to-discrete", "component-field", "functor-fields"],
+)
+def test_natural_map_checks_its_poset_and_field(dom, cod, comps):
+    with pytest.raises(ValidationError):
+        NatMap(dom, cod, comps)
+
+
+def test_common_realized_discretization_checks_the_base_covers():
+    from tamechain.functors import common_realized_discretization
+
+    chain3 = FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    vee = FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    # Below b the two bases agree, so only the base check can see this.
+    F = _ones(realize(vee, ["a", "b"], [Fraction(-1, 2)]), 2)
+    with pytest.raises(ValueError, match="share the base poset"):
+        common_realized_discretization(chain3, [F])

@@ -25,6 +25,7 @@ from tamechain.chains import (
     chain_coker,
     direct_sum_chains,
     standard_complex,
+    suspension,
     zero_chain,
 )
 from tamechain.morphisms import (
@@ -285,7 +286,13 @@ def reference_structure_constants(ring) -> np.ndarray:
 def reference_restriction_kernel(ring, elements) -> Mat:
     """End coordinates of the maps vanishing on the elements, from the
     components of the basis maps there."""
-    rows = np.stack([b.to_vec(elements) for b in ring.basis], axis=1)
+    rows = np.stack(
+        [
+            np.concatenate([n.comps[q].arr.reshape(-1) for q in elements for n in b.nats] + [np.zeros(0, dtype=np.int64)])
+            for b in ring.basis
+        ],
+        axis=1,
+    )
     return kernel(Mat(rows, ring.obj.p))
 
 
@@ -485,7 +492,7 @@ def oracle_gluing(X, a_idx, b_idx) -> tuple:
             nats.append(NatMap(ext.layers[n], F, tuple(comps)))
         beta = ChainMap(ext, XB, tuple(nats))
     else:
-        ext = zero_chain(XB.poset, X.p, XB.top)
+        ext = suspension(zero_chain(XB.poset, X.p), XB.top)
         beta = ChainMap.zero(ext, XB)
     coker, _ = chain_coker(beta)
     hom_full = _hom_kernel(coker, XB).cols
