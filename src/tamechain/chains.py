@@ -142,26 +142,11 @@ class ChainFunctor:
     def layer(self, n: int) -> VectFunctor:
         return self.layers[n] if 0 <= n <= self.top else _zero_functor(self.poset, self.p)
 
-    def dim_at(self, q: int, n: int) -> int:
-        return self.layers[n].dims[q] if 0 <= n <= self.top else 0
-
     def boundary(self, n: int) -> NatMap:
         """The boundary d_n: X_n -> X_{n-1}; the zero map outside 1..top."""
         if 1 <= n <= self.top:
             return self.d[n - 1]
         return NatMap.zero(self.layer(n), self.layer(n - 1))
-
-    def boundary_at(self, q: int, n: int) -> Mat:
-        """The boundary from degree n to degree n-1 at element q."""
-        if 1 <= n <= self.top:
-            return self.d[n - 1].comps[q]
-        return Mat.zeros(self.dim_at(q, n - 1), self.dim_at(q, n), self.p)
-
-    def map_at(self, cover: tuple[int, int], n: int) -> Mat:
-        if 0 <= n <= self.top:
-            return self.layers[n].maps[cover]
-        y, x = cover
-        return Mat.zeros(self.dim_at(x, n), self.dim_at(y, n), self.p)
 
     def total_dim(self) -> int:
         return sum(F.total_dim() for F in self.layers)
@@ -192,13 +177,13 @@ class ChainFunctor:
 def _block_offsets(X: ChainFunctor, Y: ChainFunctor) -> list[list[tuple[int, int, int]]]:
     """Per element q and degree n: (offset, rows, cols) of the component
     of a map X -> Y at q and n in its `ChainMap.to_vec` coordinates."""
-    D = max(X.top, Y.top)
+    dims = [(Y.layer(n).dims, X.layer(n).dims) for n in range(max(X.top, Y.top) + 1)]
     offs = []
     at = 0
     for q in range(X.poset.n):
         row = []
-        for n in range(D + 1):
-            r, c = Y.dim_at(q, n), X.dim_at(q, n)
+        for ydims, xdims in dims:
+            r, c = ydims[q], xdims[q]
             row.append((at, r, c))
             at += r * c
         offs.append(row)
@@ -223,8 +208,9 @@ class ChainMap:
             if not (self.dom._is_layer(nat.dom, n) and self.cod._is_layer(nat.cod, n)):
                 raise ValidationError(f"natural map in degree {n} does not map the degree-{n} functors")
         for n in range(1, self.depth + 1):
-            for q in range(self.dom.poset.n):
-                if self.cod.boundary_at(q, n) @ self.nats[n].comps[q] != self.nats[n - 1].comps[q] @ self.dom.boundary_at(q, n):
+            cod_d, dom_d = self.cod.boundary(n).comps, self.dom.boundary(n).comps
+            for q, (f, g) in enumerate(zip(self.nats[n].comps, self.nats[n - 1].comps)):
+                if cod_d[q] @ f != g @ dom_d[q]:
                     raise ValidationError(f"chain square fails at element {self.dom.poset.names[q]}, degree {n}")
 
     @classmethod
@@ -239,9 +225,6 @@ class ChainMap:
     @property
     def depth(self) -> int:
         return max(self.dom.top, self.cod.top)
-
-    def at(self, q: int, n: int) -> Mat:
-        return self.nats[n].comps[q]
 
     def _nat(self, n: int) -> NatMap:
         if 0 <= n <= self.depth:
@@ -291,10 +274,7 @@ def _subcomplex(X: ChainFunctor, incls: Sequence[NatMap]) -> tuple[ChainFunctor,
         NatMap._trusted(
             incls[k + 1].dom,
             incls[k].dom,
-            tuple(
-                solve(incls[k].comps[q], X.boundary_at(q, k + 1) @ incls[k + 1].comps[q])
-                for q in range(X.poset.n)
-            ),
+            tuple(map(solve, incls[k].comps, (X.boundary(k + 1) @ incls[k + 1]).comps)),
         )
         for k in range(len(incls) - 1)
     ]
@@ -343,7 +323,7 @@ def direct_sum_chains(parts: Sequence[ChainFunctor]) -> tuple[ChainFunctor, list
         NatMap._trusted(
             layers[n + 1],
             layers[n],
-            tuple(Mat.block_diag([x.boundary_at(q, n + 1) for x in parts], p) for q in range(poset.n)),
+            tuple(Mat.block_diag(blocks, p) for blocks in zip(*(x.boundary(n + 1).comps for x in parts))),
         )
         for n in range(top)
     ]
@@ -430,7 +410,7 @@ def _chain_quotient(X: ChainFunctor, images: Sequence[Sequence[Mat]]) -> tuple[C
     layers, projs, secs = zip(*map(_quotient, X.layers, images))
     bnds = [
         NatMap._trusted(layers[n + 1], layers[n], tuple(
-            projs[n].comps[q] @ X.boundary_at(q, n + 1) @ secs[n + 1][q] for q in range(X.poset.n)))
+            pr @ b @ sec for pr, b, sec in zip(projs[n].comps, X.boundary(n + 1).comps, secs[n + 1])))
         for n in range(X.top)
     ]
     Q = ChainFunctor._trusted(layers, bnds).trimmed()
@@ -621,7 +601,7 @@ class Decomposition:
         total, _, projs = direct_sum_chains([s.complex for s in self.summands])
         inv = tuple(
             NatMap._trusted(F, total.layer(n), tuple(
-                inverse(Mat.hstack([i.at(q, n) for i in self.inclusions])) for q in range(X.poset.n)))
+                inverse(Mat.hstack(comps)) for comps in zip(*(i.nats[n].comps for i in self.inclusions))))
             for n, F in enumerate(X.layers)
         )
         return tuple((i, pr @ ChainMap._trusted(X, total, inv)) for i, pr in zip(self.inclusions, projs))

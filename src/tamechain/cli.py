@@ -220,9 +220,9 @@ def cmd_decompose(args) -> int:
         if label.kind == "sphere" and label.gens1:
             entry["relation_generators"] = _gens_json(X.poset, label.gens1)
             entry["resolution_matrix"] = {
-                X.poset.names[q]: label.complex.boundary_at(q, label.degree + 1).tolist()
-                for q in range(X.poset.n)
-                if label.complex.dim_at(q, label.degree + 1)
+                X.poset.names[q]: m.tolist()
+                for q, m in enumerate(label.complex.boundary(label.degree + 1).comps)
+                if m.cols
             }
         summands.append(entry)
     _emit_report(args, {"object": name, "summands": summands, "count": len(summands)})

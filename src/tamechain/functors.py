@@ -359,10 +359,10 @@ class KanExtension:
 def _check_embedding(F: VectFunctor, ambient: FinPoset, embed: Sequence[int]) -> tuple[int, ...]:
     embed = tuple(int(e) for e in embed)
     if len(embed) != F.poset.n or len(set(embed)) != len(embed):
-        raise ValueError("embedding must inject the functor poset into the ambient poset")
+        raise ValidationError("embedding must inject the functor poset into the ambient poset")
     idx = np.array(embed, dtype=np.intp)
     if not np.array_equal(F.poset.leq_matrix, ambient.leq_matrix[idx[:, None], idx]):
-        raise ValueError("embedding is not a full order embedding")
+        raise ValidationError("embedding is not a full order embedding")
     return embed
 
 
@@ -627,9 +627,9 @@ def common_realized_discretization(base: FinPoset, items: Sequence[VectFunctor])
     for F in items:
         rp = F.poset
         if not isinstance(rp, RealizedPoset):
-            raise ValueError("functors must be carried by realized posets")
+            raise ValidationError("functors must be carried by realized posets")
         if not _same_poset(rp.base, base):
-            raise ValueError("all realizations must share the base poset")
+            raise ValidationError("all realizations must share the base poset")
         subsets.update(rp.d_subset)
         coords.update(rp.vset)
     union = realize(base, [base.names[e] for e in base.closure(subsets)], sorted(coords))

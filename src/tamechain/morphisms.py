@@ -98,15 +98,17 @@ def _direct_kernel(X: ChainFunctor, Y: ChainFunctor, offs, nvars: int) -> Mat:
     """`_hom_kernel` by one system whose unknowns are the components."""
     p = X.p
     D = max(X.top, Y.top)
+    maps = [(Y.layer(n).maps, X.layer(n).maps) for n in range(D + 1)]
+    bounds = [(Y.boundary(n).comps, X.boundary(n).comps) for n in range(1, D + 1)]
     # (left, a, b, right): left @ M_a - M_b @ right = 0.
     constraints = [
-        (Y.boundary_at(q, n), offs[q][n], offs[q][n - 1], X.boundary_at(q, n))
+        (yd[q], offs[q][n], offs[q][n - 1], xd[q])
         for q in range(X.poset.n)
-        for n in range(1, D + 1)
+        for n, (yd, xd) in enumerate(bounds, 1)
     ] + [
-        (Y.map_at((y, x), n), offs[y][n], offs[x][n], X.map_at((y, x), n))
+        (ym[y, x], offs[y][n], offs[x][n], xm[y, x])
         for (y, x) in X.poset.covers
-        for n in range(D + 1)
+        for n, (ym, xm) in enumerate(maps)
     ]
     eqs = sum(left.rows * a[2] for left, a, _, _ in constraints)
     if eqs * nvars > MAX_HOM_CELLS:
@@ -483,10 +485,7 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
     ring = end_ring(XB)
     restriction_kernel = _restriction_kernel(ring, ab_in_b)
     return GluingReport(
-        beta_cokernel_dims=tuple(
-            tuple(coker.dim_at(q, n) for n in range(max(coker.top, X.top) + 1))
-            for q in range(coker.poset.n)
-        ),
+        beta_cokernel_dims=tuple(zip(*(coker.layer(n).dims for n in range(max(coker.top, X.top) + 1)))),
         crit_hom_zero=hom_full == 0,
         crit_rad_iso=hom_rad == hom_full,
         crit_kernel_nilpotent=_ideal_is_nilpotent(restriction_kernel, ring),
@@ -495,7 +494,7 @@ def gluing_check(obj: Functorlike, a_names: Sequence[str], b_names: Sequence[str
         hom_coker_rad_dim=hom_rad,
         restriction_kernel_dim=restriction_kernel.cols,
         # The Kan extension restricts to X on A n B and vanishes where X does.
-        kan_nonzero_degrees=tuple(n for n in range(XB.top + 1) if any(XB.dim_at(d, n) for d in ab_in_b)),
+        kan_nonzero_degrees=tuple(n for n, F in enumerate(XB.layers) if any(F.dims[d] for d in ab_in_b)),
     )
 
 

@@ -305,7 +305,7 @@ def conjugate_chain(rng: random.Random, X: ChainFunctor) -> ChainFunctor:
 def boundaries(X: ChainFunctor) -> tuple:
     """Per element, the boundary matrices of degrees 1..top."""
     return tuple(
-        tuple(X.boundary_at(q, n) for n in range(1, X.top + 1)) for q in range(X.poset.n)
+        tuple(X.boundary(n).comps[q] for n in range(1, X.top + 1)) for q in range(X.poset.n)
     )
 
 

@@ -85,6 +85,14 @@ def test_chain_constructors_check_degrees_and_squares(point):
         ChainMap(d1, d1, (NatMap.identity(F),))
     with pytest.raises(ValidationError, match="chain square fails at element \\*, degree 1"):
         ChainMap(d1, d1, (NatMap.identity(F), NatMap.zero(F, F)))
+    # Between complexes of different tops, the chain square in degree 1
+    # reads the zero boundary above the top of the sphere's side.
+    s0 = standard_complex(point, "sphere", 0, 0, 1, 2)
+    G, Z = d1.layers[1], s0.layer(1)
+    with pytest.raises(ValidationError, match="chain square fails at element \\*, degree 1"):
+        ChainMap(d1, s0, (NatMap.identity(F), NatMap.zero(G, Z)))
+    ChainMap(d1, s0, (NatMap.zero(F, F), NatMap.zero(G, Z)))
+    ChainMap(s0, d1, (NatMap.identity(F), NatMap.zero(Z, G)))
 
 
 def test_suite_checks_trusted_constructions(point, chain2, diamond):
@@ -111,7 +119,7 @@ def test_sphere_and_disk_shapes(point):
     assert s0.dims == ((1,),)
     d1 = standard_complex(point, "disk", 1, 0, 1, 2)
     assert d1.dims == ((1, 1),)
-    assert d1.boundary_at(0, 1) == Mat.identity(1, 2)
+    assert d1.boundary(1).comps[0] == Mat.identity(1, 2)
     d0 = standard_complex(point, "disk", 0, 0, 1, 2)
     assert d0.dims == s0.dims
 
@@ -357,7 +365,7 @@ def test_reassemble_empty_and_small(point):
     X, _, _ = direct_sum_chains([s0, d1])
     dec2 = structure_decompose(X)
     out = reassemble(dec2)
-    assert [X.dim_at(0, n) for n in range(2)] == [2, 1]
+    assert [X.layer(n).dims[0] for n in range(2)] == [2, 1]
     assert sorted(s.key() for s in dec2.summands) == sorted(
         [("sphere", 0, (("*", 1),), ()), ("disk", 1, (("*", 1),), ())]
     )
@@ -402,8 +410,8 @@ def test_chain_ker_coker_consistency(chain3):
         Q, proj = chain_coker(phi)
         for q in range(chain3.n):
             for n in range(max(X.top, Y.top) + 1):
-                assert (phi.at(q, n) @ incl.at(q, n)).is_zero()
-                assert (proj.at(q, n) @ phi.at(q, n)).is_zero()
+                assert (phi.nats[n].comps[q] @ incl.nats[n].comps[q]).is_zero()
+                assert (proj.nats[n].comps[q] @ phi.nats[n].comps[q]).is_zero()
 
 
 def _random_chain_maps(rng, X, Y, count):
@@ -443,7 +451,7 @@ def test_chain_cover_is_projective_object(chain3):
         assert is_projective(homology_functor(P, 0)) is not None
         for q in range(chain3.n):
             for n in range(P.top + 1):
-                assert cov.cover.at(q, n).rank() == X.dim_at(q, n)
+                assert cov.cover.nats[n].comps[q].rank() == X.layer(n).dims[q]
 
 
 def test_factorization_of_general_morphism(chain3):
@@ -468,7 +476,7 @@ def test_factorization_of_general_morphism(chain3):
         composite = fact.pi @ fact.c
         for q in range(chain3.n):
             for n in range(max(X.top, Y.top) + 1):
-                assert composite.at(q, n) == f.at(q, n)
+                assert composite.nats[n].comps[q] == f.nats[n].comps[q]
         cls_pi = classify_morphism(fact.pi)
         assert cls_pi.weak_equivalence and cls_pi.fibration
         assert classify_morphism(fact.c).cofibration
@@ -513,7 +521,7 @@ def test_replacement_is_minimal_randomized():
                 phi = ident
             check = pi @ phi
             assert all(
-                check.at(q, n) == pi.at(q, n)
+                check.nats[n].comps[q] == pi.nats[n].comps[q]
                 for q in range(poset.n)
                 for n in range(check.depth + 1)
             )

@@ -51,7 +51,7 @@ def _residual_after(R, iota, rho):
     nats = []
     for n in range(R.top + 1):
         comps = tuple(
-            solve(incl.at(q, n), Mat.identity(R.dim_at(q, n), R.p) - comp.at(q, n))
+            solve(incl.nats[n].comps[q], Mat.identity(R.layer(n).dims[q], R.p) - comp.nats[n].comps[q])
             for q in range(R.poset.n)
         )
         nats.append(NatMap(R.layers[n], K.layer(n), comps))
@@ -108,8 +108,8 @@ def _complex_data(X):
     return (
         X.top,
         X.dims,
-        [[X.boundary_at(q, n).tolist() for n in range(1, X.top + 1)] for q in range(X.poset.n)],
-        [[X.map_at(c, n).tolist() for n in range(X.top + 1)] for c in X.poset.covers],
+        [[X.boundary(n).comps[q].tolist() for n in range(1, X.top + 1)] for q in range(X.poset.n)],
+        [[X.layer(n).maps[c].tolist() for n in range(X.top + 1)] for c in X.poset.covers],
     )
 
 
@@ -175,8 +175,8 @@ def test_split_rebuilds_only_its_two_degrees(monkeypatch, point):
 
 def test_per_step_checks_do_not_grow_with_the_degree(monkeypatch, point):
     """The loop over the degrees of disk(N) does O(1) checks per degree:
-    layer zero tests, layer sizes and per-degree dimension reads are
-    counted, and their number stays linear in N."""
+    layer zero tests and layer sizes are counted, and their number stays
+    linear in N."""
     N = 2000
     X = standard_complex(point, "disk", N, 0, 1, 2)
     calls = [0]
@@ -188,7 +188,7 @@ def test_per_step_checks_do_not_grow_with_the_degree(monkeypatch, point):
 
         return wrapped
 
-    for cls, name in ((VectFunctor, "is_zero"), (VectFunctor, "total_dim"), (ChainFunctor, "dim_at")):
+    for cls, name in ((VectFunctor, "is_zero"), (VectFunctor, "total_dim")):
         monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     dec = structure_decompose(X)
     assert [(s.kind, s.degree) for s in dec.summands] == [("disk", N)]

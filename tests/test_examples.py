@@ -19,7 +19,7 @@ def test_fig2_validates_and_spans_four_degrees():
     assert len(X.poset.covers) * X.top >= 20
     assert X.top == 3
     nonzero_degrees = {
-        n for n in range(4) if any(X.dim_at(q, n) for q in range(X.poset.n))
+        n for n in range(4) if any(X.layer(n).dims[q] for q in range(X.poset.n))
     }
     assert nonzero_degrees == {0, 1, 2, 3}
     # Degree-0 homology survives only at the global minimum.
@@ -102,7 +102,7 @@ def test_counterexample_chain_cover_has_nonzero_kernel():
 
     X = builtin_example("fig2", 2)
     cov = minimal_projective_cover_ch(X)
-    assert all(cov.cover.at(q, n).rank() == X.dim_at(q, n)
+    assert all(cov.cover.nats[n].comps[q].rank() == X.layer(n).dims[q]
                for q in range(X.poset.n) for n in range(X.top + 1))
     K, _ = chain_ker(cov.cover)
     assert not K.is_zero()

@@ -15,6 +15,7 @@ from tamechain.functors import (
     coker_functor,
     colim_over,
     common_discretization,
+    common_realized_discretization,
     direct_sum_functors,
     free_functor,
     free_on_generators,
@@ -738,11 +739,23 @@ def test_natural_map_checks_its_poset_and_field(dom, cod, comps):
 
 
 def test_common_realized_discretization_checks_the_base_covers():
-    from tamechain.functors import common_realized_discretization
-
     chain3 = FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     vee = FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
     # Below b the two bases agree, so only the base check can see this.
     F = _ones(realize(vee, ["a", "b"], [Fraction(-1, 2)]), 2)
-    with pytest.raises(ValueError, match="share the base poset"):
+    with pytest.raises(ValidationError, match="share the base poset"):
         common_realized_discretization(chain3, [F])
+
+
+@pytest.mark.parametrize(
+    "extend, message",
+    [
+        (lambda: kan_extend(_ones(CHAIN, 2), CHAIN, [0, 0]), "inject"),
+        (lambda: kan_extend(_ones(CHAIN, 2), DISCRETE, [0, 1]), "full order embedding"),
+        (lambda: common_realized_discretization(CHAIN, [_ones(CHAIN, 2)]), "realized posets"),
+    ],
+    ids=["non-injective-embedding", "non-full-embedding", "plain-poset"],
+)
+def test_embedding_and_realization_checks_raise_validation_errors(extend, message):
+    with pytest.raises(ValidationError, match=message):
+        extend()

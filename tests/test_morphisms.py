@@ -488,7 +488,7 @@ def oracle_gluing(X, a_idx, b_idx) -> tuple:
                 if co.elements:
                     comps.append(Mat.hstack([F.map_leq(ab_in_b[j], q) for j in co.elements]) @ co.section)
                 else:
-                    comps.append(Mat.zeros(F.dims[q], ext.dim_at(q, n), X.p))
+                    comps.append(Mat.zeros(F.dims[q], ext.layer(n).dims[q], X.p))
             nats.append(NatMap(ext.layers[n], F, tuple(comps)))
         beta = ChainMap(ext, XB, tuple(nats))
     else:
@@ -500,7 +500,7 @@ def oracle_gluing(X, a_idx, b_idx) -> tuple:
     ring = end_ring(XB)
     K = _restriction_kernel(ring, ab_in_b)
     return (
-        tuple(tuple(coker.dim_at(q, n) for n in range(max(coker.top, X.top) + 1)) for q in range(coker.poset.n)),
+        tuple(tuple(coker.layer(n).dims[q] for n in range(max(coker.top, X.top) + 1)) for q in range(coker.poset.n)),
         hom_full == 0,
         hom_rad == hom_full,
         _ideal_is_nilpotent(K, ring),
@@ -508,7 +508,7 @@ def oracle_gluing(X, a_idx, b_idx) -> tuple:
         hom_full,
         hom_rad,
         K.cols,
-        tuple(n for n in range(ext.top + 1) if any(ext.dim_at(q, n) for q in range(ext.poset.n))),
+        tuple(n for n in range(ext.top + 1) if any(ext.layer(n).dims[q] for q in range(ext.poset.n))),
     )
 
 

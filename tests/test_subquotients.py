@@ -41,15 +41,15 @@ def oracle_homology(X, n):
     coordinates and the representatives of the classes."""
     data = []
     for q in range(X.poset.n):
-        K = kernel(X.boundary_at(q, n))
-        C, S = cokernel(solve(K, X.boundary_at(q, n + 1)))
+        K = kernel(X.boundary(n).comps[q])
+        C, S = cokernel(solve(K, X.boundary(n + 1).comps[q]))
         data.append((K, C, K @ S))
     if n > X.top:
         return chains._zero_functor(X.poset, X.p), data
     maps = {}
     for y, x in X.poset.covers:
         Kx, Cx, _ = data[x]
-        maps[(y, x)] = Cx @ solve(Kx, X.map_at((y, x), n) @ data[y][2])
+        maps[(y, x)] = Cx @ solve(Kx, X.layer(n).maps[y, x] @ data[y][2])
     return VectFunctor(X.poset, [d[1].rows for d in data], maps, X.p), data
 
 
@@ -67,7 +67,7 @@ def oracle_homology_map(phi, n):
     comps = []
     for q in range(phi.dom.poset.n):
         Kc, Cc, _ = cdata[q]
-        comps.append(Cc @ solve(Kc, phi.at(q, n) @ ddata[q][2]))
+        comps.append(Cc @ solve(Kc, phi.nats[n].comps[q] @ ddata[q][2]))
     return NatMap(dom_h, cod_h, tuple(comps))
 
 
