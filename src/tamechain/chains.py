@@ -21,6 +21,7 @@ decomposition of cofibrant objects over dimension-<=1 posets.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -584,14 +585,16 @@ class SummandLabel:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Summands of the decomposed object `obj` with their inclusions into
-    it.  The retractions of a direct-sum decomposition are its unique dual
-    system, so `splits` forms them on request: at each element and degree,
-    the row blocks of the inverse of the inclusions side by side."""
+    """Summands of the decomposed object `obj`.  Their inclusions into it
+    and retractions, the unique dual system (at each element and degree the
+    row blocks of the inverse of the inclusions), are formed on request."""
 
     obj: ChainFunctor
     summands: tuple[SummandLabel, ...]
-    inclusions: tuple[ChainMap, ...]
+
+    @functools.cached_property
+    def inclusions(self) -> tuple[ChainMap, ...]:
+        return _split_off_summands(self.obj)[1]
 
     @functools.cached_property
     def splits(self) -> tuple[tuple[ChainMap, ChainMap], ...]:  # (iota into obj, rho out of obj)
@@ -611,19 +614,44 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
     """Split a cofibrant chain functor over a dimension-<=1 poset into
     spheres on minimal resolutions and disks on projectives.
 
-    A split at degree m cuts the residual down to the kernels of the
-    summand's retraction in degrees m and m + 1 and keeps its other layers
-    and their covers.  A canonical kernel basis depends only on the kernel
-    subspace (its free variables are the last nonzero positions of the
-    subspace's vectors), so ker(inv . p0) = ker(p0) and no inverse is
-    formed; an untouched degree is the kernel of a zero map, an identity.
-    Only the inclusions into C are kept; see `Decomposition`.
-    """
-    poset = C.poset
-    if not poset.dimension().at_most_one():
+    The labels are the structure theorem's invariants: in degree m, S^m on
+    the minimal resolution P1_m -> P0_m of H_m(C), then D^(m+1) on E_(m+1),
+    where C_m's cover generators count P0_m + P1_(m-1) + E_(m+1) + E_m.
+    The split loop behind `inclusions` resolves the same H_m by the same
+    matrices: it reaches degree m with the cycles Z_m(C) as its residual's
+    layer, in the canonical basis that nested canonical kernel bases
+    compose to (`field.kernel_basis`)."""
+    if not C.poset.dimension().at_most_one():
         raise HomologyNotResolvableError("structure decomposition requires a poset of dimension <= 1")
     if not is_cofibrant(C):
         raise ValidationError("structure decomposition requires a cofibrant (degreewise projective) input")
+    summands, below = [], Counter()  # P1_(m-1) + E_m, empty when C_m is zero
+    for m in (m for m, F in enumerate(C.layers) if not F.is_zero()):
+        rest, below = Counter(dict(minimal_cover(C.layers[m]).generators)) - below, Counter()
+        if not rest:  # C_m lies in the summands below m, so H_m = 0
+            continue
+        H = homology_functor(C, m)
+        if not H.is_zero():
+            try:
+                res = minimal_resolution(H)
+            except KernelNotProjectiveError as exc:
+                raise HomologyNotResolvableError(str(exc)) from exc
+            sphere = suspension(ChainFunctor._trusted([res.p0, res.p1], [res.d]), m).trimmed()
+            summands.append(SummandLabel("sphere", m, res.gens0, res.gens1, sphere))
+            rest, below = rest - Counter(dict(res.gens0)), Counter(dict(res.gens1))
+        if rest:
+            P = free_on_generators(C.poset, rest.items(), C.p)
+            disk = suspension(ChainFunctor._trusted([P, P], [NatMap.identity(P)]), m)
+            summands.append(SummandLabel("disk", m + 1, P.generators, (), disk))
+            below += rest
+    return Decomposition(C, tuple(summands))
+
+
+def _split_off_summands(C: ChainFunctor) -> tuple[tuple[SummandLabel, ...], tuple[ChainMap, ...]]:
+    """The labels and inclusions of `structure_decompose`, split off a
+    residual one at a time.  A split at degree m cuts the residual down to
+    its retraction's kernels in canonical bases: ker(inv . p0) = ker(p0)."""
+    poset = C.poset
     R = C.trimmed()  # the residual
     zero = _zero_functor(poset, C.p)
     incl = [NatMap.identity(F) for F in C.layers + (zero,)]  # R's degree n into C's
@@ -677,7 +705,7 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             disk = suspension(ChainFunctor._trusted([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
             label = SummandLabel("disk", m + 1, cov.generators, (), disk)
             R = split_off(label, cov.s, lift_through(cov.s, bnat), NatMap.zero(zero, Fm), ker_functor(bnat)[1])
-    return Decomposition(C, tuple(summands), tuple(inclusions))
+    return tuple(summands), tuple(inclusions)
 
 
 def reassemble(dec: Decomposition) -> ChainFunctor:

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Optional
 
 from .errors import InputError, MathError, ParseError, TooLargeError
@@ -45,13 +46,12 @@ __all__ = ["main", "run"]
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from exc
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        # Python's UTF-8 mode reads stdin bytes that are not UTF-8 as lone surrogates.
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ParseError(f"cannot read {'stdin' if path == '-' else repr(path)}: {exc}") from exc
 
 
 def _read_doc(path: str) -> Document:

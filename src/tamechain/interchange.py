@@ -364,6 +364,8 @@ def parse_document(text: str) -> Document:
         raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer literal over Python's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict) or "field" not in raw:
         raise ParseError("document must be an object with a `field` key")
     field = raw["field"]

@@ -1,14 +1,18 @@
-"""The structure decomposition against a retraction-tracking oracle, and
-the work it does per split.
+"""The structure decomposition against two split-off oracles, and the
+work it does per split.
 
-`oracle_decompose` is the earlier implementation of `structure_decompose`:
+`structure_decompose` reads the labels off the structure theorem's
+invariants: the minimal resolutions of the homology functors and a count
+of cover generators.  Two loops that split the summands off a residual
+one at a time check them.  `chains._split_off_summands` forms the
+inclusions when `Decomposition.inclusions` is read; its labels and
+complexes must equal the invariant ones, since inclusion i maps from
+the complex of summand i.  `oracle_decompose` is an earlier split loop:
 after every split it forms the summand's retraction with one inverse per
 element and degree, recomputes the kernel and the retraction of every
 degree of the residual as a chain map, and composes both witnesses
-against the input.  The current code keeps only the inclusions, rebuilds
-the two degrees a split changes and forms the retractions when `splits`
-is read; its labels, complexes and splits must equal the oracle's bit for
-bit.
+against the input.  The labels, complexes and splits must equal the
+oracle's bit for bit.
 """
 
 from __future__ import annotations
@@ -153,13 +157,37 @@ def test_decompose_matches_retraction_tracking_oracle(p, planted, seed):
         assert _map_data(rho) == _map_data(rho0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.booleans(), st.integers(0, 2**32))
+def test_invariant_labels_match_the_split_loop(p, planted, seed):
+    """Kinds, degrees, generators and complexes (resolution matrices
+    included) of the invariant labels equal those the split loop finds,
+    and each inclusion maps from its summand's complex."""
+    rng = random.Random(seed)
+    poset = random_dim1_poset(rng, 6)
+    if planted:
+        C = _planted_sum(rng, poset, p)
+    else:
+        C = cofibrant_replacement(random_chain(rng, poset, p, rng.randint(0, 2))).C
+    dec = structure_decompose(C)
+    labels = chains._split_off_summands(C)[0]
+    assert [(s.kind, s.degree, s.gens0, s.gens1) for s in dec.summands] == [
+        (s.kind, s.degree, s.gens0, s.gens1) for s in labels
+    ]
+    assert [_complex_data(s.complex) for s in dec.summands] == [_complex_data(s.complex) for s in labels]
+    assert [_complex_data(i.dom) for i in dec.inclusions] == [_complex_data(s.complex) for s in dec.summands]
+
+
 def test_split_rebuilds_only_its_two_degrees(monkeypatch, point):
     """S^0 (+) D^N on a point splits twice: at degree 0 and at N - 1.  Each
-    split takes kernels on the residual's two layers there, which are still
-    the input's own layer objects, and no others."""
+    split of the loop that forms the inclusions takes kernels on the
+    residual's two layers there, which are still the input's own layer
+    objects, and no others."""
     N = 300
     sphere, disk = (standard_complex(point, kind, n, 0, 1, 2) for kind, n in (("sphere", 0), ("disk", N)))
     X, _, _ = direct_sum_chains([sphere, disk])
+    dec = structure_decompose(X)
+    assert [(s.kind, s.degree) for s in dec.summands] == [("sphere", 0), ("disk", N)]
     doms = []
     ker_functor = chains.ker_functor
 
@@ -168,8 +196,7 @@ def test_split_rebuilds_only_its_two_degrees(monkeypatch, point):
         return ker_functor(nat)
 
     monkeypatch.setattr(chains, "ker_functor", recording)
-    dec = structure_decompose(X)
-    assert [(s.kind, s.degree) for s in dec.summands] == [("sphere", 0), ("disk", N)]
+    assert len(dec.inclusions) == 2
     assert [id(F) for F in doms] == [id(X.layers[0]), id(X.layers[1]), id(X.layers[N])]
 
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -483,3 +485,60 @@ def test_every_error_is_an_input_or_a_math_error():
     src = Path(tamechain.__file__).parent
     for path in src.glob("*.py"):
         assert "raise TamechainError" not in path.read_text(encoding="utf-8"), path.name
+
+
+# Bytes that are not UTF-8: a bad lead or continuation byte, a truncated
+# sequence, an overlong form, an encoded surrogate, a code point above U+10FFFF.
+NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+RAW_DOCS = [json.dumps(doc).encode() for doc in DOCS]
+FILE_COMMANDS = COMMANDS + [["realize"], ["transfer", "--point", "b"]]
+
+
+@st.composite
+def raw_input(draw):
+    """Bytes that no command may accept: random bytes, a valid document cut
+    short, a valid document with bytes that are not UTF-8 inserted (after a
+    quote, so mostly inside a string), or JSON nested shallowly or deeply."""
+    kind = draw(st.sampled_from(["random", "truncated", "not-utf8", "nested"]))
+    if kind == "random":
+        return draw(st.binary(max_size=64))
+    doc = draw(st.sampled_from(RAW_DOCS))
+    if kind == "truncated":
+        return doc[: draw(st.integers(0, len(doc) - 1))]
+    if kind == "not-utf8":
+        at = draw(st.sampled_from([i + 1 for i, c in enumerate(doc) if c == ord('"')]))
+        return doc[:at] + draw(st.sampled_from(NOT_UTF8)) + doc[at:]
+    depth = draw(st.one_of(st.integers(1, 40), st.integers(50_000, 120_000)))
+    opener, inner, closer = draw(st.sampled_from([(b"[", b"[]", b"]"), (b'{"Q": ', b"{}", b"}")]))
+    nested = opener * depth + inner + closer * depth
+    return draw(st.sampled_from([nested, b'{"field": 3, "posets": ' + nested + b"}"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_input(), st.sampled_from(FILE_COMMANDS), st.sampled_from(["file", "batch", "strict", "surrogateescape"]))
+def test_raw_bytes_exit_2(data, command, source):
+    """From a file (alone, or first in a batch `validate`) or from stdin,
+    decoded strictly as in a UTF-8 locale or with escapes as in Python's
+    UTF-8 mode, the input exits 2 with no traceback; a file is named."""
+    old = sys.stdin, sys.stdout, sys.stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "raw.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = command + [path] if source == "file" else command
+        if source == "batch":
+            good = os.path.join(tmp, "good.json")
+            with open(good, "wb") as fh:
+                fh.write(RAW_DOCS[0])
+            argv = ["validate", path, good]
+        errors = source if source in ("strict", "surrogateescape") else "strict"
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+        try:
+            code = run(argv + ["--machine"])
+            out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = old
+    assert code == 2, (argv, code, out[:200], err)
+    assert "Traceback" not in err and out == ""
+    assert path in err or source in ("strict", "surrogateescape"), err
