@@ -32,7 +32,7 @@ from .errors import (
     KernelNotProjectiveError,
     ValidationError,
 )
-from .field import Mat, inverse, kernel, solve
+from .field import Mat, coordinates, inverse, kernel
 from .posets import FinPoset
 from .functors import (
     Cover,
@@ -41,6 +41,7 @@ from .functors import (
     _quotient,
     _same_poset,
     _subfunctor_from_bases,
+    assemble_free_map,
     coker_functor,
     direct_sum_functors,
     free_on_generators,
@@ -275,7 +276,7 @@ def _subcomplex(X: ChainFunctor, incls: Sequence[NatMap]) -> tuple[ChainFunctor,
         NatMap._trusted(
             incls[k + 1].dom,
             incls[k].dom,
-            tuple(map(solve, incls[k].comps, (X.boundary(k + 1) @ incls[k + 1]).comps)),
+            tuple(map(coordinates, incls[k].comps, (X.boundary(k + 1) @ incls[k + 1]).comps)),
         )
         for k in range(len(incls) - 1)
     ]
@@ -341,7 +342,7 @@ def _homology(X: ChainFunctor, n: int) -> tuple[VectFunctor, NatMap, NatMap, lis
     """H_n = Z_n / B_n for every n, with the cycle inclusion Z_n -> X_n, the
     quotient map Z_n -> H_n and its canonical section at each element."""
     Z, cycles = ker_functor(X.boundary(n))
-    H, quot, secs = _quotient(Z, list(map(solve, cycles.comps, X.boundary(n + 1).comps)))
+    H, quot, secs = _quotient(Z, list(map(coordinates, cycles.comps, X.boundary(n + 1).comps)))
     return H, cycles, quot, secs
 
 
@@ -357,7 +358,7 @@ def homology_map(phi: ChainMap, n: int) -> NatMap:
     cod_h, ccyc, cquot, _ = _homology(phi.cod, n)
     f = phi._nat(n)
     comps = tuple(
-        cquot.comps[q] @ solve(ccyc.comps[q], f.comps[q] @ (dcyc.comps[q] @ dsecs[q]))
+        cquot.comps[q] @ coordinates(ccyc.comps[q], f.comps[q] @ (dcyc.comps[q] @ dsecs[q]))
         for q in range(phi.dom.poset.n)
     )
     return NatMap._trusted(dom_h, cod_h, comps)
@@ -422,10 +423,11 @@ def _chain_quotient(X: ChainFunctor, images: Sequence[Sequence[Mat]]) -> tuple[C
 
 
 def _cover_of_coker(m: NatMap) -> tuple[Cover, NatMap]:
-    """Minimal cover P of coker m, with a lift P -> cod m of its cover map."""
-    Q, proj = coker_functor(m)
+    """Minimal cover P of coker m and a lift P -> cod m of its cover map: S T
+    solves C X = T canonically, for the quotient map C with section S."""
+    Q, _, secs = _quotient(m.cod, m.comps)
     cov = minimal_cover(Q)
-    return cov, lift_through(cov.s, proj)
+    return cov, assemble_free_map(cov.P, m.cod, [secs[z] @ v for (z, _), v in zip(cov.generators, cov.sections)])
 
 
 @dataclass(frozen=True)
@@ -493,7 +495,7 @@ def _pullback_functor(pn: NatMap, beta: NatMap) -> tuple[NatMap, NatMap, NatMap]
 def _mediate_pullback(incl: NatMap, u: NatMap, v: NatMap) -> NatMap:
     """The map into the pullback with projections u and v."""
     stacked = map(Mat.vstack, zip(u.comps, v.comps))
-    return NatMap._trusted(u.dom, incl.dom, tuple(map(solve, incl.comps, stacked)))
+    return NatMap._trusted(u.dom, incl.dom, tuple(map(coordinates, incl.comps, stacked)))
 
 
 def _factor_min_projective(m: NatMap) -> tuple[VectFunctor, NatMap, NatMap]:
@@ -671,9 +673,9 @@ def _split_off_summands(C: ChainFunctor) -> tuple[tuple[SummandLabel, ...], tupl
             d[m - 1] = NatMap.zero(layers[m], layers[m - 1])
         if m < R.top:
             layers[m + 1] = keep1.dom
-            d[m] = NatMap._trusted(layers[m + 1], layers[m], tuple(map(solve, keep0.comps, (R.d[m] @ keep1).comps)))
+            d[m] = NatMap._trusted(layers[m + 1], layers[m], tuple(map(coordinates, keep0.comps, (R.d[m] @ keep1).comps)))
         if m + 1 < R.top:
-            d[m + 1] = NatMap._trusted(layers[m + 2], layers[m + 1], tuple(map(solve, keep1.comps, R.d[m + 1].comps)))
+            d[m + 1] = NatMap._trusted(layers[m + 2], layers[m + 1], tuple(map(coordinates, keep1.comps, R.d[m + 1].comps)))
         return ChainFunctor._trusted(layers, d).trimmed()
 
     for m in range(C.top + 1):

@@ -15,7 +15,8 @@ reduced once.
 
 `Mat.zeros` and `Mat.identity` return shared matrices, cached per
 (shape, p); sharing is safe because every `Mat` is immutable (its array
-is read-only).
+is read-only).  A product with the shared identity, looked up only for a
+square operand, returns the other operand; `coordinates` reads unit rows.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "cokernel",
     "solve",
     "solve_or_none",
+    "coordinates",
     "inverse",
 ]
 
@@ -156,6 +158,10 @@ class Mat:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
         if not (m and inner and n):
             return Mat.zeros(m, n, p)
+        if m == inner and self is Mat.identity(m, p):
+            return other
+        if inner == n and other is Mat.identity(n, p):
+            return self
         return Mat._wrap(_matmul(self.arr, other.arr, p), p)
 
     def transpose(self) -> "Mat":
@@ -177,6 +183,8 @@ class Mat:
     def hstack(mats: list["Mat"]) -> "Mat":
         if not mats:
             raise ValueError("hstack of no matrices")
+        if len(mats) == 1:
+            return mats[0]
         p = mats[0].p
         for m in mats:
             _same_field(mats[0], m)
@@ -518,6 +526,23 @@ def solve_or_none(A: Mat, B: Mat) -> Optional[Mat]:
     S[:, n:] = B.arr
     X = _solution(S, n, p)
     return None if X is None else Mat._wrap(X, p)
+
+
+def coordinates(B: Mat, M: Mat) -> Mat:
+    """X with B X = M for M in the span of a canonical basis B, with no
+    elimination: column j has the unit row e_j^T (a row of residues that
+    sums to 1) at its free variable (`kernel`) or pivot (`column_space_basis`),
+    and X's row j is M's row there.  Raises ValueError if a column has none."""
+    p = _same_field(B, M)
+    n, w = B.arr.shape[1], M.arr.shape[1]
+    if not (n and w):
+        return Mat.zeros(n, w, p)
+    rows = (B.arr.sum(axis=1) == 1).nonzero()[0]
+    at = np.full(n, -1, dtype=np.intp)
+    at[B.arr[rows].argmax(axis=1)] = rows
+    if at.min() < 0:
+        raise ValueError(f"basis column {int(at.argmin())} has no unit row")
+    return Mat._wrap(M.arr[at], p)
 
 
 def inverse(M: Mat) -> Mat:

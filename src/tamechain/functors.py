@@ -19,9 +19,11 @@ one of them.
 A free functor on (element, multiplicity) generators gives each
 coordinate one owner element: F(q) holds the coordinates whose owner is
 <= q, in generator order, and every cover map is the 0/1 inclusion of
-those coordinates.  Maps out of free functors, lifts and the witnesses
-of direct sums follow the same index rule, and `Cover` and `Resolution`
-read their generators from their free functors.
+those coordinates, the shared identity where both ends agree.  Maps out
+of free functors, lifts and the witnesses of direct sums follow the same
+index rule, and `Cover` and `Resolution` read their generators from
+their free functors; a `Cover` forms its map `s` when first read.
+Subfunctor maps are read from the unit rows of canonical bases.
 
 On top of that sit colimits over subposets, left Kan extension (colimit
 route and transfer route), local homology at an element, radicals,
@@ -30,13 +32,14 @@ minimal projective covers, and length-<=1 minimal resolutions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import KernelNotProjectiveError, ValidationError
-from .field import Mat, kernel, cokernel, rref, solve, inverse
+from .field import Mat, coordinates, kernel, cokernel, rref, solve, inverse
 from .posets import FinPoset, RealizedPoset, _greatest_below, realize
 
 __all__ = [
@@ -142,10 +145,7 @@ class VectFunctor:
             raise ValueError(f"{self.poset.names[y]} is not below {self.poset.names[x]}")
         into = self._into
         if y == x:
-            m = into[x].get(x)
-            if m is None:
-                m = into[x][x] = Mat.identity(self.dims[x], self.p)
-            return m
+            return Mat.identity(self.dims[x], self.p)
         path = []
         z = x
         while z != y and y not in into[z]:
@@ -258,7 +258,8 @@ def free_on_generators(poset: FinPoset, gens: Iterable[tuple[int, int]], p: int)
     owner = np.repeat(np.array([z for z, _ in gens], dtype=np.intp), [d for _, d in gens])
     coords = [np.flatnonzero(poset.leq_matrix[owner, q]) for q in range(poset.n)]
     maps = {
-        (y, x): Mat._wrap((coords[x][:, None] == coords[y]).astype(np.int64), p)
+        (y, x): Mat.identity(len(coords[x]), p) if len(coords[x]) == len(coords[y])
+        else Mat._wrap((coords[x][:, None] == coords[y]).astype(np.int64), p)
         for y, x in poset.covers
     }
     F = VectFunctor._trusted(poset, [len(c) for c in coords], maps, p)
@@ -476,11 +477,8 @@ def _spanned_by(F: VectFunctor, sources: Sequence[Sequence[int]]) -> list[Mat]:
 
 
 def _subfunctor_from_bases(F: VectFunctor, bases: list[Mat]) -> tuple[VectFunctor, NatMap]:
-    dims = [b.cols for b in bases]
-    maps = {}
-    for y, x in F.poset.covers:
-        maps[(y, x)] = solve(bases[x], F.maps[(y, x)] @ bases[y])
-    sub = VectFunctor._trusted(F.poset, dims, maps, F.p)
+    maps = {(y, x): coordinates(bases[x], F.maps[(y, x)] @ bases[y]) for y, x in F.poset.covers}
+    sub = VectFunctor._trusted(F.poset, [b.cols for b in bases], maps, F.p)
     return sub, NatMap._trusted(sub, F, tuple(bases))
 
 
@@ -511,14 +509,19 @@ def _quotient(G: VectFunctor, images: Sequence[Mat]) -> tuple[VectFunctor, NatMa
 
 @dataclass(frozen=True)
 class Cover:
-    """Minimal projective cover s: P -> F, P free on the generators."""
+    """Minimal projective cover s: P -> F, P free on the generators; s is formed when first read."""
 
     P: VectFunctor
-    s: NatMap
+    F: VectFunctor
+    sections: tuple[Mat, ...]  # one per generator
 
     @property
     def generators(self) -> tuple[tuple[int, int], ...]:
         return self.P.generators
+
+    @functools.cached_property
+    def s(self) -> NatMap:
+        return assemble_free_map(self.P, self.F, self.sections)
 
 
 def minimal_cover(F: VectFunctor) -> Cover:
@@ -528,7 +531,7 @@ def minimal_cover(F: VectFunctor) -> Cover:
     if F._cover is None:
         sections = [cokernel(_incoming(F, x))[1] for x in range(F.poset.n)]
         P = free_on_generators(F.poset, ((x, s.cols) for x, s in enumerate(sections)), F.p)
-        F._cover = Cover(P, assemble_free_map(P, F, [sections[z] for z, _ in P.generators]))
+        F._cover = Cover(P, F, tuple(sections[z] for z, _ in P.generators))
     return F._cover
 
 

@@ -23,7 +23,7 @@ from .errors import (
     TooLargeError,
     ZeroObjectError,
 )
-from .field import Mat, _matmul, _null_basis, inverse, kernel, kernel_basis, rref, solve
+from .field import Mat, _matmul, _null_basis, coordinates, inverse, kernel, kernel_basis, rref
 from .functors import (
     NatMap,
     VectFunctor,
@@ -381,7 +381,7 @@ def _image_split(X: ChainFunctor, f: ChainMap) -> tuple[ChainFunctor, ChainMap, 
     ]
     sub, incl = _subcomplex(X, incls)
     retr = tuple(
-        NatMap._trusted(F, sub.layers[n], tuple(solve(b, m) for b, m in zip(incls[n].comps, f.nats[n].comps)))
+        NatMap._trusted(F, sub.layers[n], tuple(map(coordinates, incls[n].comps, f.nats[n].comps)))
         for n, F in enumerate(X.layers)
     )
     return sub, incl, ChainMap._trusted(X, sub, retr)

@@ -5,7 +5,7 @@ import pytest
 from tamechain import chains
 from tamechain.errors import HomologyNotResolvableError, InputError, KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat, kernel, solve
-from tamechain.functors import NatMap, VectFunctor, free_on_generators
+from tamechain.functors import NatMap, VectFunctor, assemble_free_map, coker_functor, free_on_generators, lift_through
 from tamechain.posets import FinPoset
 from tamechain.chains import (
     _pullback_functor,
@@ -38,6 +38,7 @@ from conftest import (
     conjugate_chain,
     random_chain,
     random_dim1_poset,
+    random_functor,
     random_functor_dim1,
     random_matrix,
     random_poset,
@@ -191,6 +192,23 @@ def test_pullback_universal_property_randomized():
         med = solve(stacked, Mat.vstack([pair_a, pair_b]))
         assert med == u
         assert kernel(stacked).cols == 0  # mediating maps are unique
+
+
+def test_cover_of_coker_lifts_by_the_quotient_sections():
+    """The staircase lifts the cover map of coker m as the quotient's
+    canonical sections times the cover's; that is the canonical lift
+    `lift_through` solves for, on any poset."""
+    rng = random.Random(11)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        poset = random_poset(rng, 5) if rng.random() < 0.5 else random_dim1_poset(rng, 5)
+        G = random_functor(rng, poset, p)
+        E = free_on_generators(poset, [(z, rng.randint(0, 2)) for z in range(poset.n)], p)
+        m = assemble_free_map(E, G, [random_matrix(rng, G.dims[z], d, p) for z, d in E.generators])
+        cov, lifted = chains._cover_of_coker(m)
+        _, proj = coker_functor(m)
+        assert lifted.comps == lift_through(cov.s, proj).comps
+        assert (proj @ lifted).comps == cov.s.comps
 
 
 def test_homology_of_spheres_and_disks(point):

@@ -22,8 +22,17 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from tamechain import chains, functors
-from tamechain.field import Mat, inverse, solve
-from tamechain.functors import NatMap, VectFunctor, coker_functor, is_projective, lift_through, minimal_resolution
+from tamechain.field import Mat, cokernel, inverse, solve
+from tamechain.functors import (
+    NatMap,
+    VectFunctor,
+    _incoming,
+    assemble_free_map,
+    coker_functor,
+    is_projective,
+    lift_through,
+    minimal_resolution,
+)
 from tamechain.chains import (
     ChainFunctor,
     ChainMap,
@@ -31,6 +40,7 @@ from tamechain.chains import (
     chain_ker,
     cofibrant_replacement,
     direct_sum_chains,
+    is_cofibrant,
     standard_complex,
     structure_decompose,
     suspension,
@@ -176,6 +186,30 @@ def test_invariant_labels_match_the_split_loop(p, planted, seed):
     ]
     assert [_complex_data(s.complex) for s in dec.summands] == [_complex_data(s.complex) for s in labels]
     assert [_complex_data(i.dom) for i in dec.inclusions] == [_complex_data(s.complex) for s in dec.summands]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.booleans(), st.booleans(), st.integers(0, 2**32))
+def test_projectivity_checks_form_no_cover_map(p, planted, decompose, seed):
+    """`is_cofibrant` and `structure_decompose` read only the generators
+    of the layers' minimal covers, so no cover map is formed; read later,
+    it equals the map assembled from the sections of the layer's H0."""
+    rng = random.Random(seed)
+    poset = random_dim1_poset(rng, 5)
+    if planted:
+        C = _planted_sum(rng, poset, p)
+    else:
+        C = cofibrant_replacement(random_chain(rng, poset, p, rng.randint(0, 2))).C
+    if decompose:
+        structure_decompose(C)
+    else:
+        assert is_cofibrant(C)
+    layers = [F for F in C.layers if not F.is_zero()]
+    assert all(F._cover is not None and "s" not in vars(F._cover) for F in layers)
+    for F in layers:
+        cov = F._cover
+        eager = assemble_free_map(cov.P, F, [cokernel(_incoming(F, z))[1] for z, _ in cov.generators])
+        assert cov.s.comps == eager.comps and cov.s.dom is cov.P and cov.s.cod is F
 
 
 def test_split_rebuilds_only_its_two_degrees(monkeypatch, point):

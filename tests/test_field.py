@@ -11,6 +11,7 @@ from tamechain.field import (
     Mat,
     _matmul,
     cokernel,
+    coordinates,
     inverse,
     kernel,
     kernel_basis,
@@ -18,6 +19,8 @@ from tamechain.field import (
     solve,
     solve_or_none,
 )
+
+from tamechain.functors import column_space_basis
 
 from conftest import random_invertible, random_matrix
 
@@ -351,3 +354,80 @@ def test_matmul_matches_exact_integers(p, m, inner, n, seed):
     b[rng.random((inner, n)) < 0.5] = p - 1
     exact = (a.astype(object) @ b.astype(object)) % p if inner else np.zeros((m, n), dtype=object)
     assert np.array_equal(_matmul(a, b, p), exact.astype(np.int64))
+
+
+# --- results read off the canonical forms, against the eliminations -----------
+#
+# Each identity below replaces a `solve` or a product on the pipeline's
+# path; each test compares one with the other over the same inputs.
+
+_PRIMES = st.sampled_from([2, 3, 5, 32749])
+
+
+def _random_rank(rng: random.Random, rows: int, cols: int, p: int) -> Mat:
+    """A random rows x cols matrix of random rank, through a random inner
+    size, so kernels and column spaces of every size come up."""
+    k = rng.randint(0, min(rows, cols))
+    return random_matrix(rng, rows, k, p) @ random_matrix(rng, k, cols, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRIMES, st.integers(min_value=0, max_value=2**32))
+def test_coordinates_in_canonical_bases_equal_solve(p, seed):
+    # A kernel basis has its unit rows at the free variables, which come
+    # after the nonzero pivot entries of their columns; a column space
+    # basis has them at its pivots.
+    rng = random.Random(seed)
+    M = _random_rank(rng, rng.randint(0, 7), rng.randint(0, 7), p)
+    for B in (kernel(M), column_space_basis(M)):
+        T = B @ random_matrix(rng, B.cols, rng.randint(0, 3), p)
+        assert coordinates(B, T) == solve(B, T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRIMES, st.integers(min_value=0, max_value=2**32))
+def test_coordinates_in_any_basis_are_exact_or_raise(p, seed):
+    # Any unit row gives the right coordinates; a basis that lacks one for
+    # some column raises instead of returning rows that are not X.
+    rng = random.Random(seed)
+    M = _random_rank(rng, rng.randint(1, 7), rng.randint(1, 7), p)
+    B = rng.choice([kernel, column_space_basis])(M)
+    if rng.random() < 0.7:
+        B = B @ random_invertible(rng, B.cols, p)
+    X = random_matrix(rng, B.cols, rng.randint(1, 3), p)
+    has_unit_row = [any(B.arr[i, j] == 1 and B.arr[i].sum() == 1 for i in range(B.rows)) for j in range(B.cols)]
+    if all(has_unit_row):
+        assert coordinates(B, B @ X) == X
+    else:
+        with pytest.raises(ValueError):
+            coordinates(B, B @ X)
+
+
+def test_coordinates_raise_without_a_unit_row():
+    # Column 0 of each has no row e_0^T.
+    for B in (Mat([[2], [3]], 5), Mat([[1, 1], [0, 1]], 3), Mat([[1, 1], [0, 1], [1, 2]], 3)):
+        with pytest.raises(ValueError):
+            coordinates(B, B @ Mat.identity(B.cols, B.p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRIMES, st.integers(min_value=0, max_value=2**32))
+def test_cokernel_section_lifts_every_target(p, seed):
+    # Eliminating [C | T] applies to T the row operations that [C | I]
+    # applies to I, and C is onto, so the canonical solution is S T.
+    rng = random.Random(seed)
+    M = _random_rank(rng, rng.randint(0, 7), rng.randint(0, 7), p)
+    C, S = cokernel(M)
+    T = random_matrix(rng, C.rows, rng.randint(0, 4), p)
+    assert solve(C, T) == S @ T
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PRIMES, st.integers(0, 6), st.integers(0, 6), st.integers(min_value=0, max_value=2**32))
+def test_identity_products_return_the_other_operand(p, rows, cols, seed):
+    rng = random.Random(seed)
+    A = random_matrix(rng, rows, cols, p)
+    left, right = Mat.identity(rows, p), Mat.identity(cols, p)
+    assert left @ A is A and A @ right is A
+    product = Mat._wrap(_matmul(left.arr, A.arr, p), p)
+    assert product == A == A @ Mat(np.eye(cols, dtype=np.int64), p)
