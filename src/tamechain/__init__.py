@@ -35,8 +35,6 @@ from .functors import (
     Resolution,
     VectFunctor,
     colim_over,
-    common_discretization,
-    free_functor,
     is_projective,
     kan_extend,
     ker_functor,
@@ -67,7 +65,6 @@ from .morphisms import (
     GluingReport,
     IndecResult,
     end_ring,
-    fitting_idempotent,
     gluing_check,
     hom_space,
     indecomposable,

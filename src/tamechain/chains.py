@@ -20,7 +20,6 @@ decomposition of cofibrant objects over dimension-<=1 posets.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +31,7 @@ from .errors import (
     KernelNotProjectiveError,
     ValidationError,
 )
-from .field import Mat, coordinates, inverse, kernel
+from .field import Mat, coordinates, kernel
 from .posets import FinPoset
 from .functors import (
     Cover,
@@ -47,7 +46,6 @@ from .functors import (
     free_on_generators,
     is_projective,
     ker_functor,
-    lift_through,
     minimal_cover,
     minimal_resolution,
 )
@@ -587,29 +585,10 @@ class SummandLabel:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Summands of the decomposed object `obj`.  Their inclusions into it
-    and retractions, the unique dual system (at each element and degree the
-    row blocks of the inverse of the inclusions), are formed on request."""
+    """Summands of the decomposed object `obj`."""
 
     obj: ChainFunctor
     summands: tuple[SummandLabel, ...]
-
-    @functools.cached_property
-    def inclusions(self) -> tuple[ChainMap, ...]:
-        return _split_off_summands(self.obj)[1]
-
-    @functools.cached_property
-    def splits(self) -> tuple[tuple[ChainMap, ChainMap], ...]:  # (iota into obj, rho out of obj)
-        if not self.summands:
-            return ()
-        X = self.obj
-        total, _, projs = direct_sum_chains([s.complex for s in self.summands])
-        inv = tuple(
-            NatMap._trusted(F, total.layer(n), tuple(
-                inverse(Mat.hstack(comps)) for comps in zip(*(i.nats[n].comps for i in self.inclusions))))
-            for n, F in enumerate(X.layers)
-        )
-        return tuple((i, pr @ ChainMap._trusted(X, total, inv)) for i, pr in zip(self.inclusions, projs))
 
 
 def structure_decompose(C: ChainFunctor) -> Decomposition:
@@ -618,11 +597,7 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
 
     The labels are the structure theorem's invariants: in degree m, S^m on
     the minimal resolution P1_m -> P0_m of H_m(C), then D^(m+1) on E_(m+1),
-    where C_m's cover generators count P0_m + P1_(m-1) + E_(m+1) + E_m.
-    The split loop behind `inclusions` resolves the same H_m by the same
-    matrices: it reaches degree m with the cycles Z_m(C) as its residual's
-    layer, in the canonical basis that nested canonical kernel bases
-    compose to (`field.kernel_basis`)."""
+    where C_m's cover generators count P0_m + P1_(m-1) + E_(m+1) + E_m."""
     if not C.poset.dimension().at_most_one():
         raise HomologyNotResolvableError("structure decomposition requires a poset of dimension <= 1")
     if not is_cofibrant(C):
@@ -647,67 +622,6 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             summands.append(SummandLabel("disk", m + 1, P.generators, (), disk))
             below += rest
     return Decomposition(C, tuple(summands))
-
-
-def _split_off_summands(C: ChainFunctor) -> tuple[tuple[SummandLabel, ...], tuple[ChainMap, ...]]:
-    """The labels and inclusions of `structure_decompose`, split off a
-    residual one at a time.  A split at degree m cuts the residual down to
-    its retraction's kernels in canonical bases: ker(inv . p0) = ker(p0)."""
-    poset = C.poset
-    R = C.trimmed()  # the residual
-    zero = _zero_functor(poset, C.p)
-    incl = [NatMap.identity(F) for F in C.layers + (zero,)]  # R's degree n into C's
-    summands, inclusions = [], []
-
-    def split_off(label: SummandLabel, low: NatMap, high: NatMap, keep0: NatMap, keep1: NatMap) -> ChainFunctor:
-        """Record a summand that low and high include into R in degrees m
-        and m + 1; R cut down there to what keep0 and keep1 include."""
-        S, at = label.complex, {m: incl[m] @ low, m + 1: incl[m + 1] @ high}
-        summands.append(label)
-        inclusions.append(ChainMap._trusted(
-            S, C, tuple(at.get(n) or NatMap.zero(S.layer(n), C.layer(n)) for n in range(C.top + 1))))
-        incl[m], incl[m + 1] = incl[m] @ keep0, incl[m + 1] @ keep1
-        layers, d = list(R.layers), list(R.d)
-        layers[m] = keep0.dom
-        if m:
-            d[m - 1] = NatMap.zero(layers[m], layers[m - 1])
-        if m < R.top:
-            layers[m + 1] = keep1.dom
-            d[m] = NatMap._trusted(layers[m + 1], layers[m], tuple(map(coordinates, keep0.comps, (R.d[m] @ keep1).comps)))
-        if m + 1 < R.top:
-            d[m + 1] = NatMap._trusted(layers[m + 2], layers[m + 1], tuple(map(coordinates, keep1.comps, R.d[m + 1].comps)))
-        return ChainFunctor._trusted(layers, d).trimmed()
-
-    for m in range(C.top + 1):
-        if m > R.top:
-            break
-        if R.layers[m].is_zero():  # no homology and no disk in degree m
-            continue
-        # Sphere step: split off S^m(minimal resolution of H_m).
-        bnat = R.boundary(m + 1)
-        H, qmap = coker_functor(bnat)
-        if not H.is_zero():
-            try:
-                res = minimal_resolution(H)
-            except KernelNotProjectiveError as exc:
-                raise HomologyNotResolvableError(str(exc)) from exc
-            s0 = lift_through(res.aug, qmap)
-            p0 = lift_through(qmap, res.aug)
-            p1 = lift_through(p0 @ bnat, res.d)
-            sphere = suspension(ChainFunctor._trusted([res.p0, res.p1], [res.d]), m).trimmed()
-            label = SummandLabel("sphere", m, res.gens0, res.gens1, sphere)
-            R = split_off(label, s0, lift_through(s0 @ res.d, bnat), ker_functor(p0)[1], ker_functor(p1)[1])
-        # Disk step: what remains in degree m is hit isomorphically from above.
-        # It is a direct summand of C's projective layer, so its minimal
-        # cover is an iso.
-        Fm = R.layer(m)
-        if not Fm.is_zero():
-            cov = minimal_cover(Fm)
-            bnat = R.boundary(m + 1)
-            disk = suspension(ChainFunctor._trusted([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
-            label = SummandLabel("disk", m + 1, cov.generators, (), disk)
-            R = split_off(label, cov.s, lift_through(cov.s, bnat), NatMap.zero(zero, Fm), ker_functor(bnat)[1])
-    return tuple(summands), tuple(inclusions)
 
 
 def reassemble(dec: Decomposition) -> ChainFunctor:

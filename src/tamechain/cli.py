@@ -273,17 +273,16 @@ def cmd_indec(args) -> int:
         raise InputError(f"--budget must be non-negative, got {args.budget}")
     name, obj = _pick_object(doc, args.object)
     try:
-        res = indecomposable(obj, strategy=args.strategy, budget=args.budget, seed=args.seed)
+        res = indecomposable(obj, budget=args.budget)
     except TooLargeError as exc:
         raise _named_hom_error(name, exc) from None
     verdict = "indecomposable" if res.indecomposable else "decomposable"
-    certainty = "certain" if res.certain else "probable"
     _emit_report(
         args,
         {
             "object": name,
             "verdict": verdict,
-            "certainty": certainty,
+            "certainty": "certain",
             "end_dim": res.end_dim,
             "trials": res.trials,
         },
@@ -432,9 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--object", default=None)
     sp = add("indec", cmd_indec, help="indecomposability certificate")
     sp.add_argument("--object", default=None)
-    sp.add_argument("--strategy", choices=["exhaustive", "fitting"], default="exhaustive")
+    sp.add_argument("--strategy", choices=["exhaustive"], default="exhaustive")
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp = add("glue", cmd_glue, help="gluing criteria for D = A u B")
     sp.add_argument("--object", default=None)
     sp.add_argument("--A", default=None, help="comma-separated element names")

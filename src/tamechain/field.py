@@ -39,7 +39,6 @@ __all__ = [
     "solve",
     "solve_or_none",
     "coordinates",
-    "inverse",
 ]
 
 _CHECKED_PRIMES: set[int] = set()
@@ -543,12 +542,3 @@ def coordinates(B: Mat, M: Mat) -> Mat:
     if at.min() < 0:
         raise ValueError(f"basis column {int(at.argmin())} has no unit row")
     return Mat._wrap(M.arr[at], p)
-
-
-def inverse(M: Mat) -> Mat:
-    if M.rows != M.cols:
-        raise ValueError(f"cannot invert non-square matrix of shape {M.shape}")
-    rr = rref(M)
-    if rr.rank != M.rows:
-        raise NoSolutionError(f"matrix of shape {M.shape} is singular (rank {rr.rank})")
-    return rr.T

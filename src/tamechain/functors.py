@@ -10,19 +10,19 @@ dimension 2 or more (on dimension <= 1 two distinct cover paths would
 split at an element with two incomparable covers and meet again above,
 which is exactly the dimension-2 witness).  Internal constructions are
 trusted: composites, identities, zeros, direct sums, free functors and
-maps out of them, kernels, cokernels, restrictions, Kan extensions and
-lifts hold their invariants by construction and build through the
-private `_trusted` constructor, which runs no check.  The test suite
-replaces `_trusted` with the checking constructor, so it re-checks every
-one of them.
+maps out of them, kernels, cokernels, restrictions and Kan extensions
+hold their invariants by construction and build through the private
+`_trusted` constructor, which runs no check.  The test suite replaces
+`_trusted` with the checking constructor, so it re-checks every one of
+them.
 
 A free functor on (element, multiplicity) generators gives each
 coordinate one owner element: F(q) holds the coordinates whose owner is
 <= q, in generator order, and every cover map is the 0/1 inclusion of
 those coordinates, the shared identity where both ends agree.  Maps out
-of free functors, lifts and the witnesses of direct sums follow the same
-index rule, and `Cover` and `Resolution` read their generators from
-their free functors; a `Cover` forms its map `s` when first read.
+of free functors and the witnesses of direct sums follow the same index
+rule, and `Cover` and `Resolution` read their generators from their
+free functors; a `Cover` forms its map `s` when first read.
 Subfunctor maps are read from the unit rows of canonical bases.
 
 On top of that sit colimits over subposets, left Kan extension (colimit
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import KernelNotProjectiveError, ValidationError
-from .field import Mat, coordinates, kernel, cokernel, rref, solve, inverse
+from .field import Mat, coordinates, kernel, cokernel, rref
 from .posets import FinPoset, RealizedPoset, _greatest_below, realize
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "Resolution",
     "Colimit",
     "LocalHomology",
-    "free_functor",
     "free_on_generators",
     "assemble_free_map",
     "direct_sum_functors",
@@ -62,8 +61,6 @@ __all__ = [
     "minimal_resolution",
     "ker_functor",
     "coker_functor",
-    "lift_through",
-    "common_discretization",
     "column_space_basis",
 ]
 
@@ -239,11 +236,6 @@ class NatMap:
 
 
 # --- free functors ----------------------------------------------------------
-
-
-def free_functor(poset: FinPoset, z: int, d: int, p: int) -> VectFunctor:
-    """Homogeneous free functor: value F^d on the up-set of z, identities inside."""
-    return free_on_generators(poset, ((z, d),), p)
 
 
 def free_on_generators(poset: FinPoset, gens: Iterable[tuple[int, int]], p: int) -> VectFunctor:
@@ -574,50 +566,6 @@ def minimal_resolution(F: VectFunctor) -> Resolution:
         )
     d = incl @ kcov.s
     return Resolution(kcov.P, cov.P, d, cov.s)
-
-
-def lift_through(f: NatMap, e: NatMap) -> NatMap:
-    """g with e g = f, for projective domain of f and im f inside im e.
-
-    A free domain lifts canonically on its own generators.  Any other
-    projective domain lifts f s, for the iso s: P -> dom f of its minimal
-    cover, and composes with s^-1.
-    """
-    free, s = f.dom, None
-    if free.generators is None:
-        cov = is_projective(free)
-        if cov is None:
-            raise ValueError("lift requires a projective domain")
-        free, s = cov.P, cov.s
-    gens, leq = free.generators, free.poset.leq_matrix
-    values = []
-    for i, (z, d) in enumerate(gens):
-        a = sum(c for w, c in gens[:i] if leq[w, z])
-        blk = range(a, a + d)
-        target = f.comps[z].take_cols(blk) if s is None else f.comps[z] @ s.comps[z].take_cols(blk)
-        values.append(solve(e.comps[z], target))
-    g = assemble_free_map(free, e.dom, values)
-    if s is None:
-        return g
-    return NatMap._trusted(f.dom, e.dom, tuple(m @ inverse(w) for m, w in zip(g.comps, s.comps)))
-
-
-def common_discretization(
-    ambient: FinPoset, items: Sequence[tuple[VectFunctor, Sequence[int]]]
-) -> tuple[tuple[int, ...], FinPoset, list[VectFunctor]]:
-    """Closure of the union of the supports, with every functor re-expressed
-    on it by Kan extension along its own inclusion."""
-    support: set[int] = set()
-    for F, embed in items:
-        support.update(int(e) for e in embed)
-    closed = ambient.closure(support)
-    sub = ambient.restrict(closed)
-    pos = {e: i for i, e in enumerate(closed)}
-    out = []
-    for F, embed in items:
-        ext = kan_extend(F, sub, [pos[int(e)] for e in embed])
-        out.append(ext.functor)
-    return tuple(closed), sub, out
 
 
 def common_realized_discretization(base: FinPoset, items: Sequence[VectFunctor]):

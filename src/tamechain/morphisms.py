@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -23,7 +22,7 @@ from .errors import (
     TooLargeError,
     ZeroObjectError,
 )
-from .field import Mat, _matmul, _null_basis, coordinates, inverse, kernel, kernel_basis, rref
+from .field import Mat, _matmul, _null_basis, coordinates, kernel, kernel_basis, rref
 from .functors import (
     NatMap,
     VectFunctor,
@@ -43,7 +42,6 @@ __all__ = [
     "IndecResult",
     "indecomposable",
     "split_by_idempotent",
-    "fitting_idempotent",
     "GluingReport",
     "gluing_check",
 ]
@@ -229,10 +227,6 @@ class EndRing:
         return self.columns.cols
 
     @functools.cached_property
-    def basis(self) -> tuple[ChainMap, ...]:
-        return tuple(ChainMap.from_vec(self.obj, self.obj, self.columns.arr[:, j]) for j in range(self.dim))
-
-    @functools.cached_property
     def blocks(self) -> list[list[tuple[int, int, int]]]:
         """(offset, rows, cols) of the component at each element and degree
         in the rows of `columns`."""
@@ -298,79 +292,34 @@ def _idempotents(ring: EndRing, budget: int) -> Iterator[tuple[int, tuple[int, .
             yield i, coeffs
 
 
-def _power(m: Mat, n: int) -> Mat:
-    """m**n for n >= 1, by repeated squaring."""
-    result = None
-    while True:
-        if n & 1:
-            result = m if result is None else result @ m
-        n >>= 1
-        if not n:
-            return result
-        m = m @ m
-
-
-def _fitting_candidates(ring: EndRing, rng: random.Random, draws: int) -> Iterator[ChainMap]:
-    """The endomorphisms the "fitting" strategy tries, in order, formed
-    one at a time: the basis, its pairwise products, then `draws` random
-    elements, skipping the zero ones."""
-    yield from ring.basis
-    for a in ring.basis:
-        for b in ring.basis:
-            yield a @ b
-    for _ in range(draws):
-        coeffs = [rng.randrange(ring.obj.p) for _ in range(ring.dim)]
-        if any(coeffs):
-            yield ring.element(coeffs)
-
-
 @dataclass(frozen=True)
 class IndecResult:
     indecomposable: bool
-    certain: bool
     witness: Optional[ChainMap]
     trials: int
     end_dim: int
 
 
-def indecomposable(
-    obj: Functorlike,
-    strategy: str = "exhaustive",
-    budget: Optional[int] = None,
-    seed: int = 0,
-) -> IndecResult:
+def indecomposable(obj: Functorlike, strategy: str = "exhaustive", budget: Optional[int] = None) -> IndecResult:
     """Indecomposability test.
 
-    "exhaustive" enumerates the full endomorphism ring (allowed when
-    p**dim(End) <= budget, default 2**20) and is complete: it returns a
-    non-trivial idempotent witness or a certified positive; `trials`
-    counts the nonzero endomorphisms visited.  "fitting" raises basis
-    elements, their pairwise products, and `budget` (default 32) random
-    endomorphisms to the total-dimension power; a split detected this
-    way is certain, while silence is only probabilistic.
+    "exhaustive", the one strategy, enumerates the full endomorphism ring
+    (allowed when p**dim(End) <= budget, default 2**20) and is complete:
+    it returns a non-trivial idempotent witness or a certified positive;
+    `trials` counts the nonzero endomorphisms visited.
     """
+    if strategy != "exhaustive":
+        raise ValueError(f"unknown strategy {strategy!r}")
     X = as_chain(obj)
     if X.is_zero():
         raise ZeroObjectError("indecomposability is undefined for the zero object")
     ring = end_ring(X)
-    p = X.p
-    if strategy == "exhaustive":
-        found = _idempotents(ring, 1 << 20 if budget is None else budget)
-        ident = tuple(int(v) for v in ChainMap.identity(X).to_vec()[ring._free])
-        for position, coeffs in found:
-            if position and coeffs != ident:
-                return IndecResult(False, True, ring.element(coeffs), position, ring.dim)
-        return IndecResult(True, True, None, p**ring.dim - 1, ring.dim)
-    if strategy == "fitting":
-        N = X.total_dim()
-        trials = 0
-        for phi in _fitting_candidates(ring, random.Random(seed), 32 if budget is None else budget):
-            trials += 1
-            r = sum(_power(m, max(1, N)).rank() for nat in phi.nats for m in nat.comps)
-            if 0 < r < N:
-                return IndecResult(False, True, phi, trials, ring.dim)
-        return IndecResult(True, False, None, trials, ring.dim)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    found = _idempotents(ring, 1 << 20 if budget is None else budget)
+    ident = tuple(int(v) for v in ChainMap.identity(X).to_vec()[ring._free])
+    for position, coeffs in found:
+        if position and coeffs != ident:
+            return IndecResult(False, ring.element(coeffs), position, ring.dim)
+    return IndecResult(True, None, X.p**ring.dim - 1, ring.dim)
 
 
 def _image_split(X: ChainFunctor, f: ChainMap) -> tuple[ChainFunctor, ChainMap, ChainMap]:
@@ -395,24 +344,6 @@ def split_by_idempotent(obj: Functorlike, e: ChainMap):
     compl = ChainMap.from_vec(X, X, (ChainMap.identity(X).to_vec() - e.to_vec()) % X.p)
     (x1, i1, r1), (x2, i2, r2) = _image_split(X, e), _image_split(X, compl)
     return x1, x2, (i1, r1, i2, r2)
-
-
-def fitting_idempotent(obj: Functorlike, phi: ChainMap) -> ChainMap:
-    """Projection onto im(phi^N) along ker(phi^N), N the total dimension."""
-    X = as_chain(obj)
-    N = max(1, X.total_dim())
-    nats = []
-    for n, F in enumerate(X.layers):
-        comps = []
-        for m in phi.nats[n].comps:
-            m = _power(m, N)
-            V = column_space_basis(m)
-            K = kernel(m)
-            U = Mat.hstack([V, K])
-            P = inverse(U)
-            comps.append(V @ P.take_rows(range(V.cols)))
-        nats.append(NatMap._trusted(F, F, tuple(comps)))
-    return ChainMap._trusted(X, X, tuple(nats))
 
 
 # --- gluing -------------------------------------------------------------------

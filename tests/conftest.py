@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tamechain.field import Mat, kernel
+from tamechain.errors import NoSolutionError
+from tamechain.field import Mat, kernel, rref, solve
 from tamechain.posets import FinPoset, Vertex, _counts
 from tamechain.functors import (
     NatMap,
@@ -20,10 +21,21 @@ from tamechain.functors import (
     assemble_free_map,
     coker_functor,
     free_on_generators,
+    is_projective,
     ker_functor,
+    minimal_resolution,
 )
 from tamechain import chains
-from tamechain.chains import ChainFunctor, ChainMap, Factorization, classify_morphism
+from tamechain.chains import (
+    ChainFunctor,
+    ChainMap,
+    Factorization,
+    SummandLabel,
+    chain_ker,
+    classify_morphism,
+    structure_decompose,
+    suspension,
+)
 from tamechain.cli import run
 from tamechain.morphisms import hom_space
 
@@ -283,8 +295,6 @@ def conjugate_chain(rng: random.Random, X: ChainFunctor) -> ChainFunctor:
         [random_invertible(rng, X.dims[q][n], p) for n in range(X.top + 1)]
         for q in range(X.poset.n)
     ]
-    from tamechain.field import inverse
-
     Uinv = [[inverse(m) for m in row] for row in U]
     layers = [
         VectFunctor(
@@ -319,3 +329,150 @@ def combine(basis: list, coeffs) -> ChainMap:
 
 def add_chain_maps(a: ChainMap, b: ChainMap) -> ChainMap:
     return ChainMap.from_vec(a.dom, a.cod, (a.to_vec() + b.to_vec()) % a.dom.p)
+
+
+# --- reference constructions: inverses, lifts, decomposition witnesses -------
+
+
+def inverse(M: Mat) -> Mat:
+    """M^-1, the transform of M's rref; NoSolutionError when M is singular."""
+    if M.rows != M.cols:
+        raise ValueError(f"cannot invert non-square matrix of shape {M.shape}")
+    rr = rref(M)
+    if rr.rank != M.rows:
+        raise NoSolutionError(f"matrix of shape {M.shape} is singular (rank {rr.rank})")
+    return rr.T
+
+
+def oracle_lift(f: NatMap, e: NatMap, gens, witness: NatMap) -> tuple[Mat, ...]:
+    """The lift on the generators of a presentation witness: free -> dom f,
+    composed with the objectwise inverse of the witness."""
+    free = witness.dom
+    values = []
+    for i, (z, d) in enumerate(gens):
+        # At z, the generators below z own consecutive blocks in order.
+        start = 0
+        for w, c in gens[:i]:
+            if free.poset.leq(w, z):
+                start += c
+        values.append(solve(e.comps[z], f.comps[z] @ witness.comps[z].take_cols(range(start, start + d))))
+    g0 = assemble_free_map(free, e.dom, values)
+    return tuple(g0.comps[x] @ inverse(witness.comps[x]) for x in range(free.poset.n))
+
+
+def lift_through(f: NatMap, e: NatMap) -> NatMap:
+    """g with e g = f, for a projective domain of f and im f inside im e:
+    `oracle_lift` on the domain's own generators when it is free, and on
+    its minimal cover otherwise."""
+    F = f.dom
+    if F.generators is not None:
+        return NatMap(F, e.dom, oracle_lift(f, e, F.generators, NatMap.identity(F)))
+    cov = is_projective(F)
+    if cov is None:
+        raise ValueError("lift requires a projective domain")
+    return NatMap(F, e.dom, oracle_lift(f, e, cov.generators, cov.s))
+
+
+def _split_map(dom, cod, m, low, high):
+    given_at = {m: low, m + 1: high}
+    nats = tuple(
+        given_at[n] if n in given_at else NatMap.zero(dom.layer(n), cod.layer(n))
+        for n in range(max(dom.top, cod.top) + 1)
+    )
+    return ChainMap(dom, cod, nats)
+
+
+def _residual_after(R, iota, rho):
+    """ker(rho) with its inclusion and the retraction along im(iota)."""
+    K, incl = chain_ker(rho)
+    comp = iota @ rho
+    nats = []
+    for n in range(R.top + 1):
+        comps = tuple(
+            solve(incl.nats[n].comps[q], Mat.identity(R.layer(n).dims[q], R.p) - comp.nats[n].comps[q])
+            for q in range(R.poset.n)
+        )
+        nats.append(NatMap(R.layers[n], K.layer(n), comps))
+    return K, incl, ChainMap(R, K, tuple(nats))
+
+
+def oracle_decompose(C: ChainFunctor) -> tuple[list[SummandLabel], list[tuple[ChainMap, ChainMap]]]:
+    """(labels, splits) of the sphere/disk decomposition, split off a
+    residual one at a time: each split is an (inclusion into C, retraction
+    out of C) pair, formed by tracking the residual's inclusion and
+    retraction after every split."""
+    residual, incl, proj = C, ChainMap.identity(C), ChainMap.identity(C)
+    labels, splits = [], []
+    for m in range(C.top + 1):
+        if residual.is_zero():
+            break
+        for kind in ("sphere", "disk"):
+            Fm, Fm1 = residual.layer(m), residual.layer(m + 1)
+            bnat = residual.d[m] if m < residual.top else NatMap.zero(Fm1, Fm)
+            if kind == "sphere":
+                H, qmap = coker_functor(bnat)
+                if H.is_zero():
+                    continue
+                res = minimal_resolution(H)
+                s0 = lift_through(res.aug, qmap)
+                p0 = lift_through(qmap, res.aug)
+                s1 = lift_through(s0 @ res.d, bnat)
+                p1 = lift_through(p0 @ bnat, res.d)
+                inv0 = [inverse(x) for x in (p0 @ s0).comps]
+                inv1 = [inverse(x) for x in (p1 @ s1).comps]
+                S = suspension(ChainFunctor([res.p0, res.p1], [res.d]), m).trimmed()
+                rho_m = NatMap(Fm, res.p0, tuple(a @ b for a, b in zip(inv0, p0.comps)))
+                rho_m1 = NatMap(Fm1, res.p1, tuple(a @ b for a, b in zip(inv1, p1.comps)))
+                label = SummandLabel("sphere", m, res.gens0, res.gens1, S)
+            else:
+                if Fm.is_zero():
+                    continue
+                cov = is_projective(Fm)
+                winv = tuple(inverse(x) for x in cov.s.comps)
+                s0, s1 = cov.s, lift_through(cov.s, bnat)
+                S = suspension(ChainFunctor([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
+                rho_m = NatMap(Fm, cov.P, winv)
+                rho_m1 = NatMap(bnat.dom, cov.P, tuple(a @ b for a, b in zip(winv, bnat.comps)))
+                label = SummandLabel("disk", m + 1, cov.generators, (), S)
+            iota = _split_map(S, residual, m, s0, s1)
+            rho = _split_map(residual, S, m, rho_m, rho_m1)
+            labels.append(label)
+            splits.append((incl @ iota, rho @ proj))
+            residual, kincl, kproj = _residual_after(residual, iota, rho)
+            incl, proj = incl @ kincl, kproj @ proj
+    assert residual.is_zero()
+    return labels, splits
+
+
+def complex_data(X: ChainFunctor) -> tuple:
+    """Top, dims, boundary matrices and cover maps of X, as plain data."""
+    return (
+        X.top,
+        X.dims,
+        [[X.boundary(n).comps[q].tolist() for n in range(1, X.top + 1)] for q in range(X.poset.n)],
+        [[X.layer(n).maps[c].tolist() for n in range(X.top + 1)] for c in X.poset.covers],
+    )
+
+
+def decompose_with_splits(C: ChainFunctor):
+    """`structure_decompose(C)` and the splits of `oracle_decompose(C)`,
+    once the oracle's labels and complexes are asserted to equal the
+    library's."""
+    dec = structure_decompose(C)
+    labels, splits = oracle_decompose(C)
+    assert [s.key() for s in labels] == [s.key() for s in dec.summands]
+    assert [complex_data(s.complex) for s in labels] == [complex_data(s.complex) for s in dec.summands]
+    return dec, splits
+
+
+def assert_splits_sum_to_identity(splits) -> None:
+    """Every split is a retraction (rho iota = id) and the idempotents
+    iota rho sum to the identity."""
+    total = None
+    for iota, rho in splits:
+        comp = rho @ iota
+        assert all(m == Mat.identity(m.rows, m.p) for nat in comp.nats for m in nat.comps)
+        back = iota @ rho
+        total = back if total is None else add_chain_maps(total, back)
+    assert total is not None
+    assert all(m == Mat.identity(m.rows, m.p) for nat in total.nats for m in nat.comps)

@@ -1,10 +1,12 @@
 """The library surface has no member that only tests call.
 
-Every public method or property of a class in `src/tamechain`, and every
-public module-level function, is referenced somewhere in `src/` outside
-its own definition (`.name` for a member; the bare name or `.name` for a
-function), or is exported by `tamechain/__init__.py`, or is on the keep
-list below with its reason.  A reference from inside a member that is
+Every public class in `src/tamechain`, every public method or property
+of one, and every public module-level function is referenced somewhere
+in `src/` outside its own definition (`.name` for a member; the bare
+name or `.name` for a class or function), or is on the keep list below
+with its reason.  Being exported by `tamechain/__init__.py` is not
+enough: its import there is not a reference, so an exported name needs
+a reader or a reason too.  A reference from inside a member that is
 itself unused does not count.  The check goes by name, so a member passes
 when a used member of another class shares its name.
 
@@ -31,9 +33,15 @@ KEEP = {
     "posets.FinPoset.suplim": "the paper's suplim (minimal upper bounds of a subset), checked by the poset tests",
     "posets.RealizedPoset.points": "the symbolic points of S(Q, D, V), which the realization oracles read",
     "chains.SummandLabel.key": "the sortable form of a summand label, which the decomposition tests compare",
-    "chains.Decomposition.splits": "each summand's inclusion and retraction, the witnesses the decomposition tests check",
     "chains.chain_coker": "the cokernel of a chain map, which the brute-force gluing oracle builds coker beta with",
     "functors.common_realized_discretization": "perfbench's realize-kan workload calls it",
+    "field.solve": "the public solver of A X = B, which the tests use as the oracle of `coordinates` and of the lifts",
+    "morphisms.hom_space": "the canonical basis of natural chain maps X -> Y, which the suite's chain-map oracles enumerate",
+    "functors.local_homology": "the paper's local homology H0/H1 at an element, whose free-functor formulas acceptance criterion 8 checks",
+    "posets.alpha_v_formula": "the paper's closed-form transfer onto S(Q, V), which the realization oracles compare with transfer_point",
+    "chains.classify_morphism": "the paper's model-structure flags (cofibration, fibration, weak equivalence); the suite classifies every factorization with it",
+    "chains.reassemble": "the structure theorem's direct sum of the decomposition's summands, the round trip of `decompose`",
+    "morphisms.split_by_idempotent": "the splitting X = im(e) + im(1 - e) by an idempotent, with the witnesses the indecomposability tests check",
 }
 
 
@@ -54,6 +62,7 @@ def _surface():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 members = [(f"{node.name}.{f.name}", f, False) for f in node.body if isinstance(f, ast.FunctionDef)]
+                members.append((node.name, node, True))
             else:
                 members = [(node.name, node, True)] if isinstance(node, ast.FunctionDef) else []
             for qual, f, is_function in members:
@@ -74,7 +83,7 @@ def _surface():
 
 
 def _unused() -> set[str]:
-    defs, attrs, names, exported, _ = _surface()
+    defs, attrs, names, _, _ = _surface()
 
     def within(ref, qual):
         _, file, first, last, _ = defs[qual]
@@ -84,7 +93,7 @@ def _unused() -> set[str]:
     while True:
         found = set()
         for qual, (name, _, _, _, is_function) in defs.items():
-            if qual in unused or qual in KEEP or name in exported:
+            if qual in unused or qual in KEEP:
                 continue
             refs = attrs.get(name, []) + (names.get(name, []) if is_function else [])
             if not any(not within(ref, qual) and not any(within(ref, u) for u in unused) for ref in refs):
@@ -96,7 +105,7 @@ def _unused() -> set[str]:
 
 def test_every_public_member_has_a_caller():
     unused = sorted(_unused())
-    assert not unused, "no caller in src/ and not exported: " + ", ".join(unused)
+    assert not unused, "no caller in src/ and no keep reason: " + ", ".join(unused)
 
 
 def test_keep_list_names_existing_members():

@@ -5,7 +5,7 @@ import pytest
 from tamechain import chains
 from tamechain.errors import HomologyNotResolvableError, InputError, KernelNotProjectiveError, ValidationError
 from tamechain.field import Mat, kernel, solve
-from tamechain.functors import NatMap, VectFunctor, assemble_free_map, coker_functor, free_on_generators, lift_through
+from tamechain.functors import NatMap, VectFunctor, assemble_free_map, coker_functor, free_on_generators
 from tamechain.posets import FinPoset
 from tamechain.chains import (
     _pullback_functor,
@@ -33,9 +33,12 @@ from tamechain.interchange import chain_from_json
 
 from conftest import (
     add_chain_maps,
+    assert_splits_sum_to_identity,
     boundaries,
     combine,
     conjugate_chain,
+    decompose_with_splits,
+    lift_through,
     random_chain,
     random_dim1_poset,
     random_functor,
@@ -197,7 +200,7 @@ def test_pullback_universal_property_randomized():
 def test_cover_of_coker_lifts_by_the_quotient_sections():
     """The staircase lifts the cover map of coker m as the quotient's
     canonical sections times the cover's; that is the canonical lift
-    `lift_through` solves for, on any poset."""
+    `conftest.lift_through` solves for, on any poset."""
     rng = random.Random(11)
     for _ in range(40):
         p = rng.choice([2, 3, 5])
@@ -374,14 +377,15 @@ def test_structure_decompose_rejects_non_cofibrant(chain2):
 
 
 def test_reassemble_empty_and_small(point):
-    dec = structure_decompose(zero_chain(point, 2))
+    dec, splits = decompose_with_splits(zero_chain(point, 2))
     assert dec.summands == ()
-    assert dec.splits == () and structure_decompose(suspension(zero_chain(point, 5), 2)).splits == ()
+    assert splits == [] and decompose_with_splits(suspension(zero_chain(point, 5), 2))[1] == []
     assert reassemble(dec).is_zero()
     s0 = standard_complex(point, "sphere", 0, 0, 1, 2)
     d1 = standard_complex(point, "disk", 1, 0, 1, 2)
     X, _, _ = direct_sum_chains([s0, d1])
-    dec2 = structure_decompose(X)
+    dec2, splits2 = decompose_with_splits(X)
+    assert_splits_sum_to_identity(splits2)
     out = reassemble(dec2)
     assert [X.layer(n).dims[0] for n in range(2)] == [2, 1]
     assert sorted(s.key() for s in dec2.summands) == sorted(
@@ -405,16 +409,9 @@ def test_decompose_round_trip_randomized():
         rng.shuffle(summands)
         C0, _, _ = direct_sum_chains(summands)
         C = conjugate_chain(rng, C0)
-        dec = structure_decompose(C)
+        dec, splits = decompose_with_splits(C)
         # Splits are genuine retractions and assemble to the identity.
-        total = None
-        for iota, rho in dec.splits:
-            comp = rho @ iota
-            assert all(m == Mat.identity(m.rows, m.p) for nat in comp.nats for m in nat.comps)
-            back = iota @ rho
-            total = back if total is None else add_chain_maps(total, back)
-        assert total is not None
-        assert all(m == Mat.identity(m.rows, m.p) for nat in total.nats for m in nat.comps)
+        assert_splits_sum_to_identity(splits)
         assert sum(s.complex.total_dim() for s in dec.summands) == C.total_dim()
 
 

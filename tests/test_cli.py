@@ -11,7 +11,7 @@ from tamechain.field import Mat
 from tamechain.interchange import build_document, chain_from_json, dumps_document, parse_document
 from tamechain.examples import ChainPair, GluingStage, builtin_example
 from tamechain.posets import FinPoset, realize
-from tamechain.functors import free_functor
+from tamechain.functors import free_on_generators
 from tamechain.morphisms import EndRing, hom_space
 
 from conftest import invoke, random_chain, random_poset
@@ -161,7 +161,7 @@ def test_field_mismatch_between_example_and_request():
 def test_interchange_round_trip_realized():
     base = FinPoset.from_covers(["p", "q", "r"], [("p", "r"), ("q", "r")])
     rp = realize(base, None, [Fraction(-1, 3)])
-    F = free_functor(rp, rp.index("p"), 2, 5)
+    F = free_on_generators(rp, [(rp.index("p"), 2)], 5)
     doc = build_document(5, {"R": rp}, functors={"F": (F, "R")})
     text = dumps_document(doc)
     back = parse_document(text)

@@ -1,18 +1,16 @@
-"""The structure decomposition against two split-off oracles, and the
-work it does per split.
+"""The structure decomposition against a split-off oracle, and the work
+it does per degree.
 
 `structure_decompose` reads the labels off the structure theorem's
 invariants: the minimal resolutions of the homology functors and a count
-of cover generators.  Two loops that split the summands off a residual
-one at a time check them.  `chains._split_off_summands` forms the
-inclusions when `Decomposition.inclusions` is read; its labels and
-complexes must equal the invariant ones, since inclusion i maps from
-the complex of summand i.  `oracle_decompose` is an earlier split loop:
-after every split it forms the summand's retraction with one inverse per
-element and degree, recomputes the kernel and the retraction of every
-degree of the residual as a chain map, and composes both witnesses
-against the input.  The labels, complexes and splits must equal the
-oracle's bit for bit.
+of cover generators.  `oracle_decompose` (in conftest) splits the
+summands off a residual one at a time: after every split it forms the
+summand's retraction with one inverse per element and degree, recomputes
+the kernel and the retraction of every degree of the residual as a chain
+map, and composes both witnesses against the input.  Its labels and
+complexes must equal the invariant ones bit for bit, and each of its
+inclusions maps from its summand's complex.  The tests that need the
+inclusions and retractions take them from the oracle.
 """
 
 from __future__ import annotations
@@ -22,22 +20,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from tamechain import chains, functors
-from tamechain.field import Mat, cokernel, inverse, solve
-from tamechain.functors import (
-    NatMap,
-    VectFunctor,
-    _incoming,
-    assemble_free_map,
-    coker_functor,
-    is_projective,
-    lift_through,
-    minimal_resolution,
-)
+from tamechain.field import cokernel
+from tamechain.functors import VectFunctor, _incoming, assemble_free_map, minimal_resolution
 from tamechain.chains import (
     ChainFunctor,
-    ChainMap,
-    SummandLabel,
-    chain_ker,
     cofibrant_replacement,
     direct_sum_chains,
     is_cofibrant,
@@ -46,89 +32,15 @@ from tamechain.chains import (
     suspension,
 )
 
-from conftest import conjugate_chain, random_chain, random_dim1_poset, random_functor_dim1
-
-
-def _split_map(dom, cod, m, low, high):
-    given_at = {m: low, m + 1: high}
-    nats = tuple(
-        given_at[n] if n in given_at else NatMap.zero(dom.layer(n), cod.layer(n))
-        for n in range(max(dom.top, cod.top) + 1)
-    )
-    return ChainMap(dom, cod, nats)
-
-
-def _residual_after(R, iota, rho):
-    """ker(rho) with its inclusion and the retraction along im(iota)."""
-    K, incl = chain_ker(rho)
-    comp = iota @ rho
-    nats = []
-    for n in range(R.top + 1):
-        comps = tuple(
-            solve(incl.nats[n].comps[q], Mat.identity(R.layer(n).dims[q], R.p) - comp.nats[n].comps[q])
-            for q in range(R.poset.n)
-        )
-        nats.append(NatMap(R.layers[n], K.layer(n), comps))
-    return K, incl, ChainMap(R, K, tuple(nats))
-
-
-def oracle_decompose(C):
-    """(labels, splits) of the sphere/disk decomposition, tracking the
-    residual's inclusion into C and retraction out of C after every split."""
-    residual, incl, proj = C, ChainMap.identity(C), ChainMap.identity(C)
-    labels, splits = [], []
-    for m in range(C.top + 1):
-        if residual.is_zero():
-            break
-        for kind in ("sphere", "disk"):
-            Fm, Fm1 = residual.layer(m), residual.layer(m + 1)
-            bnat = residual.d[m] if m < residual.top else NatMap.zero(Fm1, Fm)
-            if kind == "sphere":
-                H, qmap = coker_functor(bnat)
-                if H.is_zero():
-                    continue
-                res = minimal_resolution(H)
-                s0 = lift_through(res.aug, qmap)
-                p0 = lift_through(qmap, res.aug)
-                s1 = lift_through(s0 @ res.d, bnat)
-                p1 = lift_through(p0 @ bnat, res.d)
-                inv0 = [inverse(x) for x in (p0 @ s0).comps]
-                inv1 = [inverse(x) for x in (p1 @ s1).comps]
-                S = suspension(ChainFunctor([res.p0, res.p1], [res.d]), m).trimmed()
-                rho_m = NatMap(Fm, res.p0, tuple(a @ b for a, b in zip(inv0, p0.comps)))
-                rho_m1 = NatMap(Fm1, res.p1, tuple(a @ b for a, b in zip(inv1, p1.comps)))
-                label = SummandLabel("sphere", m, res.gens0, res.gens1, S)
-            else:
-                if Fm.is_zero():
-                    continue
-                cov = is_projective(Fm)
-                winv = tuple(inverse(x) for x in cov.s.comps)
-                s0, s1 = cov.s, lift_through(cov.s, bnat)
-                S = suspension(ChainFunctor([cov.P, cov.P], [NatMap.identity(cov.P)]), m)
-                rho_m = NatMap(Fm, cov.P, winv)
-                rho_m1 = NatMap(bnat.dom, cov.P, tuple(a @ b for a, b in zip(winv, bnat.comps)))
-                label = SummandLabel("disk", m + 1, cov.generators, (), S)
-            iota = _split_map(S, residual, m, s0, s1)
-            rho = _split_map(residual, S, m, rho_m, rho_m1)
-            labels.append(label)
-            splits.append((incl @ iota, rho @ proj))
-            residual, kincl, kproj = _residual_after(residual, iota, rho)
-            incl, proj = incl @ kincl, kproj @ proj
-    assert residual.is_zero()
-    return labels, splits
-
-
-def _complex_data(X):
-    return (
-        X.top,
-        X.dims,
-        [[X.boundary(n).comps[q].tolist() for n in range(1, X.top + 1)] for q in range(X.poset.n)],
-        [[X.layer(n).maps[c].tolist() for n in range(X.top + 1)] for c in X.poset.covers],
-    )
-
-
-def _map_data(phi):
-    return [[(m.shape, m.tolist()) for m in nat.comps] for nat in phi.nats]
+from conftest import (
+    assert_splits_sum_to_identity,
+    complex_data,
+    conjugate_chain,
+    decompose_with_splits,
+    random_chain,
+    random_dim1_poset,
+    random_functor_dim1,
+)
 
 
 def _planted_sum(rng, poset, p):
@@ -151,41 +63,36 @@ def _planted_sum(rng, poset, p):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.booleans(), st.integers(0, 2**32))
 def test_decompose_matches_retraction_tracking_oracle(p, planted, seed):
+    """The oracle finds the library's labels and complexes, and its
+    witnesses split the input: each is a retraction, and they sum to the
+    identity."""
     rng = random.Random(seed)
     poset = random_dim1_poset(rng, 5)
     if planted:
         C = _planted_sum(rng, poset, p)
     else:
         C = cofibrant_replacement(random_chain(rng, poset, p, rng.randint(0, 2))).C
-    labels, splits = oracle_decompose(C)
-    dec = structure_decompose(C)
-    assert [s.key() for s in dec.summands] == [s.key() for s in labels]
-    assert [_complex_data(s.complex) for s in dec.summands] == [_complex_data(s.complex) for s in labels]
-    assert len(dec.splits) == len(splits)
-    for (iota, rho), (iota0, rho0) in zip(dec.splits, splits):
-        assert _map_data(iota) == _map_data(iota0)
-        assert _map_data(rho) == _map_data(rho0)
+    dec, splits = decompose_with_splits(C)
+    if splits:
+        assert_splits_sum_to_identity(splits)
+    else:
+        assert C.is_zero()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.booleans(), st.integers(0, 2**32))
 def test_invariant_labels_match_the_split_loop(p, planted, seed):
     """Kinds, degrees, generators and complexes (resolution matrices
-    included) of the invariant labels equal those the split loop finds,
-    and each inclusion maps from its summand's complex."""
+    included) of the invariant labels equal those the oracle's split loop
+    finds, and each of its inclusions maps from its summand's complex."""
     rng = random.Random(seed)
     poset = random_dim1_poset(rng, 6)
     if planted:
         C = _planted_sum(rng, poset, p)
     else:
         C = cofibrant_replacement(random_chain(rng, poset, p, rng.randint(0, 2))).C
-    dec = structure_decompose(C)
-    labels = chains._split_off_summands(C)[0]
-    assert [(s.kind, s.degree, s.gens0, s.gens1) for s in dec.summands] == [
-        (s.kind, s.degree, s.gens0, s.gens1) for s in labels
-    ]
-    assert [_complex_data(s.complex) for s in dec.summands] == [_complex_data(s.complex) for s in labels]
-    assert [_complex_data(i.dom) for i in dec.inclusions] == [_complex_data(s.complex) for s in dec.summands]
+    dec, splits = decompose_with_splits(C)
+    assert [complex_data(iota.dom) for iota, _ in splits] == [complex_data(s.complex) for s in dec.summands]
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,28 +117,6 @@ def test_projectivity_checks_form_no_cover_map(p, planted, decompose, seed):
         cov = F._cover
         eager = assemble_free_map(cov.P, F, [cokernel(_incoming(F, z))[1] for z, _ in cov.generators])
         assert cov.s.comps == eager.comps and cov.s.dom is cov.P and cov.s.cod is F
-
-
-def test_split_rebuilds_only_its_two_degrees(monkeypatch, point):
-    """S^0 (+) D^N on a point splits twice: at degree 0 and at N - 1.  Each
-    split of the loop that forms the inclusions takes kernels on the
-    residual's two layers there, which are still the input's own layer
-    objects, and no others."""
-    N = 300
-    sphere, disk = (standard_complex(point, kind, n, 0, 1, 2) for kind, n in (("sphere", 0), ("disk", N)))
-    X, _, _ = direct_sum_chains([sphere, disk])
-    dec = structure_decompose(X)
-    assert [(s.kind, s.degree) for s in dec.summands] == [("sphere", 0), ("disk", N)]
-    doms = []
-    ker_functor = chains.ker_functor
-
-    def recording(nat):
-        doms.append(nat.dom)
-        return ker_functor(nat)
-
-    monkeypatch.setattr(chains, "ker_functor", recording)
-    assert len(dec.inclusions) == 2
-    assert [id(F) for F in doms] == [id(X.layers[0]), id(X.layers[1]), id(X.layers[N])]
 
 
 def test_per_step_checks_do_not_grow_with_the_degree(monkeypatch, point):

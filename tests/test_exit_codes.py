@@ -260,7 +260,7 @@ def malformed_arguments(draw):
         (GLUED, st.tuples(st.sampled_from(COMMANDS), _unknown({"X"})).map(lambda c: c[0] + ["--object", c[1]])),
         (GLUED, st.integers(-5, -1).map(lambda b: ["indec", "--budget", str(b)])),
         (GLUED, tokens.filter(lambda t: not t.lstrip("-").isdigit()).map(lambda b: ["indec", "--budget", b])),
-        (GLUED, tokens.filter(lambda t: t not in ("exhaustive", "fitting")).map(lambda s: ["indec", "--strategy", s])),
+        (GLUED, tokens.filter(lambda t: t != "exhaustive").map(lambda s: ["indec", "--strategy", s])),
         (GLUED, _unknown(glued).map(lambda a: ["glue", "--A", a])),
         (GLUED, _unknown(glued).map(lambda b: ["glue", "--B", b])),
         (PLAIN, tokens.filter(lambda t: t and not all(map(_is_coordinate, t.split(",")))).map(lambda v: ["realize", f"--V={v}"])),
@@ -285,6 +285,12 @@ def malformed_arguments(draw):
 def test_malformed_arguments_exit_2(case):
     text, argv = case
     _check(argv, text, must_fail=True)
+
+
+@pytest.mark.parametrize("argv", [["indec", "--strategy", "fitting"], ["indec", "--seed", "0"]])
+def test_removed_indec_options_exit_2(argv):
+    """`indec` has one strategy, "exhaustive", and it draws nothing at random."""
+    _check(argv, GLUED, must_fail=True)
 
 
 FLAGS = ["--object", "--budget", "--strategy", "--A", "--B", "--V", "--D", "--point", "--sub", "--poset", "--field"]

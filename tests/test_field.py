@@ -12,7 +12,6 @@ from tamechain.field import (
     _matmul,
     cokernel,
     coordinates,
-    inverse,
     kernel,
     kernel_basis,
     rref,
@@ -22,7 +21,7 @@ from tamechain.field import (
 
 from tamechain.functors import column_space_basis
 
-from conftest import random_invertible, random_matrix
+from conftest import inverse, random_invertible, random_matrix
 
 
 def test_modulus_must_be_prime():

@@ -7,22 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 import tamechain.functors
 from tamechain.errors import KernelNotProjectiveError, ValidationError
-from tamechain.field import Mat, inverse, kernel, solve
+from tamechain.field import Mat, kernel
 from tamechain.functors import (
     NatMap,
     VectFunctor,
     assemble_free_map,
     coker_functor,
     colim_over,
-    common_discretization,
     common_realized_discretization,
     direct_sum_functors,
-    free_functor,
     free_on_generators,
     is_projective,
     kan_extend,
     ker_functor,
-    lift_through,
     local_homology,
     minimal_cover,
     minimal_resolution,
@@ -32,6 +29,9 @@ from tamechain.posets import FinPoset, realize
 
 from conftest import (
     combine,
+    inverse,
+    lift_through,
+    oracle_lift,
     random_dim1_poset,
     random_functor,
     random_functor_dim1,
@@ -42,15 +42,15 @@ from conftest import (
 
 
 def test_free_functor_zero_multiplicity(chain2):
-    F = free_functor(chain2, 0, 0, 2)
+    F = free_on_generators(chain2, [(0, 0)], 2)
     assert F.dims == (0, 0)
 
 
 def test_free_functor_on_chain(chain2):
-    F = free_functor(chain2, 0, 2, 3)
+    F = free_on_generators(chain2, [(0, 2)], 3)
     assert F.dims == (2, 2)
     assert F.maps[(0, 1)] == Mat.identity(2, 3)
-    G = free_functor(chain2, 1, 3, 3)
+    G = free_on_generators(chain2, [(1, 3)], 3)
     assert G.dims == (0, 3)
 
 
@@ -222,7 +222,7 @@ def test_colim_singleton_and_empty(fence):
 
 
 def test_colim_down_set_of_free(fence):
-    F = free_functor(fence, 0, 2, 2)
+    F = free_on_generators(fence, [(0, 2)], 2)
     for q in np.flatnonzero(fence.leq_matrix[0]).tolist():
         co = colim_over(F, np.flatnonzero(fence.leq_matrix[:, q]).tolist())
         assert co.dim == 2  # one surviving generator
@@ -236,7 +236,7 @@ def test_kan_extension_free(fence):
     for q in range(fence.n):
         for comp in (ext.functor.maps.get((y, x)) for y, x in fence.covers):
             pass
-    free = free_functor(fence, 0, 1, 2)
+    free = free_on_generators(fence, [(0, 1)], 2)
     assert ext.functor.dims == free.dims
 
 
@@ -363,14 +363,14 @@ def test_colim_route_forms_one_colimit_per_down_set(monkeypatch):
 
 
 def test_local_homology_of_free(chain2, diamond):
-    F = free_functor(chain2, 0, 1, 2)
+    F = free_on_generators(chain2, [(0, 1)], 2)
     lh = local_homology(F, 0)
     assert lh.h0_dim == 1 and lh.h1_dim == 0
     lh1 = local_homology(F, 1)
     assert lh1.h0_dim == 0 and lh1.h1_dim == 0
     # On the diamond the free functor at the bottom has one-dimensional
     # degree-1 local homology at the top.
-    G = free_functor(diamond, 0, 1, 2)
+    G = free_on_generators(diamond, [(0, 1)], 2)
     top = diamond.index("c4")
     lht = local_homology(G, top)
     assert lht.h0_dim == 0
@@ -382,13 +382,13 @@ def test_h1_vanishes_for_free_on_dim1_posets():
     for _ in range(20):
         P = random_dim1_poset(rng, 7)
         z = rng.randrange(P.n)
-        F = free_functor(P, z, rng.randint(1, 3), 5)
+        F = free_on_generators(P, [(z, rng.randint(1, 3))], 5)
         for x in range(P.n):
             assert local_homology(F, x).h1_dim == 0
 
 
 def test_radical_of_free(chain3):
-    F = free_functor(chain3, 0, 2, 3)
+    F = free_on_generators(chain3, [(0, 2)], 3)
     rad, incl = radical(F)
     assert rad.dims == (0, 2, 2)
     for x in range(chain3.n):
@@ -497,7 +497,7 @@ def test_is_projective_examples(fence, chain2):
 
 
 def test_is_projective_general_poset(diamond):
-    F = free_functor(diamond, 0, 1, 2)
+    F = free_on_generators(diamond, [(0, 1)], 2)
     assert is_projective(F) is not None
     atom = VectFunctor(diamond, [0, 0, 0, 1], {}, 2)
     assert is_projective(atom) is not None  # equals the free functor at the top
@@ -566,22 +566,6 @@ def oracle_is_projective(F):
     return not any(local_homology(F, x).h1_dim for x in range(F.poset.n))
 
 
-def oracle_lift(f, e, gens, witness):
-    """The lift on the generators of a presentation witness: free -> dom f,
-    composed with the objectwise inverse of the witness."""
-    free = witness.dom
-    values = []
-    for i, (z, d) in enumerate(gens):
-        # At z, the generators below z own consecutive blocks in order.
-        start = 0
-        for w, c in gens[:i]:
-            if free.poset.leq(w, z):
-                start += c
-        values.append(solve(e.comps[z], f.comps[z] @ witness.comps[z].take_cols(range(start, start + d))))
-    g0 = assemble_free_map(free, e.dom, values)
-    return tuple(g0.comps[x] @ inverse(witness.comps[x]) for x in range(free.poset.n))
-
-
 def random_oriented_tree(rng, n):
     names = [f"e{i}" for i in range(n)]
     covers = []
@@ -638,21 +622,25 @@ def test_projectivity_and_lifts_match_oracles(n, p, seed):
 
 
 def test_common_discretization_fence_halves(fence):
+    """Kan extension of each half onto the closure of their union."""
     left = fence.restrict([0, 2])
     right = fence.restrict([1, 3])
     F1 = random_functor_dim1(random.Random(9), left, 2)
     F2 = random_functor_dim1(random.Random(10), right, 2)
-    closed, sub, (G1, G2) = common_discretization(fence, [(F1, [0, 2]), (F2, [1, 3])])
+    closed = fence.closure({0, 2, 1, 3})
     assert closed == (0, 1, 2, 3)
+    sub = fence.restrict(closed)
     assert sub.names == fence.names
+    G1, G2 = (kan_extend(F, sub, [closed.index(e) for e in embed]).functor for F, embed in ((F1, [0, 2]), (F2, [1, 3])))
     assert G1.dims[0] == F1.dims[0]
     assert G2.dims[1] == F2.dims[0]
 
 
 def test_common_discretization_single(fence):
     F = random_functor_dim1(random.Random(11), fence.restrict([0, 2]), 2)
-    closed, sub, (G,) = common_discretization(fence, [(F, [0, 2])])
+    closed = fence.closure({0, 2})
     assert set(closed) == {0, 2}
+    G = kan_extend(F, fence.restrict(closed), [closed.index(0), closed.index(2)]).functor
     assert G.dims == F.dims
 
 
