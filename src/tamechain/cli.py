@@ -74,7 +74,7 @@ def _element(P: FinPoset, name: str, flag: str) -> int:
 
 def _emit_report(args, report: dict) -> None:
     if args.machine:
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(dumps_document(report))
         return
     for key, value in report.items():
         sys.stdout.write(f"{key}: {value}\n")
@@ -109,9 +109,7 @@ def cmd_validate(args) -> int:
         return 0
     for path, report in zip(files, results):
         if args.machine:
-            sys.stdout.write(
-                json.dumps({"file": path, **report}, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            sys.stdout.write(dumps_document({"file": path, **report}))
         else:
             sys.stdout.write(f"{path}: valid ({report['chain_functors']} chain functors)\n")
     return 0

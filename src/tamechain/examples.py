@@ -20,32 +20,6 @@ __all__ = ["GluingStage", "ChainPair", "builtin_example", "counterexample_poset"
 # The largest n of "sphere(n)" and "disk(n)": on 2 CPUs sphere(10^5) takes 0.8 s and prints 0.7 MB.
 MAX_EXAMPLE_DEGREE = 100_000
 
-_COUNTEREXAMPLE_COVERS = [
-    ("x2", "x1"),
-    ("x2", "x4"),
-    ("x1", "x3"),
-    ("x4", "x3"),
-    ("x6", "x3"),
-    ("x3", "x5"),
-    ("x6", "x7"),
-    ("x7", "x5"),
-    ("x8", "x6"),
-    ("x8", "x9"),
-    ("x9", "x7"),
-    ("x7", "x10"),
-    ("x9", "x11"),
-    ("x11", "x10"),
-    ("x10", "x12"),
-    ("x11", "x13"),
-    ("x13", "x12"),
-]
-
-
-def counterexample_poset() -> FinPoset:
-    names = [f"x{i}" for i in range(1, 14)]
-    return FinPoset.from_covers(names, _COUNTEREXAMPLE_COVERS)
-
-
 # The indecomposable parametrized chain complex of the source diagram, as
 # a `chain_functors` document block spanning degrees 0..3.  Unlabeled
 # arrows are identities; the two rank-1 maps out of the 3-dimensional
@@ -96,6 +70,12 @@ _COUNTEREXAMPLE = {
         "x13->x12": [None, [[1]], [[1], [1]], None],
     },
 }
+
+
+def counterexample_poset() -> FinPoset:
+    """The 13-element poset, whose covers are the keys of the block's maps."""
+    names = [f"x{i}" for i in range(1, 14)]
+    return FinPoset.from_covers(names, [tuple(key.split("->")) for key in _COUNTEREXAMPLE["maps"]])
 
 
 def _counterexample_chain(p: int) -> ChainFunctor:

@@ -27,7 +27,10 @@ Subfunctor maps are read from the unit rows of canonical bases.
 
 On top of that sit colimits over subposets, left Kan extension (colimit
 route and transfer route), local homology at an element, radicals,
-minimal projective covers, and length-<=1 minimal resolutions.
+minimal projective covers, and length-<=1 minimal resolutions.  The
+radical, the minimal cover and the dimensions of H0/H1 at an element x
+all read one map, `_incoming`: the map into F(x) from the elements x
+covers (its image, the sections of its cokernel, and its rank).
 """
 
 from __future__ import annotations
@@ -421,14 +424,11 @@ def kan_extend(F: VectFunctor, ambient: FinPoset, embed: Sequence[int], method: 
 
 @dataclass(frozen=True)
 class LocalHomology:
-    """H0/H1 at an element: cokernel and kernel of the assembled map from
-    the values at its covered elements."""
+    """The dimensions of H0/H1 at an element: of the cokernel and the
+    kernel of the map into it from the elements it covers (`_incoming`)."""
 
     h0_dim: int
-    h0_proj: Mat
-    h0_section: Mat
     h1_dim: int
-    h1_incl: Mat
 
 
 def _incoming(F: VectFunctor, x: int) -> Mat:
@@ -441,9 +441,8 @@ def _incoming(F: VectFunctor, x: int) -> Mat:
 
 def local_homology(F: VectFunctor, x: int) -> LocalHomology:
     A = _incoming(F, x)
-    proj, section = cokernel(A)
-    K = kernel(A)
-    return LocalHomology(proj.rows, proj, section, K.cols, K)
+    r = A.rank()
+    return LocalHomology(A.rows - r, A.cols - r)
 
 
 def column_space_basis(M: Mat) -> Mat:
@@ -454,7 +453,7 @@ def column_space_basis(M: Mat) -> Mat:
 
 def radical(F: VectFunctor) -> tuple[VectFunctor, NatMap]:
     """Subfunctor of images of all maps from strictly smaller elements."""
-    return _subfunctor_from_bases(F, _spanned_by(F, [F.poset.covered_by(x) for x in range(F.poset.n)]))
+    return _subfunctor_from_bases(F, [column_space_basis(_incoming(F, x)) for x in range(F.poset.n)])
 
 
 def _spanned_by(F: VectFunctor, sources: Sequence[Sequence[int]]) -> list[Mat]:

@@ -50,7 +50,7 @@ Functorlike = Union[VectFunctor, ChainFunctor]
 
 
 def as_chain(obj: Functorlike) -> ChainFunctor:
-    return obj if isinstance(obj, ChainFunctor) else ChainFunctor((obj,), ())
+    return obj if isinstance(obj, ChainFunctor) else ChainFunctor._trusted((obj,), ())
 
 
 # Hom between vector-space functors goes through the kept minimal cover
@@ -92,6 +92,12 @@ def _hom_kernel(X: ChainFunctor, Y: ChainFunctor) -> Mat:
     return _direct_kernel(X, Y, offs, nvars)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of a and b (as `np.kron`, in one product).
+    Row-major, A V B has the coordinates kron(A, B^T) vec(V)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _direct_kernel(X: ChainFunctor, Y: ChainFunctor, offs, nvars: int) -> Mat:
     """`_hom_kernel` by one system whose unknowns are the components."""
     p = X.p
@@ -114,20 +120,11 @@ def _direct_kernel(X: ChainFunctor, Y: ChainFunctor, offs, nvars: int) -> Mat:
     system = np.zeros((eqs, nvars), dtype=np.int64)
     at = 0
     for left, (oa, ra, ca), (ob, rb, cb), right in constraints:
-        # Row-major vectorization: equation (i, k) of the rb x ca entries
-        # has left[i, l] on M_a[l, k] and -right[j, k] on M_b[i, j].
-        i = np.arange(rb)[:, None, None]
-        k = np.arange(ca)
-        eq = at + i * ca + k
-        system[eq, oa + np.arange(ra)[:, None] * ca + k] = left.arr[:, :, None]
-        system[eq, ob + i * cb + np.arange(cb)[:, None]] = (-right.arr) % p
-        at += rb * ca
+        rows = slice(at, at + rb * ca)
+        system[rows, oa : oa + ra * ca] = _kron(left.arr, np.eye(ca, dtype=np.int64))
+        system[rows, ob : ob + rb * cb] = _kron(np.eye(rb, dtype=np.int64), (-right.arr.T) % p)
+        at = rows.stop
     return kernel(Mat._wrap(system, p))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of a and b (as `np.kron`, in one product)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _yoneda_kernel(X: VectFunctor, Y: VectFunctor, offs, nvars: int) -> Mat:
@@ -143,10 +140,9 @@ def _yoneda_kernel(X: VectFunctor, Y: VectFunctor, offs, nvars: int) -> Mat:
     ker(s_w) is sent to Y(w <= q) psi_w k, which the equations at w already
     make zero, so at q only the vectors of ker(s_q) outside the images from
     the lower covers w of q are imposed: the generators of ker s, the
-    relations of X.  Row-major, A V B has the coordinates kron(A, B^T)
-    vec(V).  The basis so found spans the same space as the direct
-    system's kernel, and `kernel_basis` turns it into that kernel's
-    canonical basis.
+    relations of X; `_kron` writes each A V B.  The basis so found spans
+    the same space as the direct system's kernel, and `kernel_basis` turns
+    it into that kernel's canonical basis.
     """
     p = X.p
     cov = minimal_cover(X)

@@ -206,13 +206,20 @@ def test_gluing_criteria_track_indecomposability():
 ORACLE_PRIMES = [2, 3, 5, 32749, 2147483629]
 
 
+def product_vec(a: ChainMap, b: ChainMap) -> np.ndarray:
+    """`(a @ b).to_vec()` for endomorphisms a and b, from the products of
+    their components in `to_vec` order, without building the composite."""
+    flat = [(f.comps[q] @ g.comps[q]).arr.reshape(-1) for q in range(a.dom.poset.n) for f, g in zip(a.nats, b.nats)]
+    return np.concatenate(flat + [np.zeros(0, dtype=np.int64)])
+
+
 def reference_structure_constants(ring, basis) -> np.ndarray:
     """C[i, j] = coordinates of basis[i] . basis[j], from chain-map
     products and one solve."""
     dim, p = ring.dim, ring.obj.p
     if not dim:
         return np.zeros((0, 0, 0), dtype=np.int64)
-    prods = [(a @ b).to_vec() for a in basis for b in basis]
+    prods = [product_vec(a, b) for a in basis for b in basis]
     return solve(ring.columns, Mat(np.stack(prods, axis=1) % p, p)).arr.T.reshape(dim, dim, dim)
 
 
@@ -237,7 +244,7 @@ def reference_ideal_is_nilpotent(kernel_basis: list, ring) -> bool:
     X, p = ring.obj, ring.obj.p
     power = list(kernel_basis)
     for _ in range(max(1, ring.dim)):
-        prods = np.stack([(a @ b).to_vec() for a in power for b in kernel_basis])
+        prods = np.stack([product_vec(a, b) for a in power for b in kernel_basis])
         rr = rref(Mat(prods, p), transform=False)
         nxt = [ChainMap.from_vec(X, X, rr.R.arr[i]) for i in range(rr.rank)]
         if not nxt:
