@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import InputError, MathError, ParseError, TooLargeError
 from .field import _check_modulus
 from .posets import Edge, FinPoset, RealizedPoset, Vertex, point_name, realize, transfer_point
@@ -231,19 +233,32 @@ def _end_ring_json(name: Optional[str], ring: EndRing) -> str:
     """The `--machine` report of `endring`: the bytes of `json.dumps` with
     sorted keys and no spaces of {"object", "dim", "basis"}, where each
     basis vector maps every element name to its components per degree as
-    nested lists.  The vectors are printed through one `%d` template, with
-    the element names JSON-escaped and their `%` doubled, applied to the
-    rows of the basis with its coordinates in printing order."""
+    nested lists.  One byte template (the names JSON-escaped, so with no
+    control bytes, and W NUL cells per entry in printing order, W the
+    digits of the largest entry) is repeated once per vector; each place's
+    digits take one division by 10, and one mask drops leading zeros."""
+    largest = ring.columns.arr.max(initial=0)
+    width = len(str(largest))
     names = ring.obj.poset.names
     parts, perm = [], []
     for q in sorted(range(len(names)), key=names.__getitem__):
         blocks = []
         for o, r, c in ring.blocks[q]:
-            blocks.append("[" + ",".join(["[" + ",".join(["%d"] * c) + "]"] * r) + "]")
+            blocks.append("[" + ",".join(["[" + ",".join(["\0" * width] * c) + "]"] * r) + "]")
             perm.extend(range(o, o + r * c))
-        parts.append(json.dumps(names[q]).replace("%", "%%") + ":[" + ",".join(blocks) + "]")
-    template = "{" + ",".join(parts) + "}"
-    basis = ",".join([template % tuple(v) for v in ring.columns.arr[perm].T.tolist()])
+        parts.append(json.dumps(names[q]) + ":[" + ",".join(blocks) + "]")
+    template = np.frombuffer(("{" + ",".join(parts) + "},").encode(), dtype=np.uint8)
+    cells = np.flatnonzero(template == 0).reshape(-1, width)
+    rows = np.tile(template, (ring.dim, 1))
+    keep = np.ones(rows.shape, dtype=bool)
+    vals = ring.columns.arr.astype(np.min_scalar_type(largest))[perm].T
+    for place, at in enumerate(cells.T[::-1]):
+        tens = vals // 10
+        rows[:, at] = vals - 10 * tens + 48
+        if place:
+            keep[:, at] = vals > 0
+        vals = tens
+    basis = rows[keep].tobytes().decode()[:-1]
     return '{"basis":[%s],"dim":%d,"object":%s}' % (basis, ring.dim, json.dumps(name))
 
 

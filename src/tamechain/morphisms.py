@@ -68,9 +68,9 @@ _YONEDA_MIN_UNKNOWNS = 64
 # it is allocated: equations x unknowns on the direct route, and (equations
 # + components) x generator values through the cover, which also holds the
 # map back to components.  At the bound, on 2 CPUs, `endring --machine`
-# takes 3.0 s and 420 MB on one element of dim 56 (a (0 + 3,136) x 3,136
-# system, printing 20 MB) and 3.3 s and 474 MB on a point complex with dims
-# 47 and 47 (2,209 x 4,418, direct); twice the bound takes 820 MB.
+# takes 1.5-2.5 s and 410 MB at p = 2 and at p = 2147483629 on one element of
+# dim 56 (a (0 + 3,136) x 3,136 system, printing 20 MB) and 1 s and 350 MB on
+# a point complex with dims 47 and 47 (2,209 x 4,418, direct); dim 66 at twice the bound takes 760 MB.
 MAX_HOM_CELLS = 10_000_000
 
 
@@ -175,7 +175,7 @@ def _yoneda_kernel(X: VectFunctor, Y: VectFunctor, offs, nvars: int) -> Mat:
             a += d
         at = eq.stop
     solutions = kernel(Mat._wrap(system, p))
-    return kernel_basis(Mat._wrap(_matmul(comps, solutions.arr, p), p))
+    return kernel_basis(Mat._wrap(comps, p) @ solutions)
 
 
 def _relations_at(P: VectFunctor, nulls: list[np.ndarray], q: int) -> np.ndarray:

@@ -262,7 +262,8 @@ def _end_ring_json_oracle(name, ring) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-# Characters that JSON escapes, that `%` formatting reads, and non-ASCII ones.
+# Characters that JSON escapes (a control character among them: the writer
+# marks its digit cells with NUL), `%`, and non-ASCII ones.
 NAMES = st.text(alphabet='ad%"\\\n {}:,é∂\u2028😀', max_size=4)
 
 
@@ -270,8 +271,11 @@ NAMES = st.text(alphabet='ad%"\\\n {}:,é∂\u2028😀', max_size=4)
 def rings(draw):
     """A chain functor with zero maps and boundaries on a chain of names,
     with top 0 to 2 and dims 0 to 3, and 0 to 4 random columns as its End
-    basis: the report reads only the names, the blocks and the columns."""
-    p = draw(st.sampled_from([2, 32749]))
+    basis: the report reads only the names, the blocks and the columns.
+    The entries run up to p - 1 or, at any p, up to 9 only, since the
+    writer's digit width follows the largest entry, not p."""
+    p = draw(st.sampled_from([2, 5, 32749, 2147483629]))
+    largest = draw(st.sampled_from([min(9, p - 1), p - 1]))
     names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
     top = draw(st.integers(0, 2))
     dims = [[draw(st.integers(0, 3)) for _ in range(top + 1)] for _ in names]
@@ -279,7 +283,7 @@ def rings(draw):
     X = chain_from_json({"top": top, "dims": dict(zip(names, dims))}, P, p)
     k = draw(st.integers(0, 4))
     rows = sum(d * d for row in dims for d in row)
-    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * k, max_size=rows * k))
+    entries = draw(st.lists(st.integers(0, largest), min_size=rows * k, max_size=rows * k))
     return EndRing(X, Mat(np.array(entries, dtype=np.int64).reshape(rows, k), p))
 
 

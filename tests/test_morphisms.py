@@ -46,7 +46,7 @@ from tamechain.morphisms import (
 )
 from tamechain.posets import FinPoset
 
-from conftest import random_chain, random_dim1_poset, random_functor, random_functor_dim1, random_matrix, random_poset
+from conftest import conjugate_chain, random_chain, random_dim1_poset, random_functor, random_functor_dim1, random_matrix, random_poset
 
 
 def test_hom_contains_identity(fence):
@@ -360,6 +360,23 @@ def test_yoneda_route_matches_the_direct_system(p, shape, max_rel, kind, seed):
     K = _direct_kernel(cX, cY, offs, nvars)
     assert _yoneda_kernel(X, Y, offs, nvars) == K
     assert _hom_kernel(cX, cY) == K
+
+
+@pytest.mark.parametrize("p", [2, 2147483629])
+def test_yoneda_route_without_equations_matches_the_direct_system(chain3, p):
+    # A free domain has no relations, so the Yoneda system has no rows and
+    # its kernel is the shared identity; past the crossover (81 and 69
+    # unknowns), the basis is still the direct system's, at a prime where
+    # products take the 16-bit halves too.
+    rng = random.Random(p)
+    X = free_on_generators(chain3, [(0, 3), (1, 3)], p)
+    assert minimal_cover(X).P.dims == X.dims
+    for Y in (X, conjugate_chain(rng, as_chain(free_on_generators(chain3, [(0, 3), (1, 1), (2, 2)], p))).layers[0]):
+        cX, cY = as_chain(X), as_chain(Y)
+        offs = _block_offsets(cX, cY)
+        nvars = sum(r * c for row in offs for _, r, c in row)
+        assert nvars >= _YONEDA_MIN_UNKNOWNS
+        assert _yoneda_kernel(X, Y, offs, nvars) == _direct_kernel(cX, cY, offs, nvars)
 
 
 @settings(max_examples=80, deadline=None)
