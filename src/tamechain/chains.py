@@ -308,9 +308,10 @@ def suspension(X: ChainFunctor, k: int = 1) -> ChainFunctor:
     if k == 0:
         return X
     Z = _zero_functor(X.poset, X.p)
-    layers = [Z] * k + list(X.layers)
-    d = [NatMap.zero(layers[i + 1], layers[i]) for i in range(k)] + list(X.d)
-    return ChainFunctor._trusted(layers, d)
+    # One zero map serves the k - 1 boundaries between zero degrees.
+    between = [NatMap.zero(Z, Z)] * (k - 1) if k > 1 else []
+    d = between + [NatMap.zero(X.layers[0], Z)] + list(X.d)
+    return ChainFunctor._trusted([Z] * k + list(X.layers), d)
 
 
 def direct_sum_chains(parts: Sequence[ChainFunctor]) -> tuple[ChainFunctor, list[ChainMap], list[ChainMap]]:
@@ -609,10 +610,7 @@ def structure_decompose(C: ChainFunctor) -> Decomposition:
             continue
         H = homology_functor(C, m)
         if not H.is_zero():
-            try:
-                res = minimal_resolution(H)
-            except KernelNotProjectiveError as exc:
-                raise HomologyNotResolvableError(str(exc)) from exc
+            res = minimal_resolution(H)
             sphere = suspension(ChainFunctor._trusted([res.p0, res.p1], [res.d]), m).trimmed()
             summands.append(SummandLabel("sphere", m, res.gens0, res.gens1, sphere))
             rest, below = rest - Counter(dict(res.gens0)), Counter(dict(res.gens1))

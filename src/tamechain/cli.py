@@ -38,7 +38,6 @@ from .examples import ChainPair, GluingStage, builtin_example
 from .interchange import (
     Document,
     build_document,
-    chain_to_json,
     dumps_document,
     parse_document,
     parse_fraction,
@@ -397,22 +396,15 @@ def _example_field(args) -> int:
 def cmd_example(args) -> int:
     p = _example_field(args)
     obj = builtin_example(args.name, p)
-    point_name_default = "P"
+    gluing = None
     if isinstance(obj, GluingStage):
-        out = build_document(
-            p,
-            {point_name_default: obj.functor.poset},
-            chains={"X": (obj.functor, point_name_default)},
-            gluing={"A": list(obj.a_names), "B": list(obj.b_names)},
-        )
+        chains, gluing = {"X": obj.functor}, {"A": list(obj.a_names), "B": list(obj.b_names)}
     elif isinstance(obj, ChainPair):
-        out = build_document(
-            p,
-            {point_name_default: obj.left.poset},
-            chains={"left": (obj.left, point_name_default), "right": (obj.right, point_name_default)},
-        )
+        chains = {"left": obj.left, "right": obj.right}
     else:
-        out = build_document(p, {point_name_default: obj.poset}, chains={args.name: (obj, point_name_default)})
+        chains = {args.name: obj}
+    poset = next(iter(chains.values())).poset
+    out = build_document(p, {"P": poset}, chains={n: (X, "P") for n, X in chains.items()}, gluing=gluing)
     sys.stdout.write(dumps_document(out))
     return 0
 
@@ -422,40 +414,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tamechain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def add(name, fn, text, pick="object"):
+        """A subcommand that reads a document; --`pick` selects one of its objects."""
+        sp = sub.add_parser(name, help=text)
         sp.set_defaults(fn=fn)
         sp.add_argument("file", nargs="?", default="-", help="interchange document (default: stdin)")
         sp.add_argument("--machine", action="store_true", help="emit a JSON report")
+        if pick:
+            sp.add_argument(f"--{pick}", default=None)
         return sp
 
-    sp = add("validate", cmd_validate, help="check structural invariants")
+    sp = add("validate", cmd_validate, "check structural invariants", None)
     sp.add_argument("files", nargs="*", help="additional documents for batch mode")
-    add("info", cmd_info, help="dimensions, poset class, homology table")
-    sp = add("cover", cmd_cover, help="minimal projective cover generators")
-    sp.add_argument("--object", default=None)
-    sp = add("resolve", cmd_resolve, help="minimal projective resolution")
-    sp.add_argument("--object", default=None)
-    sp = add("replace", cmd_replace, help="minimal cofibrant replacement (emits a document)")
-    sp.add_argument("--object", default=None)
-    sp = add("decompose", cmd_decompose, help="sphere/disk summand labels")
-    sp.add_argument("--object", default=None)
-    sp = add("endring", cmd_endring, help="endomorphism ring dimension and basis")
-    sp.add_argument("--object", default=None)
-    sp = add("indec", cmd_indec, help="indecomposability certificate")
-    sp.add_argument("--object", default=None)
+    add("info", cmd_info, "dimensions, poset class, homology table", None)
+    add("cover", cmd_cover, "minimal projective cover generators")
+    add("resolve", cmd_resolve, "minimal projective resolution")
+    add("replace", cmd_replace, "minimal cofibrant replacement (emits a document)")
+    add("decompose", cmd_decompose, "sphere/disk summand labels")
+    add("endring", cmd_endring, "endomorphism ring dimension and basis")
+    sp = add("indec", cmd_indec, "indecomposability certificate")
     sp.add_argument("--strategy", choices=["exhaustive"], default="exhaustive")
     sp.add_argument("--budget", type=int, default=None)
-    sp = add("glue", cmd_glue, help="gluing criteria for D = A u B")
-    sp.add_argument("--object", default=None)
+    sp = add("glue", cmd_glue, "gluing criteria for D = A u B")
     sp.add_argument("--A", default=None, help="comma-separated element names")
     sp.add_argument("--B", default=None, help="comma-separated element names")
-    sp = add("realize", cmd_realize, help="realize a poset (emits a document)")
-    sp.add_argument("--poset", default=None)
+    sp = add("realize", cmd_realize, "realize a poset (emits a document)", "poset")
     sp.add_argument("--V", default="", help="comma-separated coordinates, e.g. -1/2,-3/4")
     sp.add_argument("--D", default=None, help="comma-separated closed subset (default: all)")
-    sp = add("transfer", cmd_transfer, help="transfer of a point into a subposet")
-    sp.add_argument("--poset", default=None)
+    sp = add("transfer", cmd_transfer, "transfer of a point into a subposet", "poset")
     sp.add_argument("--point", required=True)
     sp.add_argument("--sub", default=None, help="subposet element names (plain posets)")
 

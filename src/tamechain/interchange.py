@@ -175,15 +175,6 @@ def _cover_from_key(P: FinPoset, keys: dict[str, tuple[int, int]], key: str) -> 
     raise ParseError(f"{key!r} is not a cover relation")
 
 
-def functor_to_json(F: VectFunctor, poset_name: str) -> dict:
-    names = F.poset.names
-    return {
-        "poset": poset_name,
-        "dims": {names[q]: F.dims[q] for q in range(F.poset.n)},
-        "maps": {key: _mat_to_json(F.maps[c]) for key, c in _cover_keys(F.poset).items()},
-    }
-
-
 def _int(value, what: str, where: str = "") -> int:
     """A JSON integer: not a float, a boolean or a string."""
     if type(value) is not int:
@@ -224,7 +215,7 @@ def _list(val, length: int, what: str) -> list:
     return val
 
 
-def _check_declared_size(P: FinPoset, dims: list[list[int]], chain: bool) -> None:
+def _check_declared_size(P: FinPoset, dims: list[list[int]]) -> None:
     """TooLargeError when dims[q][n], over the elements q and degrees n,
     imply more than MAX_DECLARED_CELLS cells; the message names the key
     whose matrix crosses the bound."""
@@ -234,9 +225,8 @@ def _check_declared_size(P: FinPoset, dims: list[list[int]], chain: bool) -> Non
         nonlocal total
         total += max(1, rows * cols)
         if total > MAX_DECLARED_CELLS:
-            at = f" in degree {n}" if chain else ""
             raise TooLargeError(
-                f"{key}{at} implies a {rows:,} x {cols:,} {what}, which brings the cells implied by "
+                f"{key} in degree {n} implies a {rows:,} x {cols:,} {what}, which brings the cells implied by "
                 f"the dims to {total:,}, above the bound {MAX_DECLARED_CELLS:,}"
             )
 
@@ -251,14 +241,11 @@ def _check_declared_size(P: FinPoset, dims: list[list[int]], chain: bool) -> Non
 
 
 def functor_from_json(block: dict, P: FinPoset, p: int) -> VectFunctor:
-    given = _per_element(block, "dims", P, required=True)
-    dims = [_dim(given.get(name, 0), f"dim at {name!r}") for name in P.names]
-    _check_declared_size(P, [[d] for d in dims], chain=False)
-    maps, keys = {}, _cover_keys(P)
-    for key, val in _table(block, "maps").items():
-        y, x = _cover_from_key(P, keys, key)
-        maps[(y, x)] = _mat_from_json(val, dims[x], dims[y], p, f"map {key!r}")
-    return VectFunctor(P, dims, maps, p)
+    """A `functors` block is the degree-0 case of a chain block: its dims
+    and maps are read as one-entry lists, and its errors name degree 0."""
+    dims, maps = _table(block, "dims", required=True), _table(block, "maps")
+    one = {"dims": {q: [d] for q, d in dims.items()}, "maps": {c: [m] for c, m in maps.items()}}
+    return chain_from_json(one, P, p).layers[0]
 
 
 def chain_to_json(X: ChainFunctor, poset_name: str) -> dict:
@@ -291,7 +278,7 @@ def chain_from_json(block: dict, P: FinPoset, p: int) -> ChainFunctor:
     for name in P.names:
         row = _list(given_dims.get(name, [0] * (top + 1)), top + 1, f"dims at {name!r} (degrees 0..{top})")
         dims.append([_dim(d, f"dim at {name!r}", f" in degree {n}") for n, d in enumerate(row)])
-    _check_declared_size(P, dims, chain=True)
+    _check_declared_size(P, dims)
     given_bdy = _per_element(block, "boundaries", P)
     bdy = []
     for q, name in enumerate(P.names):
@@ -332,31 +319,27 @@ class Document:
     gluing: Optional[dict] = None
 
     def only_functor(self, name: Optional[str]) -> tuple[str, VectFunctor]:
-        return _pick("functor", self.functors, name)
+        name, (F, _) = _pick("functor", "object", self.functors, name)
+        return name, F
 
     def only_chain(self, name: Optional[str]) -> tuple[str, ChainFunctor]:
-        return _pick("chain functor", self.chains, name)
+        name, (X, _) = _pick("chain functor", "object", self.chains, name)
+        return name, X
 
     def only_poset(self, name: Optional[str]) -> tuple[str, FinPoset]:
-        if name is not None:
-            if name not in self.posets:
-                raise ParseError(f"no poset named {name!r} in the document")
-            return name, self.posets[name]
-        if len(self.posets) != 1:
-            raise ParseError("document holds several posets; use --poset")
-        ((n, P),) = self.posets.items()
-        return n, P
+        return _pick("poset", "poset", self.posets, name)
 
 
-def _pick(kind: str, table: dict, name: Optional[str]):
-    if name is not None:
-        if name not in table:
-            raise ParseError(f"no {kind} named {name!r} in the document")
-        return name, table[name][0]
-    if len(table) != 1:
-        raise ParseError(f"document holds {len(table)} {kind}s; pass a name")
-    ((n, (obj, _)),) = table.items()
-    return n, obj
+def _pick(kind: str, flag: str, table: dict, name: Optional[str]):
+    """The entry of `table` that `name` names, or its only entry when
+    `name` is None; `flag` is the CLI option that names one."""
+    if name is None:
+        if len(table) != 1:
+            raise ParseError(f"document holds several {kind}s; use --{flag}" if table else f"document holds no {kind}")
+        (name,) = table
+    if name not in table:
+        raise ParseError(f"no {kind} named {name!r} in the document")
+    return name, table[name]
 
 
 def parse_document(text: str) -> Document:
@@ -400,13 +383,10 @@ def parse_document(text: str) -> Document:
 def build_document(
     p: int,
     posets: dict[str, FinPoset],
-    functors: Optional[dict[str, tuple[VectFunctor, str]]] = None,
     chains: Optional[dict[str, tuple[ChainFunctor, str]]] = None,
     gluing: Optional[dict] = None,
 ) -> dict:
     out: dict = {"field": p, "posets": {n: poset_to_json(P) for n, P in posets.items()}}
-    if functors:
-        out["functors"] = {n: functor_to_json(F, pn) for n, (F, pn) in functors.items()}
     if chains:
         out["chain_functors"] = {n: chain_to_json(X, pn) for n, (X, pn) in chains.items()}
     if gluing:

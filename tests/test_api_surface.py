@@ -16,7 +16,9 @@ assignment, or is exported; and every field of a dataclass is read as
 `.name` somewhere in `src/`, `tests/` or `perfbench/`, or is on the keep
 list.  Every keep entry must be needed: the checks without it must name
 it.  README's "Library API" bullets list, per module, exactly the names
-`tamechain/__init__.py` imports from it.
+`tamechain/__init__.py` imports from it, and its "Library example" runs
+and prints its stated output.  Every name a module imports is read in
+that module.
 """
 
 from __future__ import annotations
@@ -213,3 +215,26 @@ def test_every_module_level_name_has_a_reader():
         and all(ref[0] == file and first <= ref[1] <= last for ref in names.get(name, []) + attrs.get(name, []))
     )
     assert not unread, "bound by assignment, never referenced in src/ and not exported: " + ", ".join(unread)
+
+
+def test_every_import_is_read():
+    """Every name a module imports is read in that module, except the
+    imports of `__init__.py` (the exports) and `annotations`."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {(a.asname or a.name).split(".")[0] for a in node.names} - {"annotations"}
+                unread += [f"{path.stem}.{name}" for name in sorted(bound - read)]
+    assert not unread, "imported, never read: " + ", ".join(unread)
+
+
+def test_readme_library_example_runs(capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "sphere 0 ((0, 1),)\nsphere 1 ((2, 1),)\n"

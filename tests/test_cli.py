@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tamechain.chains import ChainFunctor
 from tamechain.cli import _end_ring_json
 from tamechain.field import Mat
 from tamechain.interchange import build_document, chain_from_json, dumps_document, parse_document
@@ -161,17 +162,70 @@ def test_field_mismatch_between_example_and_request():
 def test_interchange_round_trip_realized():
     base = FinPoset.from_covers(["p", "q", "r"], [("p", "r"), ("q", "r")])
     rp = realize(base, None, [Fraction(-1, 3)])
-    F = free_on_generators(rp, [(rp.index("p"), 2)], 5)
-    doc = build_document(5, {"R": rp}, functors={"F": (F, "R")})
+    X = ChainFunctor([free_on_generators(rp, [(rp.index("p"), 2)], 5)], [])
+    doc = build_document(5, {"R": rp}, chains={"X": (X, "R")})
     text = dumps_document(doc)
     back = parse_document(text)
     assert back.field == 5
     P2 = back.posets["R"]
     assert P2.names == rp.names
     assert P2.covers == rp.covers
-    F2 = back.functors["F"][0]
-    assert F2.dims == F.dims
-    assert dumps_document(build_document(5, {"R": P2}, functors={"F": (F2, "R")})) == text
+    X2 = back.chains["X"][0]
+    assert X2.dims == X.dims
+    assert dumps_document(build_document(5, {"R": P2}, chains={"X": (X2, "R")})) == text
+
+
+FUNCTOR_BLOCK = {"poset": "P", "dims": {"a": 1, "b": 2, "c": 1}, "maps": {"a->b": [[1], [0]], "b->c": [[0, 1]]}}
+CHAIN3 = {"P": {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}}
+
+
+def test_functor_block_reads_as_the_degree_zero_chain_block():
+    as_chain = {
+        "poset": "P",
+        "top": 0,
+        "dims": {"a": [1], "b": [2], "c": [1]},
+        "maps": {"a->b": [[[1], [0]]], "b->c": [[[0, 1]]]},
+    }
+    text = json.dumps({"field": 3, "posets": CHAIN3, "functors": {"F": FUNCTOR_BLOCK}, "chain_functors": {"X": as_chain}})
+    doc = parse_document(text)
+    F, X = doc.functors["F"][0], doc.chains["X"][0]
+    assert (F.dims, F.maps) == (X.layers[0].dims, X.layers[0].maps)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            {"maps": {"a->b": [[1, 0]]}},
+            "input error (ParseError): functor 'F': cover map 'a->b' degree 0 has shape (1, 2), expected (2, 1)\n",
+        ),
+        (
+            {"poset": "D", "dims": dict.fromkeys("abcd", 1), "maps": {"a->b": [[1]], "a->c": [[1]], "b->d": [[1]], "c->d": None}},
+            "input error (ValidationError): functor 'F': degree 0: functoriality fails between a and d\n",
+        ),
+    ],
+    ids=["map-shape", "functoriality"],
+)
+def test_functor_block_errors_name_degree_zero(edit, message):
+    diamond = {"elements": ["a", "b", "c", "d"], "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]}
+    posets = {**CHAIN3, "D": diamond}
+    doc = {"field": 3, "posets": posets, "functors": {"F": {**FUNCTOR_BLOCK, **edit}}}
+    assert invoke(["info"], json.dumps(doc)) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["replace"], {"functors": {"F": FUNCTOR_BLOCK}}, "document holds no chain functor"),
+        (["cover"], {}, "document holds no functor"),
+        (["cover"], {"functors": {"F": FUNCTOR_BLOCK, "G": FUNCTOR_BLOCK}}, "document holds several functors; use --object"),
+        (["realize"], {"posets": {}}, "document holds no poset"),
+    ],
+    ids=["no-chain", "no-functor", "several-functors", "no-poset"],
+)
+def test_picker_names_an_empty_or_crowded_table(argv, doc, message):
+    text = json.dumps({"field": 3, "posets": CHAIN3, **doc})
+    assert invoke(argv, text) == (2, "", f"input error (ParseError): {message}\n")
 
 
 def _assert_round_trip(X) -> None:
@@ -621,7 +675,7 @@ def _realized_edges(edges) -> str:
 @pytest.mark.parametrize(
     "argv, text, message",
     [
-        (["info"], _functor_document(dims={"a": -1}), "functor 'F': dim at 'a' is negative: -1"),
+        (["info"], _functor_document(dims={"a": -1}), "functor 'F': dim at 'a' is negative: -1 in degree 0\n"),
         (["info"], _functor_document(dims={"a": 1, "zz": 1}), "functor 'F': `dims` names unknown element 'zz'"),
         (["info"], _poset_document(elements=[1, 2]), "poset 'Q': `elements` must be a list of strings"),
         (["info"], _poset_document(covers={"ab": 1}), "poset 'Q': `covers` must be a list of [lower, upper] name pairs"),
